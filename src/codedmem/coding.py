@@ -107,7 +107,9 @@ def join_splits(data_splits, page_size):
 
 
 def _stack(splits):
-    return np.stack([np.frombuffer(s.data, dtype=np.uint8) for s in splits])
+    # one read-only (len(splits) x split size) view over the joined bytes
+    joined = b"".join(s.data for s in splits)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(splits), -1)
 
 
 def encode(codec, data_splits):
@@ -133,13 +135,13 @@ def _generator_row(codec, index):
 
 
 def _decode_matrix(codec, indices):
-    # inverted generator submatrix for this arrival set, cached per codec
-    key = tuple(indices)
-    inv = codec._decode_cache.get(key)
+    # inverted generator submatrix for this index set (sorted), cached per
+    # codec; at most C(k+r, k) sets exist
+    inv = codec._decode_cache.get(indices)
     if inv is None:
         rows = [_generator_row(codec, i) for i in indices]
         inv = gf256.mat_inv(rows)
-        codec._decode_cache[key] = inv
+        codec._decode_cache[indices] = inv
     return inv
 
 
@@ -163,10 +165,21 @@ def _reconstruct_data(codec, use):
     size = len(use[0].data)
     if any(len(s.data) != size for s in use):
         raise LengthMismatch("splits differ in length")
-    indices = [s.index for s in use]
-    if indices == list(range(codec.k)):
-        return _stack(use)
-    return gf256.apply_matrix(_decode_matrix(codec, indices), _stack(use))
+    k = codec.k
+    use = sorted(use, key=lambda s: s.index)
+    indices = tuple(s.index for s in use)
+    stacked = _stack(use)
+    if indices[-1] < k:  # k distinct indices below k: all data splits
+        return stacked
+    # erasure-only decode: keep the data rows that arrived and rebuild just
+    # the missing ones from their rows of the inverse
+    missing = [i for i in range(k) if i not in indices]
+    present = k - len(missing)
+    inv = _decode_matrix(codec, indices)
+    data = np.empty((k, size), dtype=np.uint8)
+    data[list(indices[:present])] = stacked[:present]
+    data[missing] = gf256.apply_matrix([inv[i] for i in missing], stacked)
+    return data
 
 
 def decode(codec, available, page_size=None):

@@ -26,6 +26,7 @@ for _i in range(255, 512):
 # GF_MUL[a, b] = a * b
 GF_MUL = np.zeros((256, 256), dtype=np.uint8)
 GF_MUL[1:, 1:] = _EXP[(_LOG[1:, None] + _LOG[None, 1:]) % 255]
+_GF_MUL_FLAT = GF_MUL.ravel()  # a * b at index a << 8 | b
 
 
 def gf_mul(a, b):
@@ -89,12 +90,7 @@ def apply_matrix(matrix, data):
     data:   (inner x width) uint8 array; returns (rows x width) uint8.
     """
     data = np.asarray(data, dtype=np.uint8)
-    width = data.shape[1]
-    out = np.zeros((len(matrix), width), dtype=np.uint8)
-    for i, row in enumerate(matrix):
-        acc = out[i]
-        for coef, chunk in zip(row, data):
-            if coef == 0:
-                continue
-            acc ^= GF_MUL[coef][chunk]
-    return out
+    coefs = np.asarray(matrix, dtype=np.intp).reshape(len(matrix), data.shape[0])
+    # one gather of every coefficient-byte product, then xor over the inner axis
+    products = _GF_MUL_FLAT.take((coefs[:, :, None] << 8) | data)
+    return np.bitwise_xor.reduce(products, axis=1)

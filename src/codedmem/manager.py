@@ -585,7 +585,7 @@ class ResilienceManager:
         width = self.codec.params.k + self.codec.params.r
         gid = self.plan.group_for_range(range_id)
         group = self.plan.groups[gid]
-        loads = {m.machine_id: m.slab_bytes for m in self.cluster.machines}
+        loads = {m: self.cluster.machines[m].slab_bytes for m in group.members}
         eligible = [
             m
             for m in group.members

@@ -98,11 +98,8 @@ class Machine:
         self.state = MachineState.UP
         self.slabs = {}
         self.pending = set()
+        self.slab_bytes = 0  # bytes of non-evicted slabs, kept by allocate/evict
         self._cluster = cluster
-
-    @property
-    def slab_bytes(self):
-        return sum(s.size_bytes for s in self.slabs.values() if s.state != SlabState.EVICTED)
 
     @property
     def free_bytes(self):
@@ -125,16 +122,19 @@ class Machine:
             split_size=split_size,
         )
         self.slabs[slab.slab_id] = slab
+        self.slab_bytes += size_bytes
         self._cluster.slabs[slab.slab_id] = slab
         return slab
 
 
-@dataclass(order=True)
 class _Event:
-    time_ns: int
-    seq: int
-    fn: object = field(compare=False)
-    alive: bool = field(default=True, compare=False)
+    """A scheduled callback; clearing ``alive`` cancels it."""
+
+    __slots__ = ("fn", "alive")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.alive = True
 
 
 @dataclass
@@ -157,7 +157,7 @@ class Cluster:
         self.event_log = []  # (time_ns, op, entity, outcome)
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
-        self._heap = []
+        self._heap = []  # (time_ns, seq, _Event); seq breaks time ties
         self._seq = itertools.count()
         self._slab_ids = itertools.count()
         self._background = []
@@ -166,8 +166,8 @@ class Cluster:
     # -- event loop -------------------------------------------------------
 
     def schedule_at(self, time_ns, fn):
-        ev = _Event(int(time_ns), next(self._seq), fn)
-        heapq.heappush(self._heap, ev)
+        ev = _Event(fn)
+        heapq.heappush(self._heap, (int(time_ns), next(self._seq), ev))
         return ev
 
     def schedule(self, delay_ns, fn):
@@ -176,10 +176,10 @@ class Cluster:
     def step(self):
         """Run the next live event; None when the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            time_ns, _, ev = heapq.heappop(self._heap)
             if not ev.alive:
                 continue
-            self.now = ev.time_ns
+            self.now = time_ns
             ev.fn()
             return ev
         return None
@@ -190,11 +190,11 @@ class Cluster:
 
     def run_until(self, time_ns):
         while self._heap:
-            nxt = self._heap[0]
+            head_ns, _, nxt = self._heap[0]
             if not nxt.alive:
                 heapq.heappop(self._heap)
                 continue
-            if nxt.time_ns > time_ns:
+            if head_ns > time_ns:
                 break
             self.step()
         self.now = max(self.now, int(time_ns))
@@ -308,6 +308,7 @@ class Cluster:
         if slab.state is SlabState.EVICTED:
             return
         slab.state = SlabState.EVICTED
+        self.machines[slab.machine_id].slab_bytes -= slab.size_bytes
         slab.store.clear()
         self.log("evict", f"m{slab.machine_id}:s{slab_id}", "evicted")
         for cb in self.on_eviction:

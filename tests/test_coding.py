@@ -10,6 +10,7 @@ Frozen oracle values:
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ class TestDecode:
         with pytest.raises(InsufficientSplits):
             coding.decode(codec, data[:3])
 
+    def test_every_arrival_order_decodes_from_a_bounded_cache(self):
+        # the inverse is keyed on the index set, not the arrival order, and
+        # the all-data set takes the systematic path without one
+        codec = coding.make_codec(coding.CodecParams(k=4, r=2))
+        page = random_page(np.random.default_rng(17))
+        data = coding.split_page(page, 4)
+        splits = data + coding.encode(codec, data)
+        for subset in itertools.combinations(splits, 4):
+            for arrival in itertools.permutations(subset):
+                assert coding.decode(codec, list(arrival)) == page
+        assert len(codec._decode_cache) <= comb(6, 4) - 1
+
     def test_k1_replication(self):
         codec = coding.make_codec(coding.CodecParams(k=1, r=2))
         page = random_page(np.random.default_rng(9))
@@ -241,6 +254,30 @@ class TestCorrect:
         splits = data + coding.encode(codec, data)
         with pytest.raises(InsufficientSplits):
             coding.correct_corruption(codec, splits[:6], 1)
+
+
+class TestArrivalOrder:
+    def test_detect_and_correct_ignore_split_order(self):
+        params = coding.CodecParams(k=4, r=3, delta=1)
+        codec = coding.make_codec(params)
+        rng = np.random.default_rng(18)
+        for trial in range(16):
+            page = random_page(rng)
+            data = coding.split_page(page, 4)
+            splits = data + coding.encode(codec, data)
+            if trial % 4:  # one clean set in four
+                victim = int(rng.integers(0, 7))
+                offset = int(rng.integers(0, len(splits[victim].data)))
+                splits[victim] = corrupt_split(splits[victim], offset, int(rng.integers(1, 256)))
+            subset = [splits[i] for i in sorted(rng.permutation(7)[:5].tolist())]
+            verdict = coding.detect_corruption(codec, subset, 1)
+            repaired = coding.correct_corruption(codec, splits, 1)
+            assert repaired[0] == page
+            for _ in range(6):
+                shuffled = [subset[i] for i in rng.permutation(5)]
+                assert coding.detect_corruption(codec, shuffled, 1) is verdict
+                shuffled = [splits[i] for i in rng.permutation(7)]
+                assert coding.correct_corruption(codec, shuffled, 1) == repaired
 
 
 class TestThresholds:

@@ -8,8 +8,12 @@ median 1.5us -> 1500ns per hop.
 import numpy as np
 import pytest
 
-from codedmem import simulator
-from codedmem.simulator import Cluster, FaultScript, LatencyModel
+from codedmem import placement, simulator
+from codedmem.coding import CodecParams
+from codedmem.errors import CapacityExhausted
+from codedmem.manager import ResilienceManager
+from codedmem.monitor import MonitorService
+from codedmem.simulator import Cluster, FaultScript, LatencyModel, SlabState
 
 
 def flat_model(**kw):
@@ -51,6 +55,23 @@ class TestEventLoop:
         while c.step():
             pass
         assert times == [10, 20, 30]
+
+    def test_run_until_skips_cancelled_head_and_keeps_tie_order(self):
+        c = new_cluster()
+        order = []
+        first = c.schedule_at(10, lambda: order.append("cancelled"))
+        c.schedule_at(20, lambda: order.append("a"))
+        c.schedule_at(20, lambda: order.append("b"))
+        last = c.schedule_at(22, lambda: order.append("cancelled"))
+        c.schedule_at(30, lambda: order.append("late"))
+        first.alive = last.alive = False
+        # once "b" has run, the cancelled head at 22 must not let the run
+        # reach the live event at 30
+        c.run_until(25)
+        assert order == ["a", "b"]
+        assert c.now == 25
+        c.run_until_idle()
+        assert order == ["a", "b", "late"]
 
 
 class TestLatencyModel:
@@ -278,3 +299,42 @@ def test_byte_conservation():
     )
     assert written == 3 * 4 * 16
     assert stored == written - lost - 4 * 16  # minus failed machine's slab too
+
+
+def test_slab_bytes_match_live_slabs_after_churn():
+    # the per-machine counter must equal a recount over non-evicted slabs
+    # after every step of a random allocate / fail / recover / evict /
+    # regenerate sequence
+    n = 6
+    params = CodecParams(k=2, r=1)
+    c = new_cluster(n=n, seed=3)
+    plan = placement.build_codingsets(placement.ClusterShape(machines=n), params, l=1, seed=3)
+    mgr = ResilienceManager(c, plan, params, seed=3)
+    mon = MonitorService(c, mgr, seed=3)
+    rng = np.random.default_rng(21)
+    for step in range(300):
+        action = int(rng.integers(0, 6))
+        m = int(rng.integers(0, n))
+        if action == 0:
+            c.machines[m].allocate_slab(int(rng.choice([4096, 65536])))
+        elif action == 1:
+            try:
+                mgr.map_range(step)
+            except CapacityExhausted:
+                pass
+            else:
+                mgr.submit_write(step, 0, bytes([step % 256]) * mgr.config.page_size)
+        elif action == 2:
+            c.fail_machine(m)
+        elif action == 3:
+            c.recover_machine(m)
+        elif action == 4:
+            c.evict_slab(int(rng.integers(0, len(c.slabs))))
+        else:
+            mon.drain_regeneration()
+        c.run_until_idle()
+        for machine in c.machines:
+            live = [s for s in machine.slabs.values() if s.state is not SlabState.EVICTED]
+            assert machine.slab_bytes == sum(s.size_bytes for s in live)
+    outcomes = {(op, outcome) for _, op, _, outcome in c.event_log}
+    assert {("evict", "evicted"), ("regenerate", "complete")} <= outcomes
