@@ -378,31 +378,57 @@ def run_loss_curves(cfg):
 # -- load balance ------------------------------------------------------------
 
 
-def _p2c_distinct(loads, used, rng, n):
-    """Two-choice pick constrained to machines outside ``used``."""
-    for _ in range(256):
-        a = int(rng.integers(0, n))
-        b = int(rng.integers(0, n))
-        if a == b or a in used or b in used:
-            continue
-        if loads[a] < loads[b]:
-            return a
-        if loads[b] < loads[a]:
-            return b
-        return min(a, b)
-    # dense fallback when nearly every machine is already used
-    avail = [m for m in range(n) if m not in used]
-    if not avail:
-        raise InvalidParams("no machines left for distinct placement")
-    if len(avail) == 1:
-        return avail[0]
-    pick = rng.choice(len(avail), size=2, replace=False)
-    a, b = avail[int(pick[0])], avail[int(pick[1])]
-    if loads[a] < loads[b]:
-        return a
-    if loads[b] < loads[a]:
-        return b
-    return min(a, b)
+_P2C_BLOCK = 4096  # candidate ids drawn per refill; even, so a pair never spans two
+_P2C_ATTEMPTS = 256  # candidate pairs tried per pick before the dense fallback
+
+
+def _two_choice_loads(n, width, ranges, rng):
+    """Per-machine slab counts after two-choice placement of ``ranges`` ranges.
+
+    Each range takes ``width`` distinct machines, each the less loaded of
+    two uniform candidates (ties: smaller id). A pair is rejected when its
+    ids are equal or either is already in the range; after _P2C_ATTEMPTS
+    rejections the pick falls back to two distinct draws among the machines
+    left. Candidates come from ``rng.integers`` in blocks, which yields the
+    same values as one scalar draw per candidate; before the fallback draws
+    again, the generator is rewound to just after the candidates consumed,
+    so every pick matches a loop of scalar draws.
+    """
+    loads = [0] * n
+    block, pos, saved = [], 0, None
+    for _ in range(ranges):
+        used = set()
+        for _ in range(width):
+            for _ in range(_P2C_ATTEMPTS):
+                if pos == len(block):
+                    saved = rng.bit_generator.state
+                    block, pos = rng.integers(0, n, size=_P2C_BLOCK).tolist(), 0
+                a, b = block[pos], block[pos + 1]
+                pos += 2
+                if a != b and a not in used and b not in used:
+                    break
+            else:
+                # dense fallback when nearly every machine is already used
+                rng.bit_generator.state = saved
+                rng.integers(0, n, size=pos)
+                block, pos = [], 0
+                avail = [m for m in range(n) if m not in used]
+                if not avail:
+                    raise InvalidParams("no machines left for distinct placement")
+                if len(avail) == 1:
+                    a = b = avail[0]
+                else:
+                    pick = rng.choice(len(avail), size=2, replace=False)
+                    a, b = avail[int(pick[0])], avail[int(pick[1])]
+            if loads[a] < loads[b]:
+                m = a
+            elif loads[b] < loads[a]:
+                m = b
+            else:
+                m = min(a, b)
+            used.add(m)
+            loads[m] += 1
+    return loads
 
 
 def run_load_balance(cfg):
@@ -420,27 +446,23 @@ def run_load_balance(cfg):
         l = int(pol.get("l", 0)) if name == CODINGSETS else 0
         for seed in cfg["seeds"]:
             seed = int(seed)
-            loads = np.zeros(n, dtype=np.float64)
             if name == ECCACHE:
                 plan = build_eccache(shape, params, seed)
                 members = np.array([g.members for g in plan.groups], dtype=np.int64)
                 gids = np.arange(ranges) % len(plan.groups)
-                np.add.at(loads, members[gids].ravel(), 1.0)
+                loads = np.bincount(members[gids].ravel(), minlength=n)
                 label = "eccache"
             elif name == CODINGSETS:
                 plan = build_codingsets(shape, params, l, seed)
+                loads = [0] * n
                 for rid in range(ranges):
                     _, chosen = plan.place_range(rid, loads)
-                    loads[list(chosen)] += 1.0
+                    for m in chosen:
+                        loads[m] += 1
                 label = f"codingsets_l{l}"
             else:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0B2)))
-                for _ in range(ranges):
-                    used = set()
-                    for _ in range(width):
-                        m = _p2c_distinct(loads, used, rng, n)
-                        used.add(m)
-                        loads[m] += 1.0
+                loads = _two_choice_loads(n, width, ranges, rng)
                 label = "power_of_two"
             imb = load_imbalance(loads)
             rows.append([

@@ -18,6 +18,10 @@ from .errors import InvalidParams
 
 CODINGSETS = "codingsets"
 ECCACHE = "eccache"
+MEMBERSHIPS = ("extended", "chosen")
+
+MC_CHUNK_TRIALS = 5000  # trials per spawned seed; fixes the estimate for a seed
+MC_KEY_BYTES = 8 << 20  # cap on the float64 failure keys held at once
 
 
 @dataclass(frozen=True)
@@ -150,9 +154,7 @@ def build_eccache(shape, params, seed):
     count = max(1, round(n * shape.slabs_per_machine / width))
     rng = np.random.default_rng(seed)
     rows = _distinct_rows(rng, count, width, n)
-    groups = [
-        ExtendedGroup(i, tuple(int(m) for m in rows[i]), 0) for i in range(count)
-    ]
+    groups = [ExtendedGroup(i, tuple(row), 0) for i, row in enumerate(rows.tolist())]
     return PlacementPlan(ECCACHE, shape, params, 0, seed, groups)
 
 
@@ -253,33 +255,39 @@ def loss_probability_montecarlo(
     """Estimate loss probability by sampling uniform random failure sets.
 
     A trial loses data when >= r+1 members of some group's copyset universe
-    fail. Returns (estimate, 95% normal-approximation half-width). Trials
-    are drawn in chunks with independently spawned seeds and reduced by
-    summing counts, so the result is independent of chunking order.
+    fail. ``membership`` picks that universe: each group's extended members,
+    or the members ranges were placed on. Returns (estimate, 95%
+    normal-approximation half-width). Trials are drawn in chunks of
+    MC_CHUNK_TRIALS with independently spawned seeds and reduced by summing
+    counts, so the result is independent of chunking order. Each chunk's
+    keys are drawn and reduced in row blocks of at most MC_KEY_BYTES; the
+    generator fills rows in order, so the blocks join into the chunk's keys.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
+    if membership not in MEMBERSHIPS:
+        raise InvalidParams(f"membership must be one of {MEMBERSHIPS}, got {membership!r}")
     n = shape.machines
     failures = math.floor(n * shape.failure_fraction)
     size = params.r + 1
     if failures < size:
         return 0.0, 0.0
     table = _incidence_table(plan, n, membership)
-    chunk = 5000
-    n_chunks = -(-trials // chunk)
+    n_chunks = -(-trials // MC_CHUNK_TRIALS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    block = max(1, MC_KEY_BYTES // (8 * n))
     losses = 0
-    done = 0
     run = size - 1  # r+1 equal ids in a sorted row span this distance
     for ci in range(n_chunks):
         rng = np.random.default_rng(seeds[ci])
-        t = min(chunk, trials - done)
-        keys = rng.random((t, n))
-        failed = np.argpartition(keys, failures - 1, axis=1)[:, :failures]
-        hit = np.sort(table[failed].reshape(t, -1), axis=1)
-        same = (hit[:, run:] == hit[:, :-run]) & (hit[:, run:] >= 0)
-        losses += int(same.any(axis=1).sum())
-        done += t
+        t = min(MC_CHUNK_TRIALS, trials - ci * MC_CHUNK_TRIALS)
+        for lo in range(0, t, block):
+            rows = min(block, t - lo)
+            keys = rng.random((rows, n))
+            failed = np.argpartition(keys, failures - 1, axis=1)[:, :failures]
+            hit = np.sort(table[failed].reshape(rows, -1), axis=1)
+            same = (hit[:, run:] == hit[:, :-run]) & (hit[:, run:] >= 0)
+            losses += int(same.any(axis=1).sum())
     est = losses / trials
     hw = 1.96 * math.sqrt(est * (1.0 - est) / trials)
     return est, hw

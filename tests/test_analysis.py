@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from codedmem import analysis
-from codedmem.errors import ConfigError, MonotonicityViolation
+from codedmem.errors import ConfigError, InvalidParams, MonotonicityViolation
 
 LOSS_CFG = {
     "schema_version": 1,
@@ -183,6 +183,127 @@ class TestLoadBalance:
     def test_deterministic_rows(self):
         assert analysis.run_load_balance(BALANCE_CFG) == analysis.run_load_balance(
             BALANCE_CFG
+        )
+
+
+def _p2c_distinct(loads, used, rng, n, attempts, fallbacks):
+    """The scalar two-choice pick: two ``rng.integers`` calls per attempt."""
+    for _ in range(attempts):
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(0, n))
+        if a == b or a in used or b in used:
+            continue
+        if loads[a] < loads[b]:
+            return a
+        if loads[b] < loads[a]:
+            return b
+        return min(a, b)
+    fallbacks.append(len(used))
+    avail = [m for m in range(n) if m not in used]
+    if not avail:
+        raise InvalidParams("no machines left for distinct placement")
+    if len(avail) == 1:
+        return avail[0]
+    pick = rng.choice(len(avail), size=2, replace=False)
+    a, b = avail[int(pick[0])], avail[int(pick[1])]
+    if loads[a] < loads[b]:
+        return a
+    if loads[b] < loads[a]:
+        return b
+    return min(a, b)
+
+
+def _scalar_two_choice_loads(n, width, ranges, rng, attempts, fallbacks):
+    loads = np.zeros(n, dtype=np.float64)
+    for _ in range(ranges):
+        used = set()
+        for _ in range(width):
+            m = _p2c_distinct(loads, used, rng, n, attempts, fallbacks)
+            used.add(m)
+            loads[m] += 1.0
+    return loads
+
+
+class TestTwoChoice:
+    """Block-drawn two-choice placement against the scalar reference loop."""
+
+    # the fallback fires on every last pick when n == width; fewer attempts
+    # make it fire with two or more machines left, where it draws again
+    @pytest.mark.parametrize("block", [analysis._P2C_BLOCK, 6])
+    @pytest.mark.parametrize(
+        "n, width, ranges, attempts, dense",
+        [
+            (10_000, 10, 400, 256, False),
+            (10, 10, 20, 256, True),
+            (12, 12, 20, 256, True),
+            (3, 3, 20, 256, True),
+            (3, 2, 300, 2, True),
+            (50, 10, 100, 3, True),
+        ],
+    )
+    def test_matches_scalar_loop(self, monkeypatch, block, n, width, ranges, attempts, dense):
+        monkeypatch.setattr(analysis, "_P2C_BLOCK", block)
+        monkeypatch.setattr(analysis, "_P2C_ATTEMPTS", attempts)
+        fallbacks = []
+        expect = _scalar_two_choice_loads(
+            n, width, ranges, np.random.default_rng(5), attempts, fallbacks
+        )
+        got = analysis._two_choice_loads(n, width, ranges, np.random.default_rng(5))
+        assert np.array_equal(np.asarray(got, dtype=np.float64), expect)
+        assert bool(fallbacks) == dense
+        if attempts < 256:
+            assert min(fallbacks) <= n - 2  # some fallbacks chose among 2+ machines
+
+    @pytest.mark.parametrize("n", [12, 10_000, 2**33])
+    def test_block_draws_are_scalar_draws(self, n):
+        scalar = np.random.default_rng(3)
+        block = np.random.default_rng(3)
+        expect = [int(scalar.integers(0, n)) for _ in range(7)]
+        assert block.integers(0, n, size=7).tolist() == expect
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_width_above_machines_rejected(self):
+        with pytest.raises(InvalidParams, match="no machines left"):
+            analysis._two_choice_loads(3, 4, 1, np.random.default_rng(0))
+
+
+BALANCE_2000 = cfg_of(
+    BALANCE_CFG,
+    cluster={"machines": 2000, "slabs_per_machine": 16},
+    code={"k": 8, "r": 2},
+)
+
+# run_load_balance(BALANCE_2000) of the per-pick scalar loop, without the hash
+BALANCE_2000_ROWS = [
+    ["0", "eccache", "0", "3200", "2000", "6.0", "0.24895092387858295", "0.3125", "0"],
+    ["1", "eccache", "0", "3200", "2000", "7.5", "0.2521857574289238", "0.25", "0"],
+    ["0", "codingsets_l2", "2", "3200", "2000", "3.125", "0.22515619578417112", "0.5", "0"],
+    ["1", "codingsets_l2", "2", "3200", "2000", "3.7142857142857144", "0.2260911044247429",
+     "0.4375", "0"],
+    ["0", "power_of_two", "0", "3200", "2000", "1.5", "0.058429979462601214", "0.75", "0"],
+    ["1", "power_of_two", "0", "3200", "2000", "1.6363636363636365", "0.05832961297660049",
+     "0.6875", "0"],
+]
+
+
+class TestPinnedBalanceRows:
+    def test_rows_of_2000_machines(self):
+        header, rows = analysis.run_load_balance(BALANCE_2000)
+        chash = analysis.config_hash(BALANCE_2000)
+        assert all(row[1] == chash for row in rows)
+        assert [row[:1] + row[2:] for row in rows] == BALANCE_2000_ROWS
+
+    def test_power_of_two_on_10000_machines(self):
+        cfg = cfg_of(
+            BALANCE_2000,
+            seeds=[1],
+            cluster={"machines": 10_000, "slabs_per_machine": 16},
+            policies=[{"name": "power_of_two"}],
+        )
+        header, rows = analysis.run_load_balance(cfg)
+        row = dict(zip(header, rows[0]))
+        assert (row["ranges"], row["max_to_min"], row["cv"]) == (
+            "16000", "1.9", "0.05939802185258361"
         )
 
 

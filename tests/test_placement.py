@@ -272,6 +272,37 @@ class TestMonteCarloLoss:
         est, hw = placement.loss_probability_montecarlo(plan, sh, params, trials=500, seed=11)
         assert est == 1.0
 
+    def test_key_blocks_do_not_move_estimate(self, monkeypatch):
+        # codingsets l=2 on 1,000 machines, 16 slabs, f=0.01: the value the
+        # unblocked loop gave, whose 5,000-row chunks each held 40 MB of keys
+        sh = shape(1000, s=16, f=0.01)
+        params = CodecParams(k=8, r=2)
+        plan = placement.build_codingsets(sh, params, l=2, seed=1)
+        expect = (0.01285, 0.0015609328205275202)
+        assert placement.loss_probability_montecarlo(plan, sh, params, 20000, 1) == expect
+        monkeypatch.setattr(placement, "MC_KEY_BYTES", 8 * 1000)  # one row per block
+        assert placement.loss_probability_montecarlo(plan, sh, params, 20000, 1) == expect
+
+    @pytest.mark.parametrize("membership", ["chosen", "extended"])
+    def test_membership_values(self, membership):
+        sh = shape(60, f=0.05)
+        params = CodecParams(k=4, r=2)
+        plan = placement.build_codingsets(sh, params, l=0, seed=7)
+        est, _ = placement.loss_probability_montecarlo(
+            plan, sh, params, trials=500, seed=8, membership=membership
+        )
+        assert 0.0 <= est <= 1.0
+
+    @pytest.mark.parametrize("membership", ["extend", "Chosen", None])
+    def test_unknown_membership_rejected(self, membership):
+        sh = shape(60, f=0.0)  # rejected even where no trial would run
+        params = CodecParams(k=4, r=2)
+        plan = placement.build_codingsets(sh, params, l=0, seed=7)
+        with pytest.raises(InvalidParams, match="membership"):
+            placement.loss_probability_montecarlo(
+                plan, sh, params, trials=500, seed=8, membership=membership
+            )
+
 
 class TestLoadImbalance:
     def test_frozen_example(self):
