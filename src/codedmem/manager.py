@@ -9,8 +9,12 @@ a straggler or failed machine never sits on the critical path.
 With the corruption guard enabled, reads wait for k+delta splits,
 verify codeword consistency, and escalate to k+2*delta+1 splits to
 locate and repair corrupted ones. Machines whose splits keep failing
-verification are put in suspect mode (wide fan-out from the start)
-and their slabs are queued for regeneration.
+verification are put in suspect mode (wide fan-out from the start).
+
+A ref's state is read from its slab. A lost split moves to a fresh slab
+on a spare member of the range's own group, never outside it; the slab
+it leaves, a slab whose rebuild aborts, and every slab on a recovered
+machine are freed, so a stale slab never reads as healthy again.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     UnrecoverableRead,
 )
 from .placement import ExtendedGroup, select_members
-from .simulator import MachineState, SlabState
+from .simulator import MachineState, Slab, SlabState
 
 
 class RefState(str, Enum):
@@ -40,14 +44,32 @@ class RefState(str, Enum):
     REGENERATING = "regenerating"
 
 
+_REF_STATE = {
+    SlabState.AVAILABLE: RefState.HEALTHY,
+    SlabState.REGENERATING: RefState.REGENERATING,
+    SlabState.FAILED: RefState.FAILED,
+    SlabState.EVICTED: RefState.FAILED,
+}
+
+
 @dataclass
 class SlabRef:
-    """One slot of a range's codeword: which slab holds split `role`."""
+    """One slot of a range's codeword: the slab that holds split `role`."""
 
     role: int
-    machine_id: int
-    slab_id: int
-    state: RefState = RefState.HEALTHY
+    slab: Slab
+
+    @property
+    def machine_id(self):
+        return self.slab.machine_id
+
+    @property
+    def slab_id(self):
+        return self.slab.slab_id
+
+    @property
+    def state(self):
+        return _REF_STATE[self.slab.state]
 
 
 @dataclass
@@ -66,31 +88,15 @@ class AddressRange:
         return self.refs[role]
 
 
-@dataclass
-class CodingBuffer:
-    """Scratch slots holding parity splits between encode and send."""
-
-    slots: list = field(default_factory=list)
-
-    def load(self, parity_splits):
-        self.slots = [s.data for s in parity_splits]
-
-    def release(self):
-        self.slots = []
-
-
 class MachineHealth:
     """Sliding window of verification results for one machine."""
 
     def __init__(self, limit, window=64):
         self.limit = limit
         self.window = deque(maxlen=window)
-        self.errors = 0
 
     def record(self, ok):
         self.window.append(0 if ok else 1)
-        if not ok:
-            self.errors += 1
 
     @property
     def error_rate(self):
@@ -112,7 +118,6 @@ class ManagerConfig:
     run_to_completion: bool = True
     in_place_coding: bool = True
     error_correction_limit: float = 0.05
-    slab_regeneration_limit: float = 0.20
     health_window: int = 64
 
 
@@ -169,7 +174,7 @@ class _WriteOp:
         self.encode_charged = False
         self.encode_ack_ns = 0
         self.splits = None
-        self.buffer = CodingBuffer()
+        self.parity = []  # parity split bytes, held from encode to send
 
     # -- plumbing ---------------------------------------------------------
 
@@ -209,14 +214,14 @@ class _WriteOp:
         if self.encode_charged:
             return
         self.encode_charged = True
-        self.buffer.load(coding.encode(self.mgr.codec, self.splits))
+        self.parity = [s.data for s in coding.encode(self.mgr.codec, self.splits)]
 
     def _split_bytes(self, role):
         k = self.mgr.codec.params.k
         if role < k:
             return self.splits[role].data
         self._encode()
-        return self.buffer.slots[role - k]
+        return self.parity[role - k]
 
     def _issue(self, role, delay=0, fill=False):
         mgr = self.mgr
@@ -248,7 +253,7 @@ class _WriteOp:
             self.acked[role] = completion.time_ns
             self._maybe_promote(role)
         else:
-            if mgr._replace_ref(self.arange, role):
+            if mgr.relocate(self.arange, role) is not None:
                 self._issue(role, fill=True)
                 concluded = False
         if concluded and role in self.wave1_roles:
@@ -260,11 +265,8 @@ class _WriteOp:
         ref = self.arange.ref_for_role(role)
         if ref.state is not RefState.REGENERATING:
             return
-        slab = self.mgr.cluster.slabs[ref.slab_id]
-        missing = self.arange.written_pages - set(slab.store)
-        if not missing:
-            slab.state = SlabState.AVAILABLE
-            ref.state = RefState.HEALTHY
+        if not self.arange.written_pages - set(ref.slab.store):
+            ref.slab.state = SlabState.AVAILABLE
 
     def _evaluate(self):
         mgr = self.mgr
@@ -315,7 +317,7 @@ class _WriteOp:
             return
         self.finished = True
         self.done = True
-        self.buffer.release()
+        self.parity = []
         if self.mgr.config.async_parity and self.data_acked_ns is not None:
             completed = self.data_acked_ns
         else:
@@ -559,11 +561,6 @@ class ResilienceManager:
                 self.config.error_correction_limit, self.config.health_window
             )
         )
-        self.slab_errors = defaultdict(
-            lambda: MachineHealth(
-                self.config.slab_regeneration_limit, self.config.health_window
-            )
-        )
         self.regeneration_requests = []
         self._regen_requested = set()
         self.completion_log = []
@@ -575,6 +572,7 @@ class ResilienceManager:
         self.copy_ns = int(round(m.copy_us * 1000))
         cluster.on_disconnect.append(self.handle_disconnect)
         cluster.on_eviction.append(self._on_eviction)
+        cluster.on_recover.append(self._on_recover)
 
     # -- range lifecycle ----------------------------------------------------
 
@@ -609,7 +607,7 @@ class ResilienceManager:
             )
             if slab is None:
                 raise CapacityExhausted(f"machine {machine_id} out of memory")
-            refs.append(SlabRef(role=role, machine_id=machine_id, slab_id=slab.slab_id))
+            refs.append(SlabRef(role=role, slab=slab))
         arange = AddressRange(
             range_id=range_id,
             group_id=gid,
@@ -707,61 +705,60 @@ class ResilienceManager:
     # -- fault handling -----------------------------------------------------
 
     def handle_disconnect(self, machine_id):
+        # the disconnect failed every slab that was live on the machine
         for arange in self.ranges.values():
             for ref in arange.refs:
-                if ref.machine_id == machine_id and ref.state is not RefState.FAILED:
-                    ref.state = RefState.FAILED
+                if ref.machine_id == machine_id and ref.slab.state is SlabState.FAILED:
                     self._request_regen(arange.range_id, ref.role)
 
     def _on_eviction(self, slab):
-        if slab.owner is None:
-            return
         arange = self.ranges.get(slab.owner)
-        if arange is None:
-            return
-        for ref in arange.refs:
-            if ref.slab_id == slab.slab_id and ref.state is not RefState.FAILED:
-                ref.state = RefState.FAILED
-                self._request_regen(arange.range_id, ref.role)
+        if arange is not None and arange.refs[slab.role].slab is slab:
+            self._request_regen(arange.range_id, slab.role)
 
-    def _replace_ref(self, arange, role):
-        """Move a lost split onto a fresh slab on a spare group member."""
-        old = arange.ref_for_role(role)
-        if old.state is not RefState.FAILED:
-            slab = self.cluster.slabs.get(old.slab_id)
-            machine_up = self.cluster.machines[old.machine_id].state is MachineState.UP
-            if machine_up and slab is not None and slab.state not in (
-                SlabState.EVICTED,
-                SlabState.FAILED,
-            ):
-                # another op already repointed this role at a live slab
-                return True
-        hosting = {
-            ref.machine_id for ref in arange.refs if ref.state is not RefState.FAILED
-        }
-        hosting.discard(old.machine_id)
-        candidates = [
+    def _on_recover(self, machine_id):
+        # every ref on the machine was failed at disconnect and has missed
+        # writes since, so none of its slabs may serve again
+        machine = self.cluster.machines[machine_id]
+        for slab in list(machine.slabs.values()):
+            if slab.owner is not None and slab.state is not SlabState.EVICTED:
+                self.cluster.free_slab(slab.slab_id)
+
+    def relocate(self, arange, role):
+        """The slab for `role`: its own while live, else a fresh one.
+
+        A fresh slab goes on the least-loaded member of the range's group
+        (ties to the lower id) that is up, has room, and hosts no other
+        live split of the range. It starts REGENERATING, and the slab the
+        ref leaves is freed unless it was evicted. None when the group has
+        no such spare.
+        """
+        ref = arange.refs[role]
+        if ref.state is not RefState.FAILED:
+            return ref.slab
+        machines = self.cluster.machines
+        hosting = {r.machine_id for r in arange.refs if r.state is not RefState.FAILED}
+        spares = [
             m
             for m in arange.group_members
             if m not in hosting
-            and self.cluster.machines[m].state is MachineState.UP
-            and self.cluster.machines[m].free_bytes >= self.config.slab_size
+            and machines[m].state is MachineState.UP
+            and machines[m].free_bytes >= self.config.slab_size
         ]
-        if not candidates:
-            old.state = RefState.FAILED
-            return False
-        candidates.sort(key=lambda m: (self.cluster.machines[m].slab_bytes, m))
-        slab = self.cluster.machines[candidates[0]].allocate_slab(
+        if not spares:
+            return None
+        target = min(spares, key=lambda m: (machines[m].slab_bytes, m))
+        slab = machines[target].allocate_slab(
             self.config.slab_size,
             owner=arange.range_id,
             role=role,
             split_size=self.codec.split_size,
         )
         slab.state = SlabState.REGENERATING
-        old.machine_id = candidates[0]
-        old.slab_id = slab.slab_id
-        old.state = RefState.REGENERATING
-        return True
+        old, ref.slab = ref.slab, slab
+        if old.state is not SlabState.EVICTED:
+            self.cluster.free_slab(old.slab_id)
+        return slab
 
     def _request_regen(self, range_id, role):
         key = (range_id, role)
@@ -776,12 +773,7 @@ class ResilienceManager:
     # -- health -----------------------------------------------------------
 
     def _record_health(self, arange, role, ok):
-        ref = arange.ref_for_role(role)
-        self.health[ref.machine_id].record(ok)
-        slab = self.slab_errors[ref.slab_id]
-        slab.record(ok)
-        if not ok and slab.suspect:
-            self._request_regen(arange.range_id, role)
+        self.health[arange.ref_for_role(role).machine_id].record(ok)
 
     # -- reporting ----------------------------------------------------------
 

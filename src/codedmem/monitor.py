@@ -7,9 +7,11 @@ access counter decays so the usage signal tracks recent traffic.
 
 Regeneration rebuilds a lost slab from the surviving splits: decode
 each written page from k healthy slabs, re-encode the missing split,
-and backfill it onto a fresh slab on a spare machine. Foreground
-writes keep flowing while this runs; they backfill the new slab
-directly, and the catch-up loop skips pages that already landed.
+and backfill it onto the fresh slab that `ResilienceManager.relocate`
+places on a spare member of the range's group. Foreground writes keep
+flowing while this runs; they backfill the new slab directly, and the
+catch-up loop skips pages that already landed. When the group has no
+spare, the ref stays failed.
 """
 
 from __future__ import annotations
@@ -49,13 +51,7 @@ class _RegenFill:
         task = self.task
         mgr = task.mgr
         ref = task.ref
-        slab = mgr.cluster.slabs.get(ref.slab_id)
-        if (
-            ref.state is not RefState.REGENERATING
-            or slab is None
-            or slab.state is not SlabState.REGENERATING
-            or self.page_index in slab.store
-        ):
+        if ref.state is not RefState.REGENERATING or self.page_index in ref.slab.store:
             self._done(advance=True)
             return
         inner = _ReadOp(mgr, task.arange, self.page_index, self._on_read, internal=True)
@@ -129,46 +125,25 @@ class _RegenTask:
             self._finish(False)
             return
         self.arange = arange
-        self.ref = arange.ref_for_role(self.role)
-        ref = self.ref
-        slab = mgr.cluster.slabs.get(ref.slab_id)
-        if ref.state is RefState.HEALTHY and slab is not None and slab.state is SlabState.AVAILABLE:
+        self.ref = ref = arange.ref_for_role(self.role)
+        if ref.state is RefState.HEALTHY:
             self._finish(True)
             return
         if len(arange.healthy_refs()) < mgr.codec.params.k:
-            ref.state = RefState.FAILED
+            self._drop_slab()
             mgr.cluster.log("regenerate", f"r{self.range_id}:role{self.role}", "no_quorum")
             self._finish(False)
             return
-        reusable = (
-            ref.state is RefState.REGENERATING
-            and slab is not None
-            and slab.state is SlabState.REGENERATING
-            and mgr.cluster.machines[ref.machine_id].state is MachineState.UP
-        )
-        if not reusable:
-            target = self.monitor._pick_target(arange, ref)
-            if target is None:
-                ref.state = RefState.FAILED
-                mgr.cluster.log("regenerate", f"r{self.range_id}:role{self.role}", "no_target")
-                self._finish(False)
-                return
-            slab = mgr.cluster.machines[target].allocate_slab(
-                mgr.config.slab_size,
-                owner=self.range_id,
-                role=self.role,
-                split_size=mgr.codec.split_size,
-            )
-            slab.state = SlabState.REGENERATING
-            ref.machine_id = target
-            ref.slab_id = slab.slab_id
-            ref.state = RefState.REGENERATING
+        if mgr.relocate(arange, self.role) is None:
+            mgr.cluster.log("regenerate", f"r{self.range_id}:role{self.role}", "no_target")
+            self._finish(False)
+            return
         self.next_page()
 
     def next_page(self):
         mgr = self.mgr
-        slab = mgr.cluster.slabs.get(self.ref.slab_id)
-        if slab is None or self.ref.state is not RefState.REGENERATING:
+        slab = self.ref.slab
+        if slab.state is not SlabState.REGENERATING:
             self._finish(False)
             return
         while True:
@@ -181,7 +156,6 @@ class _RegenTask:
             missing = sorted(self.arange.written_pages - set(slab.store))
             if not missing:
                 slab.state = SlabState.AVAILABLE
-                self.ref.state = RefState.HEALTHY
                 mgr.cluster.log(
                     "regenerate", f"r{self.range_id}:role{self.role}", "complete"
                 )
@@ -189,10 +163,15 @@ class _RegenTask:
                 return
             self.pages = missing
 
+    def _drop_slab(self):
+        """Free the unfinished slab, so the ref reads as failed."""
+        slab = self.ref.slab
+        if slab.state in (SlabState.REGENERATING, SlabState.FAILED):
+            self.mgr.cluster.free_slab(slab.slab_id)
+
     def abort(self, retry):
         mgr = self.mgr
-        if self.ref is not None and self.ref.state is not RefState.HEALTHY:
-            self.ref.state = RefState.FAILED
+        self._drop_slab()
         mgr.cluster.log("regenerate", f"r{self.range_id}:role{self.role}", "aborted")
         self._finish(False)
         if retry:
@@ -283,38 +262,6 @@ class MonitorService:
             task.start()
             started.append(task)
         return started
-
-    def regenerate_slab(self, range_id, role):
-        key = (range_id, role)
-        if key in self._active:
-            return self._active[key]
-        task = _RegenTask(self, range_id, role)
-        self._active[key] = task
-        task.start()
-        return task
-
-    def _pick_target(self, arange, ref):
-        """Least-loaded live machine that doesn't already host this range."""
-        hosting = {
-            r.machine_id for r in arange.refs if r.state is not RefState.FAILED
-        }
-        hosting.discard(ref.machine_id)
-        size = self.manager.config.slab_size
-
-        def usable(m):
-            machine = self.cluster.machines[m]
-            return (
-                m not in hosting
-                and machine.state is MachineState.UP
-                and machine.free_bytes >= size
-            )
-
-        pool = [m for m in arange.group_members if usable(m)]
-        if not pool:
-            pool = [m.machine_id for m in self.cluster.machines if usable(m.machine_id)]
-        if not pool:
-            return None
-        return min(pool, key=lambda m: (self.cluster.machines[m].slab_bytes, m))
 
     # -- reporting ----------------------------------------------------------
 

@@ -98,7 +98,7 @@ class Machine:
         self.state = MachineState.UP
         self.slabs = {}
         self.pending = set()
-        self.slab_bytes = 0  # bytes of non-evicted slabs, kept by allocate/evict
+        self.slab_bytes = 0  # bytes of non-evicted slabs, kept by allocate/evict/free
         self._cluster = cluster
 
     @property
@@ -157,11 +157,11 @@ class Cluster:
         self.event_log = []  # (time_ns, op, entity, outcome)
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
+        self.on_recover = []  # callbacks(machine_id)
         self._heap = []  # (time_ns, seq, _Event); seq breaks time ties
         self._seq = itertools.count()
         self._slab_ids = itertools.count()
         self._background = []
-        self._bursts = []
 
     # -- event loop -------------------------------------------------------
 
@@ -302,6 +302,8 @@ class Cluster:
             if slab.state is SlabState.FAILED:
                 slab.state = SlabState.AVAILABLE
         self.log("recover", f"m{machine_id}", "up")
+        for cb in self.on_recover:
+            cb(machine_id)
 
     def evict_slab(self, slab_id):
         slab = self.slabs[slab_id]
@@ -313,6 +315,20 @@ class Cluster:
         self.log("evict", f"m{slab.machine_id}:s{slab_id}", "evicted")
         for cb in self.on_eviction:
             cb(slab)
+
+    def free_slab(self, slab_id):
+        """Give a slab's memory back and forget it.
+
+        The slab reads as EVICTED afterwards, so I/O still in flight to it
+        fails and a holder of the object sees it as gone.
+        """
+        slab = self.slabs.pop(slab_id)
+        machine = self.machines[slab.machine_id]
+        del machine.slabs[slab_id]
+        if slab.state is not SlabState.EVICTED:
+            machine.slab_bytes -= slab.size_bytes
+            slab.state = SlabState.EVICTED
+        slab.store.clear()
 
     def corrupt_slab(self, slab_id, page_index, mask, offset=0):
         slab = self.slabs[slab_id]
@@ -365,7 +381,7 @@ class _InflightIo:
 
 # -- fault scripts ---------------------------------------------------------
 
-FAULT_TYPES = ("fail", "recover", "evict", "corrupt", "background_load", "burst")
+FAULT_TYPES = ("fail", "recover", "evict", "corrupt", "background_load")
 
 
 @dataclass(frozen=True)
@@ -377,7 +393,6 @@ class FaultEvent:
     page_index: int = None
     mask: bytes = None
     level: float = None
-    multiplier: float = None
     until_us: float = None
 
 
@@ -408,20 +423,11 @@ class FaultScript:
                     page_index=row.get("page_index"),
                     mask=mask,
                     level=row.get("level"),
-                    multiplier=row.get("multiplier"),
                     until_us=row.get("until_us"),
                 )
             )
         events.sort(key=lambda e: e.time_us)
         return cls(events)
-
-    def burst_windows(self):
-        """(start_us, end_us, rate multiplier) for request-burst phases."""
-        return [
-            (e.time_us, e.until_us, e.multiplier)
-            for e in self.events
-            if e.type == "burst"
-        ]
 
 
 def inject(cluster, script):
@@ -442,5 +448,3 @@ def inject(cluster, script):
             cluster._background.append(
                 _Window(t, round(e.until_us * US), e.level or cluster.latency.background_multiplier)
             )
-        elif e.type == "burst":
-            cluster._bursts.append(_Window(t, round(e.until_us * US), e.multiplier or 1.0))

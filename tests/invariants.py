@@ -1,0 +1,31 @@
+"""State invariants of a manager and its cluster, checked by the soak tests."""
+
+from collections import Counter
+
+from codedmem.manager import RefState
+from codedmem.simulator import MachineState, SlabState
+
+
+def check_invariants(manager):
+    """Assert that capacity, slab ownership and placement are consistent.
+
+    - each machine's ``slab_bytes`` equals a recount of its live slabs
+    - every owned, non-evicted slab on an UP machine is the slab of
+      exactly one ref
+    - each range's live refs sit on distinct machines
+    - every ref's machine is a member of its range's group
+    """
+    cluster = manager.cluster
+    holders = Counter(ref.slab_id for arange in manager.ranges.values() for ref in arange.refs)
+    for machine in cluster.machines:
+        live = [s for s in machine.slabs.values() if s.state is not SlabState.EVICTED]
+        assert machine.slab_bytes == sum(s.size_bytes for s in live), machine.machine_id
+        if machine.state is MachineState.UP:
+            for slab in live:
+                if slab.owner is not None:
+                    assert holders[slab.slab_id] == 1, f"slab {slab.slab_id} held {holders[slab.slab_id]} times"
+    for arange in manager.ranges.values():
+        hosts = [ref.machine_id for ref in arange.refs if ref.state is not RefState.FAILED]
+        assert len(hosts) == len(set(hosts)), f"range {arange.range_id} shares a machine"
+        for ref in arange.refs:
+            assert ref.machine_id in arange.group_members, (arange.range_id, ref.role)

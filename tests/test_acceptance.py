@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from invariants import check_invariants
 
 from codedmem import analysis, coding
 from codedmem.coding import CodecParams, make_codec, min_splits
@@ -44,10 +45,12 @@ def build_stack(n, params, l, seed, config=None, latency=None, machine_bytes=1 <
 
 
 def settle(cluster, manager, monitor, rounds=8):
-    """Run to idle, draining any queued slab regenerations."""
+    """Run to idle, draining any queued slab regenerations, then check the
+    state invariants."""
     cluster.run_until_idle()
     for _ in range(rounds):
         if not manager.regeneration_requests:
+            check_invariants(manager)
             return
         monitor.drain_regeneration()
         cluster.run_until_idle()

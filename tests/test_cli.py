@@ -63,11 +63,14 @@ class TestValidate:
         assert analysis.config_hash(LOSS_CFG) in out
 
     def test_bad_schema_fails(self, tmp_path, capsys):
-        cfg = copy.deepcopy(LOSS_CFG)
-        cfg["schema_version"] = 2
-        rc = cli.main(["validate-config", "--config", dump(tmp_path, cfg)])
-        assert rc == 2
-        assert "schema_version" in capsys.readouterr().err
+        bad_version = copy.deepcopy(LOSS_CFG)
+        bad_version["schema_version"] = 2
+        burst = copy.deepcopy(DATAPATH_CFG)
+        burst["faults"] = [{"type": "burst", "time_us": 2.0, "until_us": 6.0}]
+        for cfg, field in ((bad_version, "schema_version"), (burst, "burst")):
+            rc = cli.main(["validate-config", "--config", dump(tmp_path, cfg)])
+            assert rc == 2
+            assert field in capsys.readouterr().err
 
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = cli.main(["validate-config", "--config", str(tmp_path / "nope.yaml")])

@@ -208,6 +208,70 @@ class TestRegeneration:
         mon.drain_regeneration()
         cluster.run_until_idle()
         assert all(ref.state is RefState.FAILED for ref in arange.refs)
+        assert not any(slab.owner == 0 for slab in cluster.slabs.values())
+
+    def test_recover_frees_the_slab_a_ref_left(self):
+        cluster, mgr, mon, payloads = self.settled()
+        arange = mgr.ranges[0]
+        victim = arange.refs[0]
+        old, dead = victim.slab_id, victim.machine_id
+        cluster.fail_machine(dead)
+        cluster.run_until_idle()
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.state is RefState.HEALTHY
+        assert old not in cluster.slabs
+        cluster.recover_machine(dead)
+        machine = cluster.machines[dead]
+        held = sum(SLAB for ref in arange.refs if ref.machine_id == dead)
+        assert machine.free_bytes == machine.total_bytes - held
+
+    def test_aborted_rebuild_frees_its_slab(self):
+        cluster, mgr, mon, payloads = self.settled()
+        victim = mgr.ranges[0].refs[2]
+        cluster.evict_slab(victim.slab_id)
+        mon.drain_regeneration()
+        target, spare = victim.slab_id, victim.machine_id
+        # the first backfill write is in flight from 2200 to 3700 ns
+        cluster.schedule(3000, lambda: cluster.fail_machine(spare))
+        cluster.run_until_idle()
+        assert ("regenerate", "aborted") in {(op, out) for _, op, _, out in cluster.event_log}
+        assert victim.state is RefState.FAILED
+        assert target not in cluster.slabs
+        assert cluster.machines[spare].slab_bytes == 0
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.state is RefState.HEALTHY
+
+    def no_spare(self):
+        # two groups of k+r=3 and no slack: a lost split has nowhere to go
+        # inside its group, though the other group has room
+        cluster, mgr, mon = build(6, CodecParams(k=2, r=1), l=0)
+        arange = mgr.map_range(0)
+        mgr.remote_write(0, 0, page_of(1))
+        victim = arange.refs[0]
+        dead = victim.machine_id
+        cluster.fail_machine(dead)
+        cluster.run_until_idle()
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        return cluster, mgr, arange, victim, dead
+
+    def test_group_without_spare_keeps_the_ref_failed(self):
+        cluster, mgr, arange, victim, dead = self.no_spare()
+        assert victim.state is RefState.FAILED
+        others = [m for m in range(6) if m not in arange.group_members]
+        assert all(cluster.machines[m].free_bytes >= SLAB for m in others)
+        assert [s for s in cluster.slabs.values() if s.owner == 0 and s.machine_id in others] == []
+
+    def test_ref_without_target_stays_failed_after_recover(self):
+        cluster, mgr, arange, victim, dead = self.no_spare()
+        cluster.recover_machine(dead)
+        assert victim.state is RefState.FAILED
+        assert victim.slab_id not in cluster.slabs
+        fresh = page_of(2)
+        assert mgr.remote_write(0, 0, fresh).outcome == "degraded"
+        assert mgr.remote_read(0, 0) == fresh
 
     def test_regenerated_range_survives_next_failure(self):
         params = CodecParams(k=2, r=1)
