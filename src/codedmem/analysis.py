@@ -34,7 +34,7 @@ from .placement import (
     loss_probability_analytic,
     loss_probability_montecarlo,
 )
-from .simulator import Cluster, FaultScript, LatencyModel, inject, sample_split_latency
+from .simulator import Cluster, FaultScript, LatencyModel, SplitLatencies, inject
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("loss", "balance", "datapath")
@@ -661,7 +661,7 @@ def _run_coded(cfg, seed, ops, chash):
 def _run_baseline(base, cfg, seed, ops, chash, index):
     name = base["name"]
     latency = LatencyModel(**cfg["cluster"].get("latency", {}))
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xBA5E, index)))
+    latencies = SplitLatencies(latency, np.random.SeedSequence((int(seed), 0xBA5E, index)))
     disk_ns = int(round(latency.disk_us * 1000))
     reads = _OpStats()
     writes = _OpStats()
@@ -669,7 +669,7 @@ def _run_baseline(base, cfg, seed, ops, chash, index):
         copies = int(base.get("copies", 3))
         label = f"replication{copies}"
         for op, _, _, _ in ops:
-            draws = [sample_split_latency(latency, rng) for _ in range(copies)]
+            draws = [latencies.draw() for _ in range(copies)]
             if op == "W":
                 writes.count += 1
                 nanos = max(draws)
@@ -684,7 +684,7 @@ def _run_baseline(base, cfg, seed, ops, chash, index):
     else:
         label = "ssd_backup"
         for op, _, _, _ in ops:
-            draw = sample_split_latency(latency, rng)
+            draw = latencies.draw()
             if op == "W":
                 writes.count += 1
                 nanos = max(draw, disk_ns)

@@ -229,21 +229,21 @@ class _WriteOp:
         self.fanout += 1
         self.outstanding += 1
         payload = self._split_bytes(role)
-
-        def submit(ref=ref, role=role, payload=payload, fill=fill):
-            mgr.cluster.write_split(
-                ref.machine_id,
-                ref.slab_id,
-                self.page_index,
-                payload,
-                lambda c, role=role: self._on_split(role, c),
-                fill=fill,
-            )
-
         if delay:
-            mgr.cluster.schedule(delay, submit)
+            mgr.cluster.schedule(delay, lambda: self._submit(ref, payload, fill))
         else:
-            submit()
+            self._submit(ref, payload, fill)
+
+    def _submit(self, ref, payload, fill):
+        role = ref.role
+        self.mgr.cluster.write_split(
+            ref.machine_id,
+            ref.slab_id,
+            self.page_index,
+            payload,
+            lambda c: self._on_split(role, c),
+            fill=fill,
+        )
 
     def _on_split(self, role, completion):
         mgr = self.mgr
@@ -383,7 +383,7 @@ class _ReadOp:
         width = min(width, len(healthy))
         self.guarded = mgr.config.corruption_guard and width >= k + delta and delta > 0
         self.need = width if self.guarded else k
-        picked = mgr.rng.choice(len(healthy), size=width, replace=False)
+        picked = mgr.rng.permutation(len(healthy))[:width]
         targets = [healthy[int(i)] for i in picked]
         self.targets = tuple(ref.role for ref in targets)
         for ref in targets:
@@ -393,20 +393,16 @@ class _ReadOp:
         mgr = self.mgr
         self.fanout += 1
         self.outstanding += 1
-        delay = 0 if mgr.config.in_place_coding else mgr.copy_ns
-
-        def submit(ref=ref):
-            mgr.cluster.read_split(
-                ref.machine_id,
-                ref.slab_id,
-                self.page_index,
-                lambda c, role=ref.role: self._on_split(role, c),
-            )
-
-        if delay:
-            mgr.cluster.schedule(delay, submit)
+        if mgr.config.in_place_coding:
+            self._submit(ref)
         else:
-            submit()
+            mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(ref))
+
+    def _submit(self, ref):
+        role = ref.role
+        self.mgr.cluster.read_split(
+            ref.machine_id, ref.slab_id, self.page_index, lambda c: self._on_split(role, c)
+        )
 
     def _on_split(self, role, completion):
         mgr = self.mgr
@@ -449,6 +445,9 @@ class _ReadOp:
                 page = coding.decode(mgr.codec, splits, mgr.config.page_size)
                 cost = mgr.decode_ns if any(s.kind == coding.PARITY for s in splits) else 0
                 self._deliver("ok", page, extra_ns=cost)
+            elif not self.delivered and self.outstanding == 0:
+                # every asked split concluded short of k and none is left to ask
+                self._deliver("unrecoverable", None)
             self._maybe_finish()
             return
         if self.outstanding > 0:

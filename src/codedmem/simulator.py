@@ -10,6 +10,7 @@ evictions, corruptions, and load windows at scripted times.
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +31,9 @@ class SlabState(Enum):
     FAILED = "failed"
 
 
+_LOST = (SlabState.EVICTED, SlabState.FAILED)  # slab states that serve no I/O
+
+
 @dataclass
 class LatencyModel:
     """One-way split latency distribution plus fixed data-path costs (us)."""
@@ -46,19 +50,38 @@ class LatencyModel:
     disk_us: float = 100.0
 
 
-def sample_split_latency(model, rng, background=1.0):
-    """Draw one split's one-way latency in ns.
+LATENCY_BLOCK = 1024  # split latencies drawn per refill of a SplitLatencies
 
-    The base draw is lognormal with the configured median; a straggler hit
+
+class SplitLatencies:
+    """Seeded one-way split latencies in ns, drawn from numpy in blocks.
+
+    The base draw is lognormal with the model's median; a straggler hit
     multiplies it, and an active background-load window scales it again.
-    The normal and uniform variates are always consumed so streams stay
-    aligned across configurations that share a seed.
+    Normals and uniforms come from two generators spawned from
+    `seed_sequence`, and a block of n draws of each equals n scalar draws,
+    so no delay depends on the block size.
     """
-    us = model.median_us * float(np.exp(model.sigma * rng.standard_normal()))
-    if rng.random() < model.straggler_prob:
-        us *= model.straggler_multiplier
-    us *= background
-    return max(1, round(us * US))
+
+    def __init__(self, model, seed_sequence):
+        normal_seq, uniform_seq = seed_sequence.spawn(2)
+        self.model = model
+        self._normals = np.random.default_rng(normal_seq)
+        self._uniforms = np.random.default_rng(uniform_seq)
+        self._block = []  # base latencies in us, next draw last
+
+    def _refill(self):
+        m = self.model
+        us = m.median_us * np.exp(m.sigma * self._normals.standard_normal(LATENCY_BLOCK))
+        us[self._uniforms.random(LATENCY_BLOCK) < m.straggler_prob] *= m.straggler_multiplier
+        self._block = us[::-1].tolist()
+
+    def draw(self, background=1.0):
+        """The next split's latency in ns under a background level."""
+        if not self._block:
+            self._refill()
+        us = self._block.pop() * background
+        return max(1, round(us * US))
 
 
 @dataclass
@@ -76,18 +99,6 @@ class Slab:
     @property
     def page_capacity(self):
         return self.size_bytes // self.split_size if self.split_size else 0
-
-
-@dataclass
-class Completion:
-    op: str
-    machine_id: int
-    slab_id: int
-    page_index: int
-    outcome: str
-    time_ns: int
-    submitted_ns: int
-    data: bytes = None
 
 
 class Machine:
@@ -145,16 +156,18 @@ class _Window:
 
 
 class Cluster:
-    """Event loop plus machines. All randomness flows through one seeded rng."""
+    """Event loop plus machines. All randomness is split latency, drawn from
+    one seeded `SplitLatencies`."""
 
     def __init__(self, n_machines, latency=None, machine_bytes=1 << 30, seed=0):
         self.latency = latency or LatencyModel()
         self.seed = seed
-        self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1A5)))
+        self.latencies = SplitLatencies(self.latency, np.random.SeedSequence((seed, 0xC1A5)))
         self.now = 0
         self.machines = [Machine(i, machine_bytes, self) for i in range(n_machines)]
         self.slabs = {}
-        self.event_log = []  # (time_ns, op, entity, outcome)
+        self.event_log = []  # (time_ns, op, entity, outcome): faults, rebuilds, late splits
+        self.split_outcomes = Counter()  # (op, outcome) -> split I/Os concluded
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
         self.on_recover = []  # callbacks(machine_id)
@@ -213,56 +226,31 @@ class Cluster:
 
     # -- split I/O --------------------------------------------------------
 
-    def _finish(self, io, outcome, data=None):
-        machine = self.machines[io.machine_id]
-        machine.pending.discard(io)
-        io.completion = Completion(
-            op=io.op,
-            machine_id=io.machine_id,
-            slab_id=io.slab_id,
-            page_index=io.page_index,
-            outcome=outcome,
-            time_ns=self.now,
-            submitted_ns=io.submitted_ns,
-            data=data,
-        )
-        self.log(io.op, f"m{io.machine_id}:s{io.slab_id}:p{io.page_index}", outcome)
-        io.on_done(io.completion)
+    def _finish(self, io, outcome):
+        """Conclude a split I/O: the record itself is handed to `on_done`."""
+        self.machines[io.machine_id].pending.discard(io)
+        io.outcome = outcome
+        io.time_ns = self.now
+        self.split_outcomes[io.op, outcome] += 1
+        io.on_done(io)
 
     def _submit_io(self, op, machine_id, slab_id, page_index, data, on_done, fill=False):
-        io = _InflightIo(op, machine_id, slab_id, page_index, data, on_done, self.now)
+        io = _InflightIo(self, op, machine_id, page_index, data, on_done)
         machine = self.machines[machine_id]
         slab = self.slabs.get(slab_id)
         if machine.state is not MachineState.UP:
-            self.schedule(0, lambda: self._finish(io, "disconnect"))
+            io.outcome = "disconnect"
+        elif slab is None or slab.machine_id != machine_id or slab.state in _LOST:
+            io.outcome = "unavailable"
+        elif slab.state is SlabState.REGENERATING and not fill:
+            io.outcome = "rejected"
+        else:
+            io.slab = slab
+            delay = self.latencies.draw(self.background_level(self.now))
+            io.event = self.schedule_at(self.now + delay, io.arrive)
+            machine.pending.add(io)
             return io
-        if slab is None or slab.machine_id != machine_id or slab.state in (
-            SlabState.EVICTED,
-            SlabState.FAILED,
-        ):
-            self.schedule(0, lambda: self._finish(io, "unavailable"))
-            return io
-        if slab.state is SlabState.REGENERATING and not fill:
-            self.schedule(0, lambda: self._finish(io, "rejected"))
-            return io
-        delay = sample_split_latency(self.latency, self.rng, self.background_level(self.now))
-
-        def complete():
-            # the slab may have been lost while the request was in flight
-            if slab.state in (SlabState.EVICTED, SlabState.FAILED):
-                self._finish(io, "unavailable")
-                return
-            if io.op == "write_split":
-                slab.store[io.page_index] = io.data
-                self._finish(io, "ok")
-            else:
-                width = slab.split_size or (len(next(iter(slab.store.values()))) if slab.store else 0)
-                payload = slab.store.get(io.page_index, b"\x00" * width)
-                slab.access_count += 1.0
-                self._finish(io, "ok", payload)
-
-        io.event = self.schedule(delay, complete)
-        machine.pending.add(io)
+        self.schedule(0, io.refuse)
         return io
 
     def read_split(self, machine_id, slab_id, page_index, on_done):
@@ -286,9 +274,9 @@ class Cluster:
         inflight = list(machine.pending)
         machine.pending.clear()
         for io in inflight:
-            if io.event is not None:
-                io.event.alive = False
-            self.schedule(0, lambda io=io: self._finish(io, "disconnect"))
+            io.event.alive = False
+            io.outcome = "disconnect"
+            self.schedule(0, io.refuse)
         self.log("fail", f"m{machine_id}", "down")
         for cb in self.on_disconnect:
             cb(machine_id)
@@ -344,39 +332,57 @@ class Cluster:
         slab.store[page_index] = bytes(raw)
         self.log("corrupt", f"m{slab.machine_id}:s{slab_id}:p{page_index}", "corrupted")
 
-    def export_event_log(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time_us", "op", "entity", "outcome"])
-            for time_ns, op, entity, outcome in self.event_log:
-                writer.writerow([f"{time_ns / US:.3f}", op, entity, outcome])
-
 
 class _InflightIo:
+    """One split I/O; once concluded it is also its completion.
+
+    `outcome` and `time_ns` are set when it concludes. `data` is the payload
+    of a write, or the bytes a read fetched once it concludes ok.
+    """
+
     __slots__ = (
+        "cluster",
         "op",
         "machine_id",
-        "slab_id",
         "page_index",
         "data",
         "on_done",
-        "submitted_ns",
+        "slab",
         "event",
-        "completion",
+        "outcome",
+        "time_ns",
     )
 
-    def __init__(self, op, machine_id, slab_id, page_index, data, on_done, submitted_ns):
+    def __init__(self, cluster, op, machine_id, page_index, data, on_done):
+        self.cluster = cluster
         self.op = op
         self.machine_id = machine_id
-        self.slab_id = slab_id
         self.page_index = page_index
         self.data = data
         self.on_done = on_done
-        self.submitted_ns = submitted_ns
+        self.slab = None
         self.event = None
-        self.completion = None
+        self.outcome = None
+        self.time_ns = None
+
+    def arrive(self):
+        """The request reaches its slab at the drawn latency."""
+        slab = self.slab
+        # the slab may have been lost while the request was in flight
+        if slab.state in _LOST:
+            self.cluster._finish(self, "unavailable")
+        elif self.op == "write_split":
+            slab.store[self.page_index] = self.data
+            self.cluster._finish(self, "ok")
+        else:
+            width = slab.split_size or (len(next(iter(slab.store.values()))) if slab.store else 0)
+            self.data = slab.store.get(self.page_index, b"\x00" * width)
+            slab.access_count += 1.0
+            self.cluster._finish(self, "ok")
+
+    def refuse(self):
+        """Conclude with the failure outcome set at submission or disconnect."""
+        self.cluster._finish(self, self.outcome)
 
 
 # -- fault scripts ---------------------------------------------------------

@@ -199,6 +199,21 @@ class TestReadPath:
         with pytest.raises(UnrecoverableRead):
             mgr.remote_read(0, 0)
 
+    def test_unrecoverable_when_lost_splits_leave_no_spare(self):
+        # the first target fails mid-flight and the one unasked ref is down
+        # too: the read concludes short of k and must still deliver and
+        # release its page
+        cluster, mgr = build(3, CodecParams(k=2, r=1, delta=0))
+        arange = mgr.map_range(0)
+        op = mgr.submit_read(0, 0)
+        (unasked,) = set(range(3)) - set(op.targets)
+        cluster.fail_machine(arange.refs[op.targets[0]].machine_id)
+        cluster.fail_machine(arange.refs[unasked].machine_id)
+        cluster.run_until_idle()
+        assert op.done
+        assert op.completion.outcome == "unrecoverable"
+        assert mgr._locks == {}
+
     def test_late_splits_discarded_in_log(self):
         cluster, mgr = build(4, CodecParams(k=2, r=2, delta=1), seed=3)
         mgr.map_range(0)
@@ -208,6 +223,38 @@ class TestReadPath:
         cluster.run_until_idle()
         ops = [row for row in cluster.event_log[before:] if row[1] == "late_split"]
         assert len(ops) == 1  # k+delta issued, k used, 1 discarded
+
+
+class TestDataPathKnobs:
+    """The paper's data-path ablations, on the flat model."""
+
+    def latencies(self, **knobs):
+        _, mgr = build(3, CodecParams(k=2, r=1), config=ManagerConfig(**knobs))
+        mgr.map_range(0)
+        write = mgr.remote_write(0, 0, page_of(30))
+        op = mgr.submit_read(0, 0)
+        mgr.drive(op)
+        read = op.completion
+        return mgr, write.completed_ns - write.submitted_ns, read.completed_ns - read.submitted_ns
+
+    def test_context_switch_adds_to_each_op(self):
+        _, write, read = self.latencies()
+        mgr, switched_write, switched_read = self.latencies(run_to_completion=False)
+        assert mgr.ctx_ns == 1500
+        assert switched_write == write + mgr.ctx_ns
+        assert switched_read == read + mgr.ctx_ns
+
+    def test_copy_before_issue_and_again_at_read_completion(self):
+        _, write, read = self.latencies()
+        mgr, copied_write, copied_read = self.latencies(in_place_coding=False)
+        assert mgr.copy_ns == 850
+        assert copied_write == write + mgr.copy_ns
+        assert copied_read == read + 2 * mgr.copy_ns
+        # the copy comes before the splits go out: a read's splits arrive
+        # one copy plus one hop after it starts
+        op = mgr.submit_read(0, 0)
+        mgr.drive(op)
+        assert {t - op.started_ns for t, _, _ in op.arrivals} == {mgr.copy_ns + 1500}
 
 
 class TestCorruption:

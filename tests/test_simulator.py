@@ -75,17 +75,20 @@ class TestEventLoop:
         assert order == ["a", "b", "late"]
 
 
+def latencies(model, seed):
+    return simulator.SplitLatencies(model, np.random.SeedSequence(seed))
+
+
 class TestLatencyModel:
     def test_flat_model_is_exact(self):
-        model = flat_model()
-        rng = np.random.default_rng(1)
-        assert simulator.sample_split_latency(model, rng) == 1500
+        # sigma 0: every delay is the median
+        draws = latencies(flat_model(), 1)
+        assert {draws.draw() for _ in range(3000)} == {1500}
 
     def test_median_close_to_configured(self):
         model = LatencyModel(median_us=1.5, sigma=0.25, straggler_prob=0.0)
-        rng = np.random.default_rng(2)
-        draws = [simulator.sample_split_latency(model, rng) for _ in range(20000)]
-        med = np.median(draws) / 1000.0
+        draws = latencies(model, 2)
+        med = np.median([draws.draw() for _ in range(20000)]) / 1000.0
         assert abs(med - 1.5) < 0.03
 
     def test_straggler_fraction_binomial(self):
@@ -95,18 +98,29 @@ class TestLatencyModel:
         model = LatencyModel(
             median_us=1.5, sigma=0.25, straggler_prob=p, straggler_multiplier=10.0
         )
-        rng = np.random.default_rng(3)
+        draws = latencies(model, 3)
         threshold = 1500 * 10 / 2  # clean tail and straggler body never cross it
-        count = sum(
-            simulator.sample_split_latency(model, rng) > threshold for _ in range(n)
-        )
+        count = sum(draws.draw() > threshold for _ in range(n))
         sigma3 = 3 * np.sqrt(n * p * (1 - p))
         assert abs(count - n * p) <= sigma3
 
+    def test_every_draw_straggles_at_probability_one(self):
+        draws = latencies(flat_model(straggler_prob=1.0, straggler_multiplier=10.0), 5)
+        assert {draws.draw() for _ in range(3000)} == {15000}
+
     def test_background_window_multiplies(self):
-        model = flat_model()
-        rng = np.random.default_rng(4)
-        assert simulator.sample_split_latency(model, rng, background=2.0) == 3000
+        draws = latencies(flat_model(), 4)
+        assert draws.draw(background=2.0) == 3000
+
+    def test_block_size_does_not_change_delays(self, monkeypatch):
+        model = LatencyModel(median_us=1.5, sigma=0.3, straggler_prob=0.2)
+        backgrounds = [1.0, 2.0, 1.0, 3.5] * 700  # crosses block refills
+        blocked = latencies(model, 6)
+        default = [blocked.draw(b) for b in backgrounds]
+        monkeypatch.setattr(simulator, "LATENCY_BLOCK", 1)
+        scalar = latencies(model, 6)
+        assert [scalar.draw(b) for b in backgrounds] == default
+        assert len(set(default)) > 1000
 
 
 class TestSplitIo:
@@ -175,6 +189,35 @@ class TestFailures:
         c.run_until_idle()
         outcomes = [r.outcome for r in results]
         assert outcomes == ["ok", "disconnect", "ok"]
+
+    def test_split_outcomes_counted_per_op_and_not_logged(self):
+        c = new_cluster()
+        ok, down, evicted, rebuilding = (
+            m.allocate_slab(65536, owner=1, role=i, split_size=4) for i, m in enumerate(c.machines)
+        )
+        c.fail_machine(1)
+        c.evict_slab(evicted.slab_id)
+        rebuilding.state = simulator.SlabState.REGENERATING
+        logged = list(c.event_log)
+        results, cb = collect(c)
+        for slab in (ok, down, evicted, rebuilding):
+            c.write_split(slab.machine_id, slab.slab_id, 0, b"abcd", cb)
+            c.read_split(slab.machine_id, slab.slab_id, 0, cb)
+        c.write_split(3, rebuilding.slab_id, 0, b"abcd", cb, fill=True)
+        c.run_until_idle()
+        assert c.split_outcomes == {
+            ("write_split", "ok"): 2,
+            ("read_split", "ok"): 1,
+            ("write_split", "disconnect"): 1,
+            ("read_split", "disconnect"): 1,
+            ("write_split", "unavailable"): 1,
+            ("read_split", "unavailable"): 1,
+            ("write_split", "rejected"): 1,
+            ("read_split", "rejected"): 1,
+        }
+        assert sum(c.split_outcomes.values()) == len(results) == 9
+        assert c.event_log == logged  # only the fail and evict rows
+        assert [row[1] for row in logged] == ["fail", "evict"]
 
     def test_disconnect_callbacks_fire(self):
         c = new_cluster()
@@ -262,7 +305,11 @@ class TestDeterminism:
         for s in slabs:
             c.read_split(s.machine_id, s.slab_id, 0, lambda r: done.append(r))
         c.run_until_idle()
-        return [(r.time_ns, r.outcome) for r in done], list(c.event_log)
+        return (
+            [(r.time_ns, r.outcome) for r in done],
+            list(c.event_log),
+            dict(c.split_outcomes),
+        )
 
     def test_identical_seeds_identical_logs(self):
         assert self.run_once(11) == self.run_once(11)
