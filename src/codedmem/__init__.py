@@ -27,7 +27,6 @@ from .placement import (
     build_codingsets,
     build_eccache,
     select_members,
-    power_of_two_pick,
     count_copysets,
     loss_probability_analytic,
     loss_probability_montecarlo,
@@ -64,7 +63,6 @@ __all__ = [
     "build_codingsets",
     "build_eccache",
     "select_members",
-    "power_of_two_pick",
     "count_copysets",
     "loss_probability_analytic",
     "loss_probability_montecarlo",

@@ -242,9 +242,15 @@ def _validate_datapath(cfg):
             )
     if "faults" in cfg:
         try:
-            FaultScript.from_events(cfg["faults"])
+            script = FaultScript.from_events(cfg["faults"])
         except (ValueError, TypeError, AttributeError) as err:
             raise ConfigError(f"faults: {err}") from err
+        machines = cfg["cluster"]["machines"]
+        for event in script.events:
+            _require(
+                event.machine is None or event.machine < machines,
+                f"faults: machine {event.machine} is outside the {machines}-machine cluster",
+            )
     if "manager" in cfg:
         try:
             ManagerConfig(**cfg["manager"])
@@ -487,7 +493,7 @@ def gen_workload(wcfg, capacity, seed):
     """Seeded (op, range_id, page_index, payload_seed) tuples.
 
     Reads carry payload_seed None; writes carry the seed their page
-    contents derive from, so a trace alone reproduces every byte.
+    contents derive from, so the op list alone reproduces every byte.
     """
     count = int(wcfg["operations"])
     ranges = int(wcfg["ranges"])
@@ -501,29 +507,6 @@ def gen_workload(wcfg, capacity, seed):
             ops.append(("R", rid, page, None))
         else:
             ops.append(("W", rid, page, int(rng.integers(0, 2**32))))
-    return ops
-
-
-def write_trace(path, ops):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["op", "range_id", "page_index", "payload_seed"])
-        for op, rid, page, pseed in ops:
-            writer.writerow([op, rid, page, "" if pseed is None else pseed])
-
-
-def parse_trace(path):
-    ops = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ops.append((
-                row[0],
-                int(row[1]),
-                int(row[2]),
-                None if row[3] == "" else int(row[3]),
-            ))
     return ops
 
 

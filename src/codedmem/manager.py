@@ -11,18 +11,19 @@ verify codeword consistency, and escalate to k+2*delta+1 splits to
 locate and repair corrupted ones. Machines whose splits keep failing
 verification are put in suspect mode (wide fan-out from the start).
 
-A ref's state is read from its slab. A lost split moves to a fresh slab
-on a spare member of the range's own group, never outside it; the slab
-it leaves, a slab whose rebuild aborts, and every slab on a recovered
-machine are freed, so a stale slab never reads as healthy again.
+A ref has no state of its own: it reads its slab's, so a split is
+available, regenerating, or lost (`simulator.LOST`). A lost split moves
+to a fresh slab on a spare member of the range's own group, never
+outside it; the slab it leaves, a slab whose rebuild aborts, and every
+slab on a recovered machine are freed, so a stale slab never reads as
+healthy again. Ops report to their caller through their completion
+records; the manager keeps no log of them.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -35,21 +36,7 @@ from .errors import (
     UnrecoverableRead,
 )
 from .placement import ExtendedGroup, select_members
-from .simulator import MachineState, Slab, SlabState
-
-
-class RefState(str, Enum):
-    HEALTHY = "healthy"
-    FAILED = "failed"
-    REGENERATING = "regenerating"
-
-
-_REF_STATE = {
-    SlabState.AVAILABLE: RefState.HEALTHY,
-    SlabState.REGENERATING: RefState.REGENERATING,
-    SlabState.FAILED: RefState.FAILED,
-    SlabState.EVICTED: RefState.FAILED,
-}
+from .simulator import LOST, MachineState, Slab, SlabState
 
 
 @dataclass
@@ -67,10 +54,6 @@ class SlabRef:
     def slab_id(self):
         return self.slab.slab_id
 
-    @property
-    def state(self):
-        return _REF_STATE[self.slab.state]
-
 
 @dataclass
 class AddressRange:
@@ -82,7 +65,7 @@ class AddressRange:
     written_pages: set = field(default_factory=set)
 
     def healthy_refs(self):
-        return [ref for ref in self.refs if ref.state is RefState.HEALTHY]
+        return [ref for ref in self.refs if ref.slab.state is SlabState.AVAILABLE]
 
     def ref_for_role(self, role):
         return self.refs[role]
@@ -263,7 +246,7 @@ class _WriteOp:
     def _maybe_promote(self, role):
         """A replacement slab that now holds every written page is healthy."""
         ref = self.arange.ref_for_role(role)
-        if ref.state is not RefState.REGENERATING:
+        if ref.slab.state is not SlabState.REGENERATING:
             return
         if not self.arange.written_pages - set(ref.slab.store):
             ref.slab.state = SlabState.AVAILABLE
@@ -301,7 +284,7 @@ class _WriteOp:
         rest = [
             ref
             for ref in self.arange.refs
-            if ref.role not in self.wave1_roles and ref.state is not RefState.FAILED
+            if ref.role not in self.wave1_roles and ref.slab.state not in LOST
         ]
         if not rest:
             return
@@ -309,7 +292,7 @@ class _WriteOp:
         self._encode()
         for ref in rest:
             # a slab mid-regeneration only takes backfill writes
-            self._issue(ref.role, delay, fill=ref.state is RefState.REGENERATING)
+            self._issue(ref.role, delay, fill=ref.slab.state is SlabState.REGENERATING)
 
 
     def _finish(self, outcome):
@@ -334,20 +317,18 @@ class _WriteOp:
             encode_ack_ns=self.encode_ack_ns,
             completed_ns=completed,
         )
-        self.mgr._log_op(self.submitted_ns, completed, "W", self.fanout, outcome)
         if self.on_done:
             self.on_done(self.completion)
         self.mgr._release(self.arange.range_id, self.page_index, self)
 
 
 class _ReadOp:
-    def __init__(self, mgr, arange, page_index, on_done, force_correction=False, internal=False):
+    def __init__(self, mgr, arange, page_index, on_done, force_correction=False):
         self.mgr = mgr
         self.arange = arange
         self.page_index = page_index
         self.on_done = on_done
         self.force_correction = force_correction
-        self.internal = internal
         self.submitted_ns = mgr.cluster.now
         self.started_ns = None
         self.completion = None
@@ -405,12 +386,10 @@ class _ReadOp:
         )
 
     def _on_split(self, role, completion):
-        mgr = self.mgr
         self.outstanding -= 1
         if completion.outcome == "ok":
-            if self.delivered and not self.guarded:
-                mgr.cluster.log("late_split", f"r{self.arange.range_id}:p{self.page_index}", "discarded")
-            else:
+            # an unguarded read drops the splits that arrive after delivery
+            if self.guarded or not self.delivered:
                 self.arrivals.append((completion.time_ns, role, completion.data))
         else:
             self._reissue_if_needed()
@@ -525,14 +504,6 @@ class _ReadOp:
             decode_ns=extra_ns if outcome == "ok" else 0,
         )
         self.done = True
-        if not self.internal:
-            mgr._log_op(
-                self.submitted_ns,
-                completed if completed is not None else mgr.cluster.now,
-                "R",
-                self.fanout,
-                "corrected" if self.corrected else outcome,
-            )
         if self.on_done:
             self.on_done(self.completion)
 
@@ -562,7 +533,6 @@ class ResilienceManager:
         )
         self.regeneration_requests = []
         self._regen_requested = set()
-        self.completion_log = []
         self._locks = {}
         m = cluster.latency
         self.encode_ns = int(round(m.encode_us * 1000))
@@ -615,7 +585,6 @@ class ResilienceManager:
             page_capacity=self.config.slab_size // self.codec.split_size,
         )
         self.ranges[range_id] = arange
-        self.plan.assignment[range_id] = (gid, tuple(members))
         return arange
 
     # -- data path ------------------------------------------------------
@@ -733,10 +702,10 @@ class ResilienceManager:
         no such spare.
         """
         ref = arange.refs[role]
-        if ref.state is not RefState.FAILED:
+        if ref.slab.state not in LOST:
             return ref.slab
         machines = self.cluster.machines
-        hosting = {r.machine_id for r in arange.refs if r.state is not RefState.FAILED}
+        hosting = {r.machine_id for r in arange.refs if r.slab.state not in LOST}
         spares = [
             m
             for m in arange.group_members
@@ -773,23 +742,3 @@ class ResilienceManager:
 
     def _record_health(self, arange, role, ok):
         self.health[arange.ref_for_role(role).machine_id].record(ok)
-
-    # -- reporting ----------------------------------------------------------
-
-    def _log_op(self, submit_ns, complete_ns, op, fanout, outcome):
-        self.completion_log.append((submit_ns, complete_ns, op, fanout, outcome))
-
-    def write_completion_log(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["submit_us", "complete_us", "op", "fanout", "outcome"])
-            for submit_ns, complete_ns, op, fanout, outcome in self.completion_log:
-                writer.writerow(
-                    [
-                        f"{submit_ns / 1000:.3f}",
-                        f"{complete_ns / 1000:.3f}",
-                        op,
-                        fanout,
-                        outcome,
-                    ]
-                )

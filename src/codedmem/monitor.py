@@ -11,19 +11,21 @@ and backfill it onto the fresh slab that `ResilienceManager.relocate`
 places on a spare member of the range's group. Foreground writes keep
 flowing while this runs; they backfill the new slab directly, and the
 catch-up loop skips pages that already landed. When the group has no
-spare, the ref stays failed.
+spare, the ref's slab stays lost. A rebuild's state is its slab's: it
+starts REGENERATING and ends AVAILABLE, or is freed when the rebuild
+aborts. Each rebuild's outcome (complete, aborted, no_quorum, no_target)
+is a `regenerate` row of `Cluster.event_log`; the monitor keeps no log
+of its own.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coding
-from .manager import RefState, _ReadOp
+from .manager import _ReadOp
 from .simulator import MachineState, SlabState
 
 
@@ -51,10 +53,10 @@ class _RegenFill:
         task = self.task
         mgr = task.mgr
         ref = task.ref
-        if ref.state is not RefState.REGENERATING or self.page_index in ref.slab.store:
+        if ref.slab.state is not SlabState.REGENERATING or self.page_index in ref.slab.store:
             self._done(advance=True)
             return
-        inner = _ReadOp(mgr, task.arange, self.page_index, self._on_read, internal=True)
+        inner = _ReadOp(mgr, task.arange, self.page_index, self._on_read)
         inner.start()
 
     def _on_read(self, completion):
@@ -78,7 +80,7 @@ class _RegenFill:
         task = self.task
         mgr = task.mgr
         ref = task.ref
-        if ref.state is not RefState.REGENERATING:
+        if ref.slab.state is not SlabState.REGENERATING:
             self._done(advance=True)
             return
         mgr.cluster.write_split(
@@ -126,7 +128,7 @@ class _RegenTask:
             return
         self.arange = arange
         self.ref = ref = arange.ref_for_role(self.role)
-        if ref.state is RefState.HEALTHY:
+        if ref.slab.state is SlabState.AVAILABLE:
             self._finish(True)
             return
         if len(arange.healthy_refs()) < mgr.codec.params.k:
@@ -164,7 +166,7 @@ class _RegenTask:
             self.pages = missing
 
     def _drop_slab(self):
-        """Free the unfinished slab, so the ref reads as failed."""
+        """Free the unfinished slab, so the ref reads as lost."""
         slab = self.ref.slab
         if slab.state in (SlabState.REGENERATING, SlabState.FAILED):
             self.mgr.cluster.free_slab(slab.slab_id)
@@ -194,7 +196,6 @@ class MonitorService:
         self.manager = manager
         self.config = config or MonitorConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5E)))
-        self.stats_log = []
         self._active = {}
         self._started = False
 
@@ -220,7 +221,6 @@ class MonitorService:
                 self.batch_evict(machine)
         if self.manager is not None:
             self.drain_regeneration()
-        self._dump_stats()
         for slab in self.cluster.slabs.values():
             slab.access_count *= self.config.decay
 
@@ -262,57 +262,3 @@ class MonitorService:
             task.start()
             started.append(task)
         return started
-
-    # -- reporting ----------------------------------------------------------
-
-    def _dump_stats(self):
-        now_us = self.cluster.now / 1000
-        regens_by_machine = {}
-        for task in self._active.values():
-            if task.ref is not None and not task.done:
-                mid = task.ref.machine_id
-                regens_by_machine[mid] = regens_by_machine.get(mid, 0) + 1
-        for machine in self.cluster.machines:
-            hosted = sum(
-                1
-                for s in machine.slabs.values()
-                if s.state in (SlabState.AVAILABLE, SlabState.REGENERATING)
-            )
-            evicted = sum(
-                1 for s in machine.slabs.values() if s.state is SlabState.EVICTED
-            )
-            self.stats_log.append(
-                (
-                    now_us,
-                    machine.machine_id,
-                    machine.free_fraction,
-                    hosted,
-                    evicted,
-                    regens_by_machine.get(machine.machine_id, 0),
-                )
-            )
-
-    def export_stats(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "time_us",
-                    "machine",
-                    "free_fraction",
-                    "slabs_hosted",
-                    "evicted_total",
-                    "regens_in_flight",
-                ]
-            )
-            for time_us, machine, free_fraction, hosted, evicted, regens in self.stats_log:
-                writer.writerow(
-                    [
-                        f"{time_us:.3f}",
-                        machine,
-                        f"{free_fraction:.6f}",
-                        hosted,
-                        evicted,
-                        regens,
-                    ]
-                )

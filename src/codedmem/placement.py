@@ -5,8 +5,10 @@ into disjoint extended groups of k+r+l machines and places each address
 range on the k+r least-loaded members of one group, bounding the number of
 copysets (machine subsets whose simultaneous failure loses data).
 ``eccache`` draws an independent random (k+r)-subset per range, which
-scatters copysets across the whole cluster. ``power_of_two_pick`` is the
-classic two-choice balancer used as a load-balancing baseline.
+scatters copysets across the whole cluster. A range's group is a function
+of its id (a seeded uniform draw for codingsets, the id modulo the group
+count for eccache), so a plan keeps no per-range record. Loss analysis
+counts all of a group's extended members as its copyset universe.
 """
 
 import math
@@ -18,7 +20,6 @@ from .errors import InvalidParams
 
 CODINGSETS = "codingsets"
 ECCACHE = "eccache"
-MEMBERSHIPS = ("extended", "chosen")
 
 MC_CHUNK_TRIALS = 5000  # trials per spawned seed; fixes the estimate for a seed
 MC_KEY_BYTES = 8 << 20  # cap on the float64 failure keys held at once
@@ -62,8 +63,6 @@ class PlacementPlan:
     l: int
     seed: int
     groups: list
-    assignment: dict = field(default_factory=dict)
-    default_policy: str = "uniform"
     _uniform_cache: np.ndarray = field(default=None, repr=False)
 
     def _uniform_assignment(self, count):
@@ -74,27 +73,19 @@ class PlacementPlan:
             self._uniform_cache = rng.integers(0, len(self.groups), size=size)
         return self._uniform_cache
 
-    def group_for_range(self, range_id, policy=None):
+    def group_for_range(self, range_id):
         """Group index that hosts the given address range."""
         if self.scheme == ECCACHE:
             return range_id % len(self.groups)
-        policy = policy or self.default_policy
-        if policy == "round_robin":
-            return range_id % len(self.groups)
-        if policy == "uniform":
-            return int(self._uniform_assignment(range_id + 1)[range_id])
-        raise InvalidParams(f"unknown assignment policy {policy!r}")
+        return int(self._uniform_assignment(range_id + 1)[range_id])
 
-    def place_range(self, range_id, loads, policy=None):
-        """Pick the group and members for a range and record the assignment."""
-        gid = self.group_for_range(range_id, policy)
+    def place_range(self, range_id, loads):
+        """The group and members for a range under the given loads."""
+        gid = self.group_for_range(range_id)
         group = self.groups[gid]
         if self.scheme == ECCACHE:
-            members = list(group.members)
-        else:
-            members = select_members(group, loads, self.params)
-        self.assignment[range_id] = (gid, tuple(members))
-        return gid, members
+            return gid, list(group.members)
+        return gid, select_members(group, loads, self.params)
 
 
 def build_codingsets(shape, params, l, seed):
@@ -169,24 +160,6 @@ def select_members(group, loads, params):
     return ranked[:width]
 
 
-def power_of_two_pick(loads, rng):
-    """Sample two distinct machines, return the less loaded (ties: smaller id)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    n = len(loads)
-    if n < 2:
-        return 0
-    a = int(rng.integers(0, n))
-    b = int(rng.integers(0, n - 1))
-    if b >= a:
-        b += 1
-    if loads[a] < loads[b]:
-        return a
-    if loads[b] < loads[a]:
-        return b
-    return min(a, b)
-
-
 def count_copysets(plan, params):
     """Number of distinct (r+1)-machine subsets whose loss can destroy data."""
     size = params.r + 1
@@ -231,17 +204,12 @@ def loss_probability_analytic(scheme, shape, params, l):
     return -math.expm1(exponent * math.log1p(-q))
 
 
-def _incidence_table(plan, n, membership):
+def _incidence_table(plan, n):
     """machine -> padded row of group ids (-1 pads), for vectorized overlap."""
     lists = [[] for _ in range(n)]
-    if membership == "chosen" and plan.assignment:
-        for gid, members in plan.assignment.values():
-            for m in members:
-                lists[m].append(gid)
-    else:
-        for g in plan.groups:
-            for m in g.members:
-                lists[m].append(g.index)
+    for g in plan.groups:
+        for m in g.members:
+            lists[m].append(g.index)
     width = max(1, max(len(v) for v in lists))
     table = np.full((n, width), -1, dtype=np.int64)
     for m, v in enumerate(lists):
@@ -249,14 +217,12 @@ def _incidence_table(plan, n, membership):
     return table
 
 
-def loss_probability_montecarlo(
-    plan, shape, params, trials, seed, membership="extended"
-):
+def loss_probability_montecarlo(plan, shape, params, trials, seed):
     """Estimate loss probability by sampling uniform random failure sets.
 
-    A trial loses data when >= r+1 members of some group's copyset universe
-    fail. ``membership`` picks that universe: each group's extended members,
-    or the members ranges were placed on. Returns (estimate, 95%
+    A trial loses data when >= r+1 of some group's members fail; a group's
+    members are its whole extended group, the machines any of its ranges
+    may sit on. Returns (estimate, 95%
     normal-approximation half-width). Trials are drawn in chunks of
     MC_CHUNK_TRIALS with independently spawned seeds and reduced by summing
     counts, so the result is independent of chunking order. Each chunk's
@@ -265,14 +231,12 @@ def loss_probability_montecarlo(
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
-    if membership not in MEMBERSHIPS:
-        raise InvalidParams(f"membership must be one of {MEMBERSHIPS}, got {membership!r}")
     n = shape.machines
     failures = math.floor(n * shape.failure_fraction)
     size = params.r + 1
     if failures < size:
         return 0.0, 0.0
-    table = _incidence_table(plan, n, membership)
+    table = _incidence_table(plan, n)
     n_chunks = -(-trials // MC_CHUNK_TRIALS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     block = max(1, MC_KEY_BYTES // (8 * n))

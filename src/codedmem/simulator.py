@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InvalidParams
+
 US = 1000  # ns per virtual microsecond
 
 
@@ -31,7 +33,7 @@ class SlabState(Enum):
     FAILED = "failed"
 
 
-_LOST = (SlabState.EVICTED, SlabState.FAILED)  # slab states that serve no I/O
+LOST = (SlabState.EVICTED, SlabState.FAILED)  # slab states that serve no I/O
 
 
 @dataclass
@@ -95,10 +97,6 @@ class Slab:
     state: SlabState = SlabState.AVAILABLE
     store: dict = field(default_factory=dict)  # page index -> split bytes
     access_count: float = 0.0
-
-    @property
-    def page_capacity(self):
-        return self.size_bytes // self.split_size if self.split_size else 0
 
 
 class Machine:
@@ -166,7 +164,7 @@ class Cluster:
         self.now = 0
         self.machines = [Machine(i, machine_bytes, self) for i in range(n_machines)]
         self.slabs = {}
-        self.event_log = []  # (time_ns, op, entity, outcome): faults, rebuilds, late splits
+        self.event_log = []  # (time_ns, op, entity, outcome): faults and rebuilds
         self.split_outcomes = Counter()  # (op, outcome) -> split I/Os concluded
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
@@ -240,7 +238,7 @@ class Cluster:
         slab = self.slabs.get(slab_id)
         if machine.state is not MachineState.UP:
             io.outcome = "disconnect"
-        elif slab is None or slab.machine_id != machine_id or slab.state in _LOST:
+        elif slab is None or slab.machine_id != machine_id or slab.state in LOST:
             io.outcome = "unavailable"
         elif slab.state is SlabState.REGENERATING and not fill:
             io.outcome = "rejected"
@@ -293,8 +291,14 @@ class Cluster:
         for cb in self.on_recover:
             cb(machine_id)
 
+    def _slab(self, slab_id):
+        slab = self.slabs.get(slab_id)
+        if slab is None:
+            raise InvalidParams(f"no slab {slab_id} in the cluster")
+        return slab
+
     def evict_slab(self, slab_id):
-        slab = self.slabs[slab_id]
+        slab = self._slab(slab_id)
         if slab.state is SlabState.EVICTED:
             return
         slab.state = SlabState.EVICTED
@@ -319,7 +323,7 @@ class Cluster:
         slab.store.clear()
 
     def corrupt_slab(self, slab_id, page_index, mask, offset=0):
-        slab = self.slabs[slab_id]
+        slab = self._slab(slab_id)
         current = slab.store.get(page_index)
         if current is None:
             self.log("corrupt", f"m{slab.machine_id}:s{slab_id}:p{page_index}", "absent")
@@ -369,7 +373,7 @@ class _InflightIo:
         """The request reaches its slab at the drawn latency."""
         slab = self.slab
         # the slab may have been lost while the request was in flight
-        if slab.state in _LOST:
+        if slab.state in LOST:
             self.cluster._finish(self, "unavailable")
         elif self.op == "write_split":
             slab.store[self.page_index] = self.data
@@ -387,7 +391,14 @@ class _InflightIo:
 
 # -- fault scripts ---------------------------------------------------------
 
-FAULT_TYPES = ("fail", "recover", "evict", "corrupt", "background_load")
+# the fields each fault type needs besides time_us
+FAULT_FIELDS = {
+    "fail": ("machine",),
+    "recover": ("machine",),
+    "evict": ("slab",),
+    "corrupt": ("slab", "page_index", "mask"),
+    "background_load": ("until_us",),
+}
 
 
 @dataclass(frozen=True)
@@ -413,23 +424,41 @@ class FaultScript:
         events = []
         for row in rows:
             kind = row.get("type")
-            if kind not in FAULT_TYPES:
+            if kind not in FAULT_FIELDS:
                 raise ValueError(f"unknown fault type {kind!r}")
-            if "time_us" not in row:
-                raise ValueError(f"fault event missing time_us: {row}")
+            for name in ("time_us",) + FAULT_FIELDS[kind]:
+                if row.get(name) is None:
+                    raise ValueError(f"{kind} fault needs {name}: {row}")
+            for name in ("machine", "slab", "page_index"):
+                value = row.get(name)
+                if value is not None and (
+                    isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
+                ):
+                    raise ValueError(f"fault {name} must be a non-negative integer: {row}")
+            time_us = float(row["time_us"])
+            until_us = row.get("until_us")
+            if until_us is not None:
+                until_us = float(until_us)
+                if until_us <= time_us:
+                    raise ValueError(f"fault until_us must be after time_us: {row}")
+            level = row.get("level")
+            if level is not None:
+                level = float(level)
             mask = row.get("mask")
             if isinstance(mask, str):
                 mask = bytes.fromhex(mask)
+            if mask is not None and not isinstance(mask, bytes):
+                raise ValueError(f"fault mask must be hex or bytes: {row}")
             events.append(
                 FaultEvent(
                     type=kind,
-                    time_us=float(row["time_us"]),
+                    time_us=time_us,
                     machine=row.get("machine"),
                     slab=row.get("slab"),
                     page_index=row.get("page_index"),
                     mask=mask,
-                    level=row.get("level"),
-                    until_us=row.get("until_us"),
+                    level=level,
+                    until_us=until_us,
                 )
             )
         events.sort(key=lambda e: e.time_us)

@@ -2,8 +2,7 @@
 
 from collections import Counter
 
-from codedmem.manager import RefState
-from codedmem.simulator import MachineState, SlabState
+from codedmem.simulator import LOST, MachineState, SlabState
 
 
 def check_invariants(manager):
@@ -12,6 +11,8 @@ def check_invariants(manager):
     - each machine's ``slab_bytes`` equals a recount of its live slabs
     - every owned, non-evicted slab on an UP machine is the slab of
       exactly one ref
+    - every ref whose slab is not lost holds the very slab object that
+      ``cluster.slabs`` and its machine's ``slabs`` hold under its id
     - each range's live refs sit on distinct machines
     - every ref's machine is a member of its range's group
     """
@@ -25,7 +26,11 @@ def check_invariants(manager):
                 if slab.owner is not None:
                     assert holders[slab.slab_id] == 1, f"slab {slab.slab_id} held {holders[slab.slab_id]} times"
     for arange in manager.ranges.values():
-        hosts = [ref.machine_id for ref in arange.refs if ref.state is not RefState.FAILED]
+        hosts = [ref.machine_id for ref in arange.refs if ref.slab.state not in LOST]
         assert len(hosts) == len(set(hosts)), f"range {arange.range_id} shares a machine"
         for ref in arange.refs:
             assert ref.machine_id in arange.group_members, (arange.range_id, ref.role)
+            if ref.slab.state not in LOST:
+                assert cluster.slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)
+                machine_slabs = cluster.machines[ref.machine_id].slabs
+                assert machine_slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)

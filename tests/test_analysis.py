@@ -354,6 +354,57 @@ class TestDatapath:
         assert analysis.run_datapath(DATAPATH_CFG) == analysis.run_datapath(DATAPATH_CFG)
 
 
+GUARDED_FAULTED_CFG = cfg_of(
+    DATAPATH_CFG,
+    seeds=[3],
+    cluster={"machines": 9, "latency": {"sigma": 0.25, "straggler_prob": 0.05}},
+    code={"k": 4, "r": 3, "delta": 1},
+    placement={"l": 2},
+    # four pages per range, so reads often land on a corrupted page
+    manager={"corruption_guard": True, "slab_size": 4096},
+    workload={"ranges": 2, "operations": 300, "read_fraction": 0.7},
+    faults=[
+        {"type": "fail", "time_us": 200, "machine": 5},
+        {"type": "evict", "time_us": 300, "slab": 8},
+        {"type": "background_load", "time_us": 400, "until_us": 700, "level": 3.0},
+        {"type": "corrupt", "time_us": 400, "slab": 1, "page_index": 0, "mask": "ff"},
+        {"type": "corrupt", "time_us": 450, "slab": 12, "page_index": 2, "mask": "00a5"},
+        {"type": "recover", "time_us": 500, "machine": 5},
+        {"type": "corrupt", "time_us": 600, "slab": 2, "page_index": 1, "mask": "0f"},
+        {"type": "corrupt", "time_us": 800, "slab": 10, "page_index": 3, "mask": "0000f0"},
+    ],
+)
+
+# every row but the confighash, in virtual us
+GUARDED_FAULTED_ROWS = [
+    ["3", "coded", "R", "209", "3.633", "23.895", "6.442", "0.000", "2.133",
+     "0.000", "1.500", "0.000", "0", "4", "0"],
+    ["3", "coded", "W", "91", "2.041", "34.681", "4.866", "0.000", "2.041",
+     "0.000", "0.000", "4.792", "0", "0", "0"],
+    ["3", "replication3", "R", "209", "1.229", "1.769", "1.241", "0.000", "1.229",
+     "0.000", "0.000", "0.000", "0", "0", "0"],
+    ["3", "replication3", "W", "91", "2.010", "19.963", "4.002", "0.000", "2.010",
+     "0.000", "0.000", "2.010", "0", "0", "0"],
+    ["3", "ssd_backup", "R", "209", "1.556", "17.236", "2.460", "0.000", "1.556",
+     "0.000", "0.000", "0.000", "0", "0", "0"],
+    ["3", "ssd_backup", "W", "91", "100.000", "100.000", "100.000", "0.000", "1.489",
+     "0.000", "0.000", "100.000", "0", "0", "0"],
+]
+
+
+class TestPinnedDatapathRows:
+    """A refactor of the data path, the monitor or the simulator must leave
+    the virtual time of a guarded run under every fault type unmoved."""
+
+    def test_guarded_run_under_every_fault_type(self):
+        header, rows = analysis.run_datapath(GUARDED_FAULTED_CFG)
+        chash = analysis.config_hash(GUARDED_FAULTED_CFG)
+        assert all(row[1] == chash for row in rows)
+        assert [row[:1] + row[2:] for row in rows] == GUARDED_FAULTED_ROWS
+        coded_r = dict(zip(header, rows[0]))
+        assert int(coded_r["corrected"]) > 0
+
+
 class TestWorkload:
     def test_generation_is_seeded(self):
         ops_a = analysis.gen_workload(DATAPATH_CFG["workload"], capacity=32, seed=5)
@@ -367,13 +418,6 @@ class TestWorkload:
             assert 0 <= rid < 2
             assert 0 <= page < 32
             assert (pseed is None) == (op == "R")
-
-    def test_trace_roundtrip(self, tmp_path):
-        ops = analysis.gen_workload(DATAPATH_CFG["workload"], capacity=16, seed=1)
-        path = tmp_path / "trace.csv"
-        analysis.write_trace(path, ops)
-        assert analysis.parse_trace(path) == ops
-        assert path.read_text().splitlines()[0] == "op,range_id,page_index,payload_seed"
 
 
 class TestEmit:

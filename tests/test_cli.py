@@ -78,6 +78,46 @@ class TestValidate:
         assert capsys.readouterr().err != ""
 
 
+class TestFaultRows:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"type": "fail", "time_us": 1}, "needs machine"),
+            ({"type": "fail", "time_us": 1, "machine": 9}, "machine 9"),
+            ({"type": "background_load", "time_us": 1}, "needs until_us"),
+            ({"type": "background_load", "time_us": 5, "until_us": 5}, "after time_us"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "level": "x"}, "float"),
+            ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": 5}, "mask"),
+        ],
+    )
+    def test_bad_rows_fail_before_the_run(self, tmp_path, capsys, fault, message):
+        cfg = copy.deepcopy(DATAPATH_CFG)
+        cfg["faults"] = [fault]
+        path = dump(tmp_path, cfg)
+        for argv in (["validate-config"], ["datapath", "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"type": "evict", "time_us": 1, "slab": 999},
+            {"type": "corrupt", "time_us": 1, "slab": 999, "page_index": 0, "mask": "ff"},
+        ],
+    )
+    def test_unknown_slab_is_an_error(self, tmp_path, capsys, fault):
+        cfg = copy.deepcopy(DATAPATH_CFG)
+        cfg["faults"] = [fault]
+        path = dump(tmp_path, cfg)
+        # slab ids exist only once the run has mapped its ranges
+        assert cli.main(["validate-config", "--config", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["datapath", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "slab 999" in err
+
+
 class TestDispatch:
     def test_loss_writes_csv(self, tmp_path, capsys):
         cfg_path = dump(tmp_path, LOSS_CFG)

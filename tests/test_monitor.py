@@ -12,9 +12,9 @@ import pytest
 
 from codedmem import coding, placement
 from codedmem.coding import CodecParams
-from codedmem.manager import ManagerConfig, RefState, ResilienceManager
+from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.monitor import MonitorConfig, MonitorService
-from codedmem.simulator import Cluster, LatencyModel, SlabState
+from codedmem.simulator import LOST, Cluster, LatencyModel, SlabState
 
 SLAB = 64 * 1024
 
@@ -103,10 +103,10 @@ class TestEviction:
         cluster.machines[victim.machine_id].local_bytes = 2 * SLAB
         mon.control_tick()
         # the tick both evicts the slab and kicks off its regeneration
-        assert victim.state is RefState.REGENERATING
+        assert victim.slab.state is SlabState.REGENERATING
         assert (0, victim.role) in mon._active
         cluster.run_until_idle()
-        assert victim.state is RefState.HEALTHY
+        assert victim.slab.state is SlabState.AVAILABLE
 
 
 class TestRegeneration:
@@ -126,10 +126,10 @@ class TestRegeneration:
         arange = mgr.ranges[0]
         victim = arange.refs[2]
         cluster.evict_slab(victim.slab_id)
-        assert victim.state is RefState.FAILED
+        assert victim.slab.state in LOST
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.state is RefState.HEALTHY
+        assert victim.slab.state is SlabState.AVAILABLE
         slab = cluster.slabs[victim.slab_id]
         assert slab.state is SlabState.AVAILABLE
         for p, payload in payloads.items():
@@ -145,7 +145,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.state is RefState.HEALTHY
+        assert victim.slab.state is SlabState.AVAILABLE
         slab = cluster.slabs[victim.slab_id]
         assert slab.machine_id != dead
         for p, payload in payloads.items():
@@ -173,7 +173,7 @@ class TestRegeneration:
         mgr.drive(op)
         assert op.completion.page == payloads[1]
         cluster.run_until_idle()
-        assert arange.refs[2].state is RefState.HEALTHY
+        assert arange.refs[2].slab.state is SlabState.AVAILABLE
 
     def test_writes_during_regen_reach_the_new_slab(self):
         params = CodecParams(k=2, r=1)
@@ -184,19 +184,11 @@ class TestRegeneration:
         fresh = page_of(500)
         mgr.submit_write(0, 7, fresh)
         cluster.run_until_idle()
-        assert arange.refs[2].state is RefState.HEALTHY
+        assert arange.refs[2].slab.state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[2].slab_id]
         assert slab.store[7] == expected_split(params, fresh, 2)
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, 2)
-
-    def test_regen_reads_do_not_pollute_completion_log(self):
-        cluster, mgr, mon, payloads = self.settled()
-        before = len(mgr.completion_log)
-        cluster.evict_slab(mgr.ranges[0].refs[2].slab_id)
-        mon.drain_regeneration()
-        cluster.run_until_idle()
-        assert len(mgr.completion_log) == before
 
     def test_regen_aborts_without_quorum(self):
         cluster, mgr, mon, payloads = self.settled()
@@ -207,7 +199,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert all(ref.state is RefState.FAILED for ref in arange.refs)
+        assert all(ref.slab.state in LOST for ref in arange.refs)
         assert not any(slab.owner == 0 for slab in cluster.slabs.values())
 
     def test_recover_frees_the_slab_a_ref_left(self):
@@ -219,7 +211,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.state is RefState.HEALTHY
+        assert victim.slab.state is SlabState.AVAILABLE
         assert old not in cluster.slabs
         cluster.recover_machine(dead)
         machine = cluster.machines[dead]
@@ -236,12 +228,12 @@ class TestRegeneration:
         cluster.schedule(3000, lambda: cluster.fail_machine(spare))
         cluster.run_until_idle()
         assert ("regenerate", "aborted") in {(op, out) for _, op, _, out in cluster.event_log}
-        assert victim.state is RefState.FAILED
+        assert victim.slab.state in LOST
         assert target not in cluster.slabs
         assert cluster.machines[spare].slab_bytes == 0
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.state is RefState.HEALTHY
+        assert victim.slab.state is SlabState.AVAILABLE
 
     def no_spare(self):
         # two groups of k+r=3 and no slack: a lost split has nowhere to go
@@ -259,7 +251,7 @@ class TestRegeneration:
 
     def test_group_without_spare_keeps_the_ref_failed(self):
         cluster, mgr, arange, victim, dead = self.no_spare()
-        assert victim.state is RefState.FAILED
+        assert victim.slab.state in LOST
         others = [m for m in range(6) if m not in arange.group_members]
         assert all(cluster.machines[m].free_bytes >= SLAB for m in others)
         assert [s for s in cluster.slabs.values() if s.owner == 0 and s.machine_id in others] == []
@@ -267,7 +259,7 @@ class TestRegeneration:
     def test_ref_without_target_stays_failed_after_recover(self):
         cluster, mgr, arange, victim, dead = self.no_spare()
         cluster.recover_machine(dead)
-        assert victim.state is RefState.FAILED
+        assert victim.slab.state in LOST
         assert victim.slab_id not in cluster.slabs
         fresh = page_of(2)
         assert mgr.remote_write(0, 0, fresh).outcome == "degraded"
@@ -282,7 +274,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert arange.refs[0].state is RefState.HEALTHY
+        assert arange.refs[0].slab.state is SlabState.AVAILABLE
         # redundancy is restored, so one more failure is still tolerable
         cluster.fail_machine(arange.refs[1].machine_id)
         cluster.run_until_idle()
@@ -290,37 +282,23 @@ class TestRegeneration:
 
 
 class TestStatsAndTicks:
-    def test_stats_rows_per_machine(self):
-        cluster, mgr, mon = build(3, CodecParams(k=2, r=1))
-        mgr.map_range(0)
-        mon.control_tick()
-        assert len(mon.stats_log) == 3
-        time_us, machine, free_fraction, hosted, evicted, regens = mon.stats_log[0]
-        assert machine == 0
-        assert hosted == 1
-        assert evicted == 0
-        assert regens == 0
-        assert 0.0 < free_fraction < 1.0
-
     def test_periodic_ticks_reschedule(self):
         cluster, mgr, mon = build(
             2,
             CodecParams(k=1, r=1),
             mon_config=MonitorConfig(control_period_us=10.0),
         )
+        ticks = []
+        tick = mon.control_tick
+
+        def record():
+            ticks.append(cluster.now)
+            tick()
+
+        mon.control_tick = record
         mon.start()
         cluster.run_until(35 * 1000)
-        ticks = {row[0] for row in mon.stats_log}
-        assert ticks == {10.0, 20.0, 30.0}
-
-    def test_export_stats_format(self, tmp_path):
-        cluster, mgr, mon = build(2, CodecParams(k=1, r=1))
-        mon.control_tick()
-        out = tmp_path / "stats.csv"
-        mon.export_stats(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "time_us,machine,free_fraction,slabs_hosted,evicted_total,regens_in_flight"
-        assert len(lines) == 3
+        assert ticks == [10_000, 20_000, 30_000]
 
     def test_tick_drains_regeneration_requests(self):
         cluster, mgr, mon, payloads = TestRegeneration().settled()
@@ -328,4 +306,4 @@ class TestStatsAndTicks:
         cluster.evict_slab(arange.refs[2].slab_id)
         mon.control_tick()
         cluster.run_until_idle()
-        assert arange.refs[2].state is RefState.HEALTHY
+        assert arange.refs[2].slab.state is SlabState.AVAILABLE
