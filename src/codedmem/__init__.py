@@ -13,7 +13,6 @@ from .coding import (
     Split,
     make_codec,
     split_page,
-    join_splits,
     encode,
     decode,
     detect_corruption,
@@ -51,7 +50,6 @@ __all__ = [
     "Split",
     "make_codec",
     "split_page",
-    "join_splits",
     "encode",
     "decode",
     "detect_corruption",

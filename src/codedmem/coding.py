@@ -100,16 +100,26 @@ def split_page(page, k):
     return [Split(i, DATA, padded[i * size : (i + 1) * size]) for i in range(k)]
 
 
-def join_splits(data_splits, page_size):
-    """Concatenate data splits in index order and drop the padding."""
-    ordered = sorted(data_splits, key=lambda s: s.index)
-    return b"".join(s.data for s in ordered)[:page_size]
-
-
 def _stack(splits):
     # one read-only (len(splits) x split size) view over the joined bytes
     joined = b"".join(s.data for s in splits)
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(splits), -1)
+
+
+def _rows(codec, data, indices):
+    """Codeword rows ``indices`` of the k data rows: a data row as it is, a
+    parity row from its own ``parity_matrix`` row, never the whole codeword."""
+    k = codec.k
+    parity = [codec.parity_matrix[i - k] for i in indices if i >= k]
+    computed = iter(gf256.apply_matrix(parity, data) if parity else ())
+    return [data[i] if i < k else next(computed) for i in indices]
+
+
+def _page_split(codec, page, index):
+    """Split ``index`` of a page, computing only its own codeword row."""
+    padded = page.ljust(codec.k * codec.split_size, b"\0")
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(codec.k, -1)
+    return _rows(codec, data, [index])[0].tobytes()
 
 
 def encode(codec, data_splits):
@@ -120,10 +130,8 @@ def encode(codec, data_splits):
     size = len(data_splits[0].data)
     if any(len(s.data) != size for s in data_splits):
         raise LengthMismatch("data splits differ in length")
-    if r == 0:
-        return []
     ordered = sorted(data_splits, key=lambda s: s.index)
-    parity = gf256.apply_matrix(codec.parity_matrix, _stack(ordered))
+    parity = _rows(codec, _stack(ordered), range(k, k + r))
     return [Split(k + i, PARITY, parity[i].tobytes()) for i in range(r)]
 
 
@@ -145,20 +153,22 @@ def _decode_matrix(codec, indices):
     return inv
 
 
-def _first_k(codec, available):
+def _first_k(codec, splits):
+    """The first k splits with distinct indices, by arrival, and the others."""
     k = codec.k
     seen = set()
-    use = []
-    for s in available:
+    use, others = [], []
+    for s in splits:
         if not 0 <= s.index < k + codec.r:
             raise InvalidParams(f"split index {s.index} out of range")
-        if s.index in seen:
-            continue
-        seen.add(s.index)
-        use.append(s)
-        if len(use) == k:
-            return use
-    raise InsufficientSplits(f"decode needs {k} distinct splits, got {len(use)}")
+        if len(use) < k and s.index not in seen:
+            seen.add(s.index)
+            use.append(s)
+        else:
+            others.append(s)
+    if len(use) < k:
+        raise InsufficientSplits(f"decode needs {k} distinct splits, got {len(use)}")
+    return use, others
 
 
 def _reconstruct_data(codec, use):
@@ -182,31 +192,26 @@ def _reconstruct_data(codec, use):
     return data
 
 
-def decode(codec, available, page_size=None):
-    """Rebuild the page from the first k distinct splits by arrival order."""
-    use = _first_k(codec, available)
+def _verified_decode(codec, splits, page_size=None):
+    """The page rebuilt once from the first k distinct splits by arrival, or
+    None when another split disagrees with its own codeword row.
+
+    The rebuilt codeword matches the k splits used by construction, so only
+    the others are compared, a second split with a used index among them.
+    """
+    use, others = _first_k(codec, splits)
     data = _reconstruct_data(codec, use)
-    page_size = codec.page_size if page_size is None else page_size
-    return data.tobytes()[: codec.k * len(use[0].data)][:page_size]
+    rows = _rows(codec, data, [s.index for s in others])
+    if any(s.data != row.tobytes() for s, row in zip(others, rows)):
+        return None
+    return data.tobytes()[: codec.page_size if page_size is None else page_size]
 
 
-def _codeword_rows(codec, data):
-    # full k+r codeword from reconstructed data rows
-    if codec.r == 0:
-        return data
-    parity = gf256.apply_matrix(codec.parity_matrix, data)
-    return np.concatenate([data, parity])
-
-
-def _consistent_codeword(codec, splits, decode_from):
-    """Codeword rows if every split matches the codeword decoded from
-    ``decode_from``, else None."""
-    data = _reconstruct_data(codec, decode_from)
-    word = _codeword_rows(codec, data)
-    for s in splits:
-        if not np.array_equal(word[s.index], np.frombuffer(s.data, dtype=np.uint8)):
-            return None
-    return word
+def decode(codec, available, page_size=None):
+    """Rebuild the page from the first k distinct splits by arrival order;
+    the later splits are not compared."""
+    data = _reconstruct_data(codec, _first_k(codec, available)[0])
+    return data.tobytes()[: codec.page_size if page_size is None else page_size]
 
 
 def detect_corruption(codec, splits, delta):
@@ -222,8 +227,7 @@ def detect_corruption(codec, splits, delta):
         raise InsufficientSplits(
             f"detection needs {codec.k + delta} splits, got {len(splits)}"
         )
-    use = _first_k(codec, splits)
-    return _consistent_codeword(codec, splits, use) is None
+    return _verified_decode(codec, splits) is None
 
 
 def correct_corruption(codec, splits, delta):
@@ -231,6 +235,8 @@ def correct_corruption(codec, splits, delta):
 
     Needs k + 2*delta + 1 splits: any candidate exclusion set of size
     <= delta that leaves the rest consistent pins a unique codeword.
+    Exclusion sets are tried smallest first, so every split of the first
+    one that works disagrees with that codeword.
     Returns (page bytes, set of corrupted split indices).
     """
     splits = list(splits)
@@ -245,19 +251,11 @@ def correct_corruption(codec, splits, delta):
     ):
         kept = [s for pos, s in enumerate(splits) if pos not in excluded]
         try:
-            use = _first_k(codec, kept)
+            page = _verified_decode(codec, kept)
         except InsufficientSplits:
             continue
-        word = _consistent_codeword(codec, kept, use)
-        if word is None:
-            continue
-        corrupted = {
-            s.index
-            for s in splits
-            if not np.array_equal(word[s.index], np.frombuffer(s.data, dtype=np.uint8))
-        }
-        page = word[: codec.k].tobytes()[: codec.page_size]
-        return page, corrupted
+        if page is not None:
+            return page, {splits[pos].index for pos in excluded}
     raise UncorrectableCorruption(
         f"no codeword within {delta} corruptions of the supplied splits"
     )

@@ -438,15 +438,15 @@ class _ReadOp:
             self._deliver("unrecoverable", None)
             self._maybe_finish()
             return
-        if len(splits) < k + delta:
-            page = coding.decode(mgr.codec, splits[:k], mgr.config.page_size)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns)
-            self._maybe_finish()
-            return
-        if not coding.detect_corruption(mgr.codec, splits, delta):
-            for _, role, _ in ordered:
-                mgr._record_health(self.arange, role, ok=True)
-            page = coding.decode(mgr.codec, splits[:k], mgr.config.page_size)
+        # one reconstruction verifies and decodes; short of k+delta, none is checked
+        checkable = len(splits) >= k + delta
+        page = coding._verified_decode(
+            mgr.codec, splits if checkable else splits[:k], mgr.config.page_size
+        )
+        if page is not None:
+            if checkable:
+                for _, role, _ in ordered:
+                    mgr._record_health(self.arange, role, ok=True)
             self._deliver("ok", page, extra_ns=mgr.decode_ns)
             self._maybe_finish()
             return
@@ -698,8 +698,8 @@ class ResilienceManager:
         A fresh slab goes on the least-loaded member of the range's group
         (ties to the lower id) that is up, has room, and hosts no other
         live split of the range. It starts REGENERATING, and the slab the
-        ref leaves is freed unless it was evicted. None when the group has
-        no such spare.
+        ref leaves is freed if the cluster still holds it, evicted or not.
+        None when the group has no such spare.
         """
         ref = arange.refs[role]
         if ref.slab.state not in LOST:
@@ -724,7 +724,7 @@ class ResilienceManager:
         )
         slab.state = SlabState.REGENERATING
         old, ref.slab = ref.slab, slab
-        if old.state is not SlabState.EVICTED:
+        if old.slab_id in self.cluster.slabs:
             self.cluster.free_slab(old.slab_id)
         return slab
 

@@ -6,8 +6,8 @@ slabs (sampled candidates, least-accessed first), then every slab's
 access counter decays so the usage signal tracks recent traffic.
 
 Regeneration rebuilds a lost slab from the surviving splits: decode
-each written page from k healthy slabs, re-encode the missing split,
-and backfill it onto the fresh slab that `ResilienceManager.relocate`
+each written page from k healthy slabs, compute only the lost split's
+row, and backfill it onto the fresh slab that `ResilienceManager.relocate`
 places on a spare member of the range's group. Foreground writes keep
 flowing while this runs; they backfill the new slab directly, and the
 catch-up loop skips pages that already landed. When the group has no
@@ -39,7 +39,7 @@ class MonitorConfig:
 
 
 class _RegenFill:
-    """One page of a regeneration: read, re-encode, backfill.
+    """One page of a regeneration: read, compute the lost row, backfill.
 
     Runs under the same per-page queue as foreground ops, so a page is
     never read for regeneration while a write to it is in flight.
@@ -66,13 +66,7 @@ class _RegenFill:
             self._done(advance=False)
             task.abort(retry=False)
             return
-        role = task.ref.role
-        params = mgr.codec.params
-        data = coding.split_page(completion.page, params.k)
-        if role < params.k:
-            payload = data[role].data
-        else:
-            payload = coding.encode(mgr.codec, data)[role - params.k].data
+        payload = coding._page_split(mgr.codec, completion.page, task.ref.role)
         delay = (completion.completed_ns - mgr.cluster.now) + mgr.encode_ns
         mgr.cluster.schedule(delay, lambda: self._submit_fill(payload))
 

@@ -11,6 +11,8 @@ def check_invariants(manager):
     - each machine's ``slab_bytes`` equals a recount of its live slabs
     - every owned, non-evicted slab on an UP machine is the slab of
       exactly one ref
+    - every owned, evicted slab the cluster still holds is the slab of
+      exactly one ref, so a ref that moves off it leaves no tombstone
     - every ref whose slab is not lost holds the very slab object that
       ``cluster.slabs`` and its machine's ``slabs`` hold under its id
     - each range's live refs sit on distinct machines
@@ -25,6 +27,9 @@ def check_invariants(manager):
             for slab in live:
                 if slab.owner is not None:
                     assert holders[slab.slab_id] == 1, f"slab {slab.slab_id} held {holders[slab.slab_id]} times"
+    for slab in cluster.slabs.values():
+        if slab.owner is not None and slab.state is SlabState.EVICTED:
+            assert holders[slab.slab_id] == 1, f"evicted slab {slab.slab_id} held {holders[slab.slab_id]} times"
     for arange in manager.ranges.values():
         hosts = [ref.machine_id for ref in arange.refs if ref.slab.state not in LOST]
         assert len(hosts) == len(set(hosts)), f"range {arange.range_id} shares a machine"

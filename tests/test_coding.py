@@ -62,13 +62,6 @@ class TestSplitJoin:
         # zero padding on the tail split only
         assert splits[2].data[-2:] == b"\x00\x00"
 
-    def test_join_restores_page(self):
-        rng = np.random.default_rng(1)
-        for k in (1, 2, 3, 5, 8, 16):
-            page = random_page(rng)
-            splits = coding.split_page(page, k)
-            assert coding.join_splits(splits, 4096) == page
-
     def test_even_division_no_padding(self):
         rng = np.random.default_rng(2)
         page = random_page(rng)
@@ -195,6 +188,20 @@ class TestDetect:
             flip = int(rng.integers(1, 256))
             subset[victim] = corrupt_split(subset[victim], offset, flip)
             assert coding.detect_corruption(codec, subset, 1) is True
+
+    def test_second_split_with_a_used_index_is_checked(self):
+        # the first k distinct splits rebuild the page; a later split that
+        # repeats one of their indices with other bytes must still alarm
+        params = coding.CodecParams(k=4, r=2, delta=1)
+        codec = coding.make_codec(params)
+        page = random_page(np.random.default_rng(18))
+        data = coding.split_page(page, 4)
+        splits = data + coding.encode(codec, data)
+        for victim in (0, 4):
+            twin = corrupt_split(splits[victim], 3, 0x41)
+            subset = [splits[0], splits[4], splits[2], splits[3], twin]
+            assert coding.detect_corruption(codec, subset, 1) is True
+        assert coding.detect_corruption(codec, subset[:4] + [splits[4]], 1) is False
 
     def test_requires_k_plus_delta(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=2, delta=1))

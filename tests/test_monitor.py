@@ -151,6 +151,20 @@ class TestRegeneration:
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, 0)
 
+    @pytest.mark.parametrize("role", [0, 4, 5, 6])
+    def test_every_role_rebuilds_its_own_row(self, role):
+        # with r=3 a fill that computed the wrong parity row would differ
+        params = CodecParams(k=4, r=3)
+        cluster, mgr, mon, payloads = self.settled(params=params, n=10)
+        victim = mgr.ranges[0].refs[role]
+        cluster.evict_slab(victim.slab_id)
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.slab.state is SlabState.AVAILABLE
+        slab = cluster.slabs[victim.slab_id]
+        for p, payload in payloads.items():
+            assert slab.store[p] == expected_split(params, payload, role)
+
     def test_regen_target_avoids_range_hosts(self):
         cluster, mgr, mon, payloads = self.settled()
         arange = mgr.ranges[0]
