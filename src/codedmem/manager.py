@@ -6,9 +6,13 @@ splits are durable and finish the parity in the background. Reads
 fan out to k+delta slabs and complete with the first k arrivals, so
 a straggler or failed machine never sits on the critical path.
 
-With the corruption guard enabled, reads wait for k+delta splits,
-verify codeword consistency, and escalate to k+2*delta+1 splits to
-locate and repair corrupted ones. Machines whose splits keep failing
+A read decides once, when `need` splits have arrived or none is left in
+flight. With the corruption guard enabled it waits for all k+delta
+splits it asked and checks them in the reconstruction that decodes
+them; on a mismatch it asks spares up to k+2*delta+1 once. A set that
+wide goes straight to `correct_corruption`, whose empty exclusion set is
+the check of the whole set; past delta corrupted splits the read
+delivers `corrupt-unrecoverable`. Machines whose splits keep failing
 verification are put in suspect mode (wide fan-out from the start).
 
 A ref has no state of its own: it reads its slab's, so a split is
@@ -16,7 +20,9 @@ available, regenerating, or lost (`simulator.LOST`). A lost split moves
 to a fresh slab on a spare member of the range's own group, never
 outside it; the slab it leaves, a slab whose rebuild aborts, and every
 slab on a recovered machine are freed, so a stale slab never reads as
-healthy again. Ops report to their caller through their completion
+healthy again. A REGENERATING slab becomes AVAILABLE in `promote`, once
+it holds every written page, whether a rebuild or a foreground write
+filled the last one. Ops report to their caller through their completion
 records; the manager keeps no log of them.
 """
 
@@ -147,17 +153,14 @@ class _WriteOp:
         self.durable_ns = None
         self.completion = None
         self.done = False
-        self.finished = False
         self.fanout = 0
         self.acked = {}  # role -> ack time
         self.outstanding = 0
         self.wave1_roles = []
-        self.wave1_pending = 0
         self.wave2_issued = False
-        self.encode_charged = False
         self.encode_ack_ns = 0
         self.splits = None
-        self.parity = []  # parity split bytes, held from encode to send
+        self.parity = None  # parity split bytes, held from encode to send
 
     # -- plumbing ---------------------------------------------------------
 
@@ -186,17 +189,15 @@ class _WriteOp:
             else:
                 wave = healthy
             self.wave1_roles = [r.role for r in wave]
-        self.wave1_pending = len(self.wave1_roles)
-        if self.wave1_pending < k:
+        if len(self.wave1_roles) < k:
             self._finish("write-failed")
             return
-        for role in list(self.wave1_roles):
+        for role in self.wave1_roles:
             self._issue(role, delay)
 
     def _encode(self):
-        if self.encode_charged:
+        if self.parity is not None:
             return
-        self.encode_charged = True
         self.parity = [s.data for s in coding.encode(self.mgr.codec, self.splits)]
 
     def _split_bytes(self, role):
@@ -231,25 +232,12 @@ class _WriteOp:
     def _on_split(self, role, completion):
         mgr = self.mgr
         self.outstanding -= 1
-        concluded = True
         if completion.outcome == "ok":
             self.acked[role] = completion.time_ns
-            self._maybe_promote(role)
-        else:
-            if mgr.relocate(self.arange, role) is not None:
-                self._issue(role, fill=True)
-                concluded = False
-        if concluded and role in self.wave1_roles:
-            self.wave1_pending -= 1
+            mgr.promote(self.arange, role)
+        elif mgr.relocate(self.arange, role) is not None:
+            self._issue(role, fill=True)
         self._evaluate()
-
-    def _maybe_promote(self, role):
-        """A replacement slab that now holds every written page is healthy."""
-        ref = self.arange.ref_for_role(role)
-        if ref.slab.state is not SlabState.REGENERATING:
-            return
-        if not self.arange.written_pages - set(ref.slab.store):
-            ref.slab.state = SlabState.AVAILABLE
 
     def _evaluate(self):
         mgr = self.mgr
@@ -258,14 +246,9 @@ class _WriteOp:
             ack = max(sorted(self.acked.values())[:k][-1], mgr.cluster.now)
             self.data_acked_ns = ack + mgr.ctx_ns
             self.arange.written_pages.add(self.page_index)
-            if not self.wave2_issued:
-                self._issue_wave2()
-        if (
-            self.data_acked_ns is None
-            and self.wave1_pending == 0
-            and not self.wave2_issued
-        ):
-            # wave one lost splits: bring parity in to reach k acks
+        # wave two follows the k-ack point, or brings parity in to reach k
+        # acks once wave one concluded short of them
+        if not self.wave2_issued and (self.data_acked_ns is not None or self.outstanding == 0):
             self._issue_wave2()
         if self.outstanding == 0:
             if len(self.acked) >= k:
@@ -288,19 +271,17 @@ class _WriteOp:
         ]
         if not rest:
             return
-        delay = 0 if self.encode_charged else mgr.encode_ns
+        delay = 0 if self.parity is not None else mgr.encode_ns
         self._encode()
         for ref in rest:
             # a slab mid-regeneration only takes backfill writes
             self._issue(ref.role, delay, fill=ref.slab.state is SlabState.REGENERATING)
 
-
     def _finish(self, outcome):
-        if self.finished:
+        if self.done:
             return
-        self.finished = True
         self.done = True
-        self.parity = []
+        self.parity = None
         if self.mgr.config.async_parity and self.data_acked_ns is not None:
             completed = self.data_acked_ns
         else:
@@ -333,7 +314,6 @@ class _ReadOp:
         self.started_ns = None
         self.completion = None
         self.done = False
-        self.finished = False
         self.targets = ()
         self.fanout = 0
         self.need = 0
@@ -341,8 +321,6 @@ class _ReadOp:
         self.escalated = False
         self.arrivals = []  # (time_ns, role, data)
         self.outstanding = 0
-        self.delivered = False
-        self.corrected = False
 
     def start(self):
         mgr = self.mgr
@@ -352,7 +330,6 @@ class _ReadOp:
         healthy = self.arange.healthy_refs()
         if len(healthy) < k:
             self._deliver("unrecoverable", None)
-            self._maybe_finish()
             return
         width = k + delta
         if mgr.config.corruption_guard:
@@ -385,58 +362,56 @@ class _ReadOp:
             ref.machine_id, ref.slab_id, self.page_index, lambda c: self._on_split(role, c)
         )
 
+    def _ask(self, count):
+        """Issue up to `count` healthy refs not yet asked; how many were."""
+        used = set(self.targets)
+        spares = [ref for ref in self.arange.healthy_refs() if ref.role not in used][:count]
+        self.targets += tuple(ref.role for ref in spares)
+        for ref in spares:
+            self._issue(ref)
+        return len(spares)
+
     def _on_split(self, role, completion):
         self.outstanding -= 1
-        if completion.outcome == "ok":
+        if self.done:
             # an unguarded read drops the splits that arrive after delivery
-            if self.guarded or not self.delivered:
-                self.arrivals.append((completion.time_ns, role, completion.data))
-        else:
-            self._reissue_if_needed()
-        self._evaluate()
-
-    def _reissue_if_needed(self):
-        """A lost split gets replaced from a healthy ref not yet asked."""
-        if self.delivered:
+            if self.outstanding == 0:
+                self.mgr._release(self.arange.range_id, self.page_index, self)
             return
-        if len(self.arrivals) + self.outstanding >= self.need:
-            return
-        used = set(self.targets)
-        spare = [
-            ref for ref in self.arange.healthy_refs() if ref.role not in used
-        ]
-        if spare:
-            ref = spare[0]
-            self.targets = self.targets + (ref.role,)
-            self._issue(ref)
+        if completion.outcome == "ok":
+            self.arrivals.append((completion.time_ns, role, completion.data))
+        elif len(self.arrivals) + self.outstanding < self.need:
+            self._ask(1)
+        # a guarded read never has more than `need` splits asked, so it only
+        # decides once every asked split has concluded
+        if len(self.arrivals) >= self.need or self.outstanding == 0:
+            self._decide()
 
-    def _ordered(self):
-        return sorted(self.arrivals, key=lambda a: (a[0], a[1]))
-
-    def _evaluate(self):
+    def _decide(self):
         mgr = self.mgr
-        k = mgr.codec.params.k
-        delta = mgr.codec.params.delta
-        if not self.guarded:
-            if not self.delivered and len(self.arrivals) >= k:
-                first = self._ordered()[:k]
-                splits = [self._as_split(role, data) for _, role, data in first]
-                page = coding.decode(mgr.codec, splits, mgr.config.page_size)
-                cost = mgr.decode_ns if any(s.kind == coding.PARITY for s in splits) else 0
-                self._deliver("ok", page, extra_ns=cost)
-            elif not self.delivered and self.outstanding == 0:
-                # every asked split concluded short of k and none is left to ask
-                self._deliver("unrecoverable", None)
-            self._maybe_finish()
-            return
-        if self.outstanding > 0:
-            return
-        # guard mode: every requested split has concluded
-        ordered = self._ordered()
-        splits = [self._as_split(role, data) for _, role, data in ordered]
+        k, delta = mgr.codec.params.k, mgr.codec.params.delta
+        splits = [
+            Split(index=role, kind=coding.DATA if role < k else coding.PARITY, data=data)
+            for _, role, data in sorted(self.arrivals)
+        ]
         if len(splits) < k:
             self._deliver("unrecoverable", None)
-            self._maybe_finish()
+            return
+        if not self.guarded:
+            page = coding.decode(mgr.codec, splits, mgr.config.page_size)
+            cost = mgr.decode_ns if any(s.kind == coding.PARITY for s in splits[:k]) else 0
+            self._deliver("ok", page, extra_ns=cost)
+            return
+        if len(splits) >= k + 2 * delta + 1:
+            # the empty exclusion set comes first, so a clean set is one check
+            try:
+                page, bad = coding.correct_corruption(mgr.codec, splits, delta)
+            except UncorrectableCorruption:
+                self._deliver("corrupt-unrecoverable", None)
+                return
+            for s in splits:
+                mgr._record_health(self.arange, s.index, ok=s.index not in bad)
+            self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad))
             return
         # one reconstruction verifies and decodes; short of k+delta, none is checked
         checkable = len(splits) >= k + delta
@@ -445,46 +420,18 @@ class _ReadOp:
         )
         if page is not None:
             if checkable:
-                for _, role, _ in ordered:
-                    mgr._record_health(self.arange, role, ok=True)
+                for s in splits:
+                    mgr._record_health(self.arange, s.index, ok=True)
             self._deliver("ok", page, extra_ns=mgr.decode_ns)
-            self._maybe_finish()
             return
-        need = k + 2 * delta + 1
-        if len(splits) < need and not self.escalated:
+        if not self.escalated:
             self.escalated = True
-            self.need = need
-            used = set(self.targets)
-            spares = [
-                ref for ref in self.arange.healthy_refs() if ref.role not in used
-            ]
-            extra = spares[: need - len(splits)]
-            if extra:
-                self.targets = self.targets + tuple(r.role for r in extra)
-                for ref in extra:
-                    self._issue(ref)
+            self.need = k + 2 * delta + 1
+            if self._ask(self.need - len(splits)):
                 return
-        if len(splits) >= need:
-            page, bad_roles = coding.correct_corruption(mgr.codec, splits, delta)
-            self.corrected = True
-            seen = {role for _, role, _ in ordered}
-            for role in seen:
-                mgr._record_health(self.arange, role, ok=role not in bad_roles)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns)
-            self._maybe_finish()
-            return
         self._deliver("corrupt-unrecoverable", None)
-        self._maybe_finish()
 
-    def _as_split(self, role, data):
-        k = self.mgr.codec.params.k
-        kind = coding.DATA if role < k else coding.PARITY
-        return Split(index=role, kind=kind, data=data)
-
-    def _deliver(self, outcome, page, extra_ns=0):
-        if self.delivered:
-            return
-        self.delivered = True
+    def _deliver(self, outcome, page, extra_ns=0, corrected=False):
         mgr = self.mgr
         completed = None
         if outcome == "ok":
@@ -499,19 +446,15 @@ class _ReadOp:
             completed_ns=completed,
             outcome=outcome,
             fanout=self.fanout,
-            corrected=self.corrected,
+            corrected=corrected,
             page=page,
             decode_ns=extra_ns if outcome == "ok" else 0,
         )
         self.done = True
         if self.on_done:
             self.on_done(self.completion)
-
-    def _maybe_finish(self):
-        if self.finished or not self.delivered or self.outstanding > 0:
-            return
-        self.finished = True
-        self.mgr._release(self.arange.range_id, self.page_index, self)
+        if self.outstanding == 0:
+            mgr._release(self.arange.range_id, self.page_index, self)
 
 
 class ResilienceManager:
@@ -727,6 +670,19 @@ class ResilienceManager:
         if old.slab_id in self.cluster.slabs:
             self.cluster.free_slab(old.slab_id)
         return slab
+
+    def promote(self, arange, role):
+        """True once the ref's slab is AVAILABLE.
+
+        A REGENERATING slab that holds every written page becomes AVAILABLE
+        here, whichever write filled its last page, and its rebuild logs its
+        `complete` row.
+        """
+        slab = arange.refs[role].slab
+        if slab.state is SlabState.REGENERATING and arange.written_pages.issubset(slab.store):
+            slab.state = SlabState.AVAILABLE
+            self.cluster.log("regenerate", f"r{arange.range_id}:role{role}", "complete")
+        return slab.state is SlabState.AVAILABLE
 
     def _request_regen(self, range_id, role):
         key = (range_id, role)

@@ -12,10 +12,11 @@ places on a spare member of the range's group. Foreground writes keep
 flowing while this runs; they backfill the new slab directly, and the
 catch-up loop skips pages that already landed. When the group has no
 spare, the ref's slab stays lost. A rebuild's state is its slab's: it
-starts REGENERATING and ends AVAILABLE, or is freed when the rebuild
-aborts. Each rebuild's outcome (complete, aborted, no_quorum, no_target)
-is a `regenerate` row of `Cluster.event_log`; the monitor keeps no log
-of its own.
+starts REGENERATING and ends AVAILABLE in `ResilienceManager.promote`,
+which logs the `complete` row also when a foreground write lands the
+last missing page, or is freed when the rebuild aborts. Each rebuild's
+outcome (complete, aborted, no_quorum, no_target) is a `regenerate` row
+of `Cluster.event_log`; the monitor keeps no log of its own.
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ class _RegenFill:
 class _RegenTask:
     """Rebuilds one slab reference of one range."""
 
-    def __init__(self, monitor, range_id, role):
-        self.monitor = monitor
-        self.mgr = monitor.manager
+    def __init__(self, mgr, range_id, role):
+        self.mgr = mgr
         self.range_id = range_id
         self.role = role
         self.arange = None
@@ -139,25 +139,17 @@ class _RegenTask:
     def next_page(self):
         mgr = self.mgr
         slab = self.ref.slab
-        if slab.state is not SlabState.REGENERATING:
-            self._finish(False)
-            return
-        while True:
-            if self.pages:
-                page = self.pages.pop(0)
-                if page in slab.store:
-                    continue
+        while slab.state is SlabState.REGENERATING:
+            if not self.pages:
+                if mgr.promote(self.arange, self.role):
+                    break
+                self.pages = sorted(self.arange.written_pages - set(slab.store))
+            page = self.pages.pop(0)
+            if page not in slab.store:
                 mgr._enqueue(self.range_id, page, _RegenFill(self, page))
                 return
-            missing = sorted(self.arange.written_pages - set(slab.store))
-            if not missing:
-                slab.state = SlabState.AVAILABLE
-                mgr.cluster.log(
-                    "regenerate", f"r{self.range_id}:role{self.role}", "complete"
-                )
-                self._finish(True)
-                return
-            self.pages = missing
+        # a foreground write that fills the last page promotes the slab itself
+        self._finish(slab.state is SlabState.AVAILABLE)
 
     def _drop_slab(self):
         """Free the unfinished slab, so the ref reads as lost."""
@@ -179,7 +171,6 @@ class _RegenTask:
         self.done = True
         self.succeeded = ok
         self.mgr.regen_done(self.range_id, self.role)
-        self.monitor._active.pop((self.range_id, self.role), None)
 
 
 class MonitorService:
@@ -190,7 +181,6 @@ class MonitorService:
         self.manager = manager
         self.config = config or MonitorConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5E)))
-        self._active = {}
         self._started = False
 
     # -- control loop -------------------------------------------------------
@@ -249,10 +239,7 @@ class MonitorService:
         pending = list(self.manager.regeneration_requests)
         self.manager.regeneration_requests.clear()
         for key in pending:
-            if key in self._active:
-                continue
-            task = _RegenTask(self, key[0], key[1])
-            self._active[key] = task
+            task = _RegenTask(self.manager, key[0], key[1])
             task.start()
             started.append(task)
         return started

@@ -17,8 +17,10 @@ def check_invariants(manager):
       ``cluster.slabs`` and its machine's ``slabs`` hold under its id
     - each range's live refs sit on distinct machines
     - every ref's machine is a member of its range's group
+    - no op holds a page's queue once the cluster is idle
     """
     cluster = manager.cluster
+    assert not manager._locks, f"page queues held at idle: {sorted(manager._locks)}"
     holders = Counter(ref.slab_id for arange in manager.ranges.values() for ref in arange.refs)
     for machine in cluster.machines:
         live = [s for s in machine.slabs.values() if s.state is not SlabState.EVICTED]

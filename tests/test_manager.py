@@ -13,7 +13,7 @@ import pytest
 
 from codedmem import coding, placement, simulator
 from codedmem.coding import CodecParams
-from codedmem.errors import CapacityExhausted, UnrecoverableRead
+from codedmem.errors import CapacityExhausted, UncorrectableCorruption, UnrecoverableRead
 from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.simulator import Cluster, FaultScript, LatencyModel
 
@@ -294,6 +294,44 @@ class TestCorruption:
             pytest.fail("corrupted split never sampled")
         assert op.completion.fanout == 5  # escalated to k + 2*delta + 1
         assert sum(mgr.health[bad_ref.machine_id].window) >= 1
+
+    def test_escalation_reconstructs_the_full_set_once(self, monkeypatch):
+        cluster, mgr, rng, page = self.corrupted_setup()
+        cluster.corrupt_slab(rng.refs[1].slab_id, 0, b"\xff\x01")
+        real = coding._verified_decode
+        sizes = []
+
+        def counted(codec, splits, page_size=None):
+            sizes.append(len(splits))
+            return real(codec, splits, page_size)
+
+        monkeypatch.setattr(coding, "_verified_decode", counted)
+        for _ in range(10):
+            sizes.clear()
+            op = mgr.submit_read(0, 0)
+            mgr.drive(op)
+            if op.completion.corrected:
+                break
+        else:
+            pytest.fail("corrupted split never sampled")
+        assert op.completion.page == page
+        # k+delta splits checked once, then the k+2*delta+1 set once, then
+        # the exclusion sets of correction
+        assert sizes[0] == 3
+        assert sizes.count(5) == 1
+
+    def test_past_delta_corruptions_deliver_corrupt_unrecoverable(self):
+        cluster, mgr, rng, page = self.corrupted_setup()
+        cluster.corrupt_slab(rng.refs[0].slab_id, 0, b"\x42")
+        cluster.corrupt_slab(rng.refs[3].slab_id, 0, b"\x17")
+        op = mgr.submit_read(0, 0, force_correction=True)
+        mgr.drive(op)
+        assert op.completion.outcome == "corrupt-unrecoverable"
+        assert op.completion.page is None
+        assert mgr._locks == {}
+        with pytest.raises(UncorrectableCorruption):
+            mgr.read_with_correction(0, 0)
+        assert mgr._locks == {}
 
     def test_repeated_errors_mark_suspect_and_request_regen(self):
         cluster, mgr, rng, page = self.corrupted_setup()

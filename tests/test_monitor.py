@@ -104,7 +104,7 @@ class TestEviction:
         mon.control_tick()
         # the tick both evicts the slab and kicks off its regeneration
         assert victim.slab.state is SlabState.REGENERATING
-        assert (0, victim.role) in mon._active
+        assert (0, victim.role) in mgr._regen_requested
         cluster.run_until_idle()
         assert victim.slab.state is SlabState.AVAILABLE
 
@@ -203,6 +203,24 @@ class TestRegeneration:
         assert slab.store[7] == expected_split(params, fresh, 2)
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, 2)
+
+    def test_rebuild_finished_by_a_foreground_write_succeeds(self):
+        # the write's backfill lands the last missing page, so the slab is
+        # whole before the queued regeneration fill runs
+        cluster, mgr, mon, payloads = self.settled(pages=(0,))
+        arange = mgr.ranges[0]
+        cluster.fail_machine(arange.refs[2].machine_id)
+        mgr.submit_write(0, 0, page_of(501))
+        (task,) = mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        assert task.done and task.succeeded
+        complete = [
+            row for row in cluster.event_log if row[1:] == ("regenerate", "r0:role2", "complete")
+        ]
+        assert len(complete) == 1
+        assert mgr._locks == {}
+        assert not mgr._regen_requested
 
     def test_regen_aborts_without_quorum(self):
         cluster, mgr, mon, payloads = self.settled()
