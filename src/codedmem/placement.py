@@ -22,7 +22,7 @@ CODINGSETS = "codingsets"
 ECCACHE = "eccache"
 
 MC_CHUNK_TRIALS = 5000  # trials per spawned seed; fixes the estimate for a seed
-MC_KEY_BYTES = 8 << 20  # cap on the float64 failure keys held at once
+MC_BLOCK_BYTES = 2 << 20  # cap on the int64 machine ids a trial block holds at once
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def select_members(group, loads, params):
         raise InvalidParams(
             f"group has {len(group.members)} members, needs {width}"
         )
-    ranked = sorted(group.members, key=lambda m: (loads[m], m))
-    return ranked[:width]
+    # the sort is stable, so sorting ids first breaks load ties by id
+    return sorted(sorted(group.members), key=loads.__getitem__)[:width]
 
 
 def count_copysets(plan, params):
@@ -217,17 +217,42 @@ def _incidence_table(plan, n):
     return table
 
 
+def _failure_sets(rng, spare, rows, failures, n):
+    """rows x failures matrix; each row is a uniform failures-subset of range(n).
+
+    With 2*failures <= n a row is the first ``failures`` distinct ids of
+    2*failures iid draws from ``rng``; a prefix of distinct ids of an iid
+    uniform stream is a uniform subset. A row with too few distinct ids
+    continues its stream from ``spare``, rows taken in order. With
+    2*failures > n, where short rows would be common, a row is the head of
+    a permutation, the regime switch _distinct_rows uses.
+    """
+    if failures * 2 > n:
+        return np.stack([rng.permutation(n)[:failures] for _ in range(rows)])
+    draws = rng.integers(0, n, size=(rows, 2 * failures))
+    out = draws[:, :failures].copy()
+    head = np.sort(out, axis=1)
+    for i in np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1)):
+        seen = dict.fromkeys(draws[i].tolist())  # keeps first-draw order
+        while len(seen) < failures:
+            seen.update(dict.fromkeys(spare.integers(0, n, failures - len(seen)).tolist()))
+        out[i] = list(seen)[:failures]
+    return out
+
+
 def loss_probability_montecarlo(plan, shape, params, trials, seed):
     """Estimate loss probability by sampling uniform random failure sets.
 
     A trial loses data when >= r+1 of some group's members fail; a group's
     members are its whole extended group, the machines any of its ranges
-    may sit on. Returns (estimate, 95%
-    normal-approximation half-width). Trials are drawn in chunks of
-    MC_CHUNK_TRIALS with independently spawned seeds and reduced by summing
-    counts, so the result is independent of chunking order. Each chunk's
-    keys are drawn and reduced in row blocks of at most MC_KEY_BYTES; the
-    generator fills rows in order, so the blocks join into the chunk's keys.
+    may sit on. Returns (estimate, 95% normal-approximation half-width).
+    Trials are drawn in chunks of MC_CHUNK_TRIALS with independently
+    spawned seeds and reduced by summing counts, so the result is
+    independent of chunking order. Each chunk samples its failed machines
+    directly (_failure_sets) and gathers their incidence rows in row blocks
+    of at most MC_BLOCK_BYTES. The chunk generator fills rows in order and
+    the spare generator serves short rows in order, so the blocks join into
+    the chunk's draws and the estimate does not depend on the block size.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
@@ -239,16 +264,17 @@ def loss_probability_montecarlo(plan, shape, params, trials, seed):
     table = _incidence_table(plan, n)
     n_chunks = -(-trials // MC_CHUNK_TRIALS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    block = max(1, MC_KEY_BYTES // (8 * n))
+    row_ids = max(2 * failures, failures * table.shape[1])
+    block = max(1, MC_BLOCK_BYTES // (8 * row_ids))
     losses = 0
     run = size - 1  # r+1 equal ids in a sorted row span this distance
     for ci in range(n_chunks):
         rng = np.random.default_rng(seeds[ci])
+        spare = np.random.default_rng(seeds[ci].spawn(1)[0])
         t = min(MC_CHUNK_TRIALS, trials - ci * MC_CHUNK_TRIALS)
         for lo in range(0, t, block):
             rows = min(block, t - lo)
-            keys = rng.random((rows, n))
-            failed = np.argpartition(keys, failures - 1, axis=1)[:, :failures]
+            failed = _failure_sets(rng, spare, rows, failures, n)
             hit = np.sort(table[failed].reshape(rows, -1), axis=1)
             same = (hit[:, run:] == hit[:, :-run]) & (hit[:, run:] >= 0)
             losses += int(same.any(axis=1).sum())

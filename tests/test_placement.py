@@ -10,12 +10,13 @@ Frozen oracle values:
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from codedmem import placement
+from codedmem import analysis, placement
 from codedmem.coding import CodecParams
 from codedmem.errors import InvalidParams
 
@@ -83,6 +84,23 @@ class TestSelectMembers:
         loads = {3: 0.0, 5: 0.0, 7: 0.0, 9: 0.0}
         got = placement.select_members(group, loads, CodecParams(k=1, r=1))
         assert got == [3, 5]
+
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_matches_load_then_id_order(self, as_dict):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            size = int(rng.integers(2, 16))
+            members = tuple(int(m) for m in rng.choice(40, size=size, replace=False))
+            values = rng.integers(0, 4, size=40).astype(float).tolist()  # many ties
+            loads = dict(enumerate(values)) if as_dict else values
+            p = CodecParams(k=1, r=int(rng.integers(1, size)))
+            left, expect = list(members), []
+            while len(expect) < p.k + p.r:
+                pick = min(left, key=lambda m: (loads[m], m))
+                left.remove(pick)
+                expect.append(pick)
+            group = placement.ExtendedGroup(0, members, l=size - p.k - p.r)
+            assert placement.select_members(group, loads, p) == expect
 
     def test_scale_invariant(self):
         group = placement.ExtendedGroup(0, (0, 1, 2, 3, 4, 5), l=2)
@@ -248,15 +266,98 @@ class TestMonteCarloLoss:
         assert est == 1.0
 
     def test_key_blocks_do_not_move_estimate(self, monkeypatch):
-        # codingsets l=2 on 1,000 machines, 16 slabs, f=0.01: the value the
-        # unblocked loop gave, whose 5,000-row chunks each held 40 MB of keys
+        # codingsets l=2 on 1,000 machines, 16 slabs, f=0.01: the value at the
+        # default cap, where a 5,000-row chunk fits in one block
         sh = shape(1000, s=16, f=0.01)
         params = CodecParams(k=8, r=2)
         plan = placement.build_codingsets(sh, params, l=2, seed=1)
-        expect = (0.01285, 0.0015609328205275202)
+        expect = (0.0148, 0.0016735324307583645)
         assert placement.loss_probability_montecarlo(plan, sh, params, 20000, 1) == expect
-        monkeypatch.setattr(placement, "MC_KEY_BYTES", 8 * 1000)  # one row per block
+        monkeypatch.setattr(placement, "MC_BLOCK_BYTES", 8)  # one row per block
         assert placement.loss_probability_montecarlo(plan, sh, params, 20000, 1) == expect
+
+    def test_high_failure_fractions_finish(self):
+        # 200 of 1,000 failed: a row of 200 iid draws is all distinct with
+        # probability about e^-20, so rejecting whole rows would never end
+        cfg = {
+            "schema_version": 1,
+            "scenario": "loss",
+            "seeds": [1],
+            "cluster": {"machines": 1000, "slabs_per_machine": 16},
+            "code": {"k": 8, "r": 2},
+            "schemes": [{"name": "eccache"}, {"name": "codingsets", "l": 2}],
+            "failure_fraction": 0.2,
+            "trials": 1000,
+            "sweep": {"path": "failure_fraction", "values": [0.2, 0.45, 0.6]},
+        }
+        started = time.monotonic()
+        _, rows = analysis.run_loss_curves(cfg)
+        assert [row[8] for row in rows] == ["200", "200", "450", "450", "600", "600"]
+        assert all(float(row[11]) == 1.0 for row in rows)
+        assert time.monotonic() - started < 30.0
+
+
+def reference_subsets(rng, spare, rows, failures, n):
+    """First ``failures`` distinct ids of each row's stream, one id at a time."""
+    out = []
+    for row in rng.integers(0, n, size=(rows, 2 * failures)).tolist():
+        seen = []
+        for m in row:
+            if m not in seen and len(seen) < failures:
+                seen.append(m)
+        while len(seen) < failures:
+            m = int(spare.integers(0, n))
+            if m not in seen:
+                seen.append(m)
+        out.append(seen)
+    return out
+
+
+class TestFailureSets:
+    def sample(self, rows, failures, n, seed=0, block=None):
+        rng = np.random.default_rng(seed)
+        spare = np.random.default_rng(seed + 1000)
+        block = block or rows
+        return np.concatenate([
+            placement._failure_sets(rng, spare, min(block, rows - lo), failures, n)
+            for lo in range(0, rows, block)
+        ])
+
+    @pytest.mark.parametrize("n, failures", [(1000, 10), (20, 10), (10, 6), (1000, 600)])
+    def test_rows_hold_distinct_ids(self, n, failures):
+        rows = self.sample(2000, failures, n)
+        assert rows.shape == (2000, failures)
+        assert rows.min() >= 0 and rows.max() < n
+        assert all(len(set(row)) == failures for row in rows.tolist())
+
+    def test_short_rows_continue_from_spare(self):
+        # n=20, f=10: 20 draws hold fewer than 10 distinct ids in about 1 row of 150
+        rng, spare = np.random.default_rng(3), np.random.default_rng(4)
+        before = spare.bit_generator.state
+        got = placement._failure_sets(rng, spare, 3000, 10, 20)
+        assert spare.bit_generator.state != before
+        rng, spare = np.random.default_rng(3), np.random.default_rng(4)
+        assert got.tolist() == reference_subsets(rng, spare, 3000, 10, 20)
+
+    def test_blocks_join(self):
+        whole = self.sample(3000, 10, 20, seed=5)
+        assert (self.sample(3000, 10, 20, seed=5, block=7) == whole).all()
+        assert (self.sample(3000, 10, 20, seed=5, block=1) == whole).all()
+
+    @pytest.mark.parametrize("n, failures, count", [(50, 5, 200_000), (20, 10, 20_000), (10, 6, 20_000)])
+    def test_uniform_over_machines_and_pairs(self, n, failures, count):
+        rows = self.sample(count, failures, n, seed=7)
+        per_machine = np.bincount(rows.ravel(), minlength=n)
+        mean = per_machine.mean()
+        assert np.abs(per_machine - mean).max() <= 0.03 * mean
+        a, b = np.triu_indices(failures, 1)
+        lo = np.minimum(rows[:, a], rows[:, b])
+        hi = np.maximum(rows[:, a], rows[:, b])
+        iu, ju = np.triu_indices(n, 1)
+        pairs = np.bincount((lo * n + hi).ravel(), minlength=n * n)[iu * n + ju]
+        cv = pairs.std() / pairs.mean()
+        assert cv <= 1.25 / math.sqrt(pairs.mean())  # the Poisson floor is 1/sqrt(mean)
+
 
 class TestLoadImbalance:
     def test_frozen_example(self):
