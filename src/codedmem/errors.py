@@ -29,10 +29,6 @@ class UnrecoverableRead(CodedMemError):
     """Fewer than k healthy splits remain for an address range."""
 
 
-class WriteFailed(CodedMemError):
-    """Fewer than k slabs reachable while a write is in flight."""
-
-
 class ConfigError(CodedMemError):
     """Experiment configuration is malformed or fails validation."""
 

@@ -20,10 +20,15 @@ available, regenerating, or lost (`simulator.LOST`). A lost split moves
 to a fresh slab on a spare member of the range's own group, never
 outside it; the slab it leaves, a slab whose rebuild aborts, and every
 slab on a recovered machine are freed, so a stale slab never reads as
-healthy again. A REGENERATING slab becomes AVAILABLE in `promote`, once
-it holds every written page, whether a rebuild or a foreground write
-filled the last one. Ops report to their caller through their completion
-records; the manager keeps no log of them.
+healthy again. A ref that found no spare asks for its rebuild again when
+a member of its group recovers. A REGENERATING slab becomes AVAILABLE in
+`promote`, once it holds every written page, whether a rebuild or a
+foreground write filled the last one.
+
+A page read or write is its own completion: once `done`, its caller
+reads the outcome and the timeline from the op, and `on_done` receives
+the op. A done op keeps no page buffers, and the manager keeps no log of
+ops.
 """
 
 from __future__ import annotations
@@ -73,9 +78,6 @@ class AddressRange:
     def healthy_refs(self):
         return [ref for ref in self.refs if ref.slab.state is SlabState.AVAILABLE]
 
-    def ref_for_role(self, role):
-        return self.refs[role]
-
 
 class MachineHealth:
     """Sliding window of verification results for one machine."""
@@ -110,52 +112,55 @@ class ManagerConfig:
     health_window: int = 64
 
 
-@dataclass
-class WriteCompletion:
-    range_id: int
-    page_index: int
-    submitted_ns: int
-    started_ns: int
-    data_acked_ns: int | None
-    durable_ns: int | None
-    outcome: str
-    fanout: int
-    encode_ack_ns: int = 0
-    # caller unblock time: the k-ack point with async parity, full
-    # conclusion when parity sits in the ack path
-    completed_ns: int | None = None
+class _PageOp:
+    """One page read or write; once done, the op is also its completion.
 
+    Its caller reads `outcome`, `submitted_ns`, `started_ns`,
+    `completed_ns` and `fanout` from it, and `on_done` receives it. Callers
+    keep done ops, so the ops have slots and drop their buffers when done.
+    """
 
-@dataclass
-class ReadCompletion:
-    range_id: int
-    page_index: int
-    submitted_ns: int
-    started_ns: int
-    completed_ns: int | None
-    outcome: str
-    fanout: int
-    corrected: bool
-    page: bytes | None
-    decode_ns: int = 0
+    __slots__ = (
+        "mgr", "arange", "page_index", "on_done", "submitted_ns", "started_ns",
+        "completed_ns", "outcome", "done", "fanout", "outstanding",
+    )
 
-
-class _WriteOp:
-    def __init__(self, mgr, arange, page_index, page, on_done):
+    def __init__(self, mgr, arange, page_index, on_done):
         self.mgr = mgr
         self.arange = arange
         self.page_index = page_index
-        self.page = page
         self.on_done = on_done
         self.submitted_ns = mgr.cluster.now
         self.started_ns = None
-        self.data_acked_ns = None
-        self.durable_ns = None
-        self.completion = None
+        self.completed_ns = None
+        self.outcome = None
         self.done = False
         self.fanout = 0
-        self.acked = {}  # role -> ack time
         self.outstanding = 0
+
+    @property
+    def completion(self):
+        return self if self.done else None
+
+
+class _WriteOp(_PageOp):
+    """Also carries `data_acked_ns`, `durable_ns` and `encode_ack_ns`.
+
+    `completed_ns` is the caller's unblock time: the k-ack point with async
+    parity, the full conclusion when parity sits in the ack path.
+    """
+
+    __slots__ = (
+        "page", "data_acked_ns", "durable_ns", "acks", "wave1_roles", "wave2_issued",
+        "encode_ack_ns", "splits", "parity",
+    )
+
+    def __init__(self, mgr, arange, page_index, page, on_done):
+        super().__init__(mgr, arange, page_index, on_done)
+        self.page = page
+        self.data_acked_ns = None
+        self.durable_ns = None
+        self.acks = 0
         self.wave1_roles = []
         self.wave2_issued = False
         self.encode_ack_ns = 0
@@ -209,7 +214,7 @@ class _WriteOp:
 
     def _issue(self, role, delay=0, fill=False):
         mgr = self.mgr
-        ref = self.arange.ref_for_role(role)
+        ref = self.arange.refs[role]
         self.fanout += 1
         self.outstanding += 1
         payload = self._split_bytes(role)
@@ -229,11 +234,11 @@ class _WriteOp:
             fill=fill,
         )
 
-    def _on_split(self, role, completion):
+    def _on_split(self, role, split):
         mgr = self.mgr
         self.outstanding -= 1
-        if completion.outcome == "ok":
-            self.acked[role] = completion.time_ns
+        if split.outcome == "ok":
+            self.acks += 1
             mgr.promote(self.arange, role)
         elif mgr.relocate(self.arange, role) is not None:
             self._issue(role, fill=True)
@@ -242,24 +247,20 @@ class _WriteOp:
     def _evaluate(self):
         mgr = self.mgr
         k = mgr.codec.params.k
-        if self.data_acked_ns is None and len(self.acked) >= k:
-            ack = max(sorted(self.acked.values())[:k][-1], mgr.cluster.now)
-            self.data_acked_ns = ack + mgr.ctx_ns
+        # splits conclude at cluster.now: the k-th ack and, if durable, the last are now
+        if self.data_acked_ns is None and self.acks >= k:
+            self.data_acked_ns = mgr.cluster.now + mgr.ctx_ns
             self.arange.written_pages.add(self.page_index)
         # wave two follows the k-ack point, or brings parity in to reach k
         # acks once wave one concluded short of them
         if not self.wave2_issued and (self.data_acked_ns is not None or self.outstanding == 0):
             self._issue_wave2()
         if self.outstanding == 0:
-            if len(self.acked) >= k:
-                width = len(self.arange.refs)
-                if len(self.acked) == width:
-                    self.durable_ns = max(self.acked.values())
-                    self._finish("durable")
-                else:
-                    self._finish("degraded")
+            if self.acks == len(self.arange.refs):
+                self.durable_ns = mgr.cluster.now
+                self._finish("durable")
             else:
-                self._finish("write-failed")
+                self._finish("degraded" if self.acks >= k else "write-failed")
 
     def _issue_wave2(self):
         mgr = self.mgr
@@ -278,49 +279,38 @@ class _WriteOp:
             self._issue(ref.role, delay, fill=ref.slab.state is SlabState.REGENERATING)
 
     def _finish(self, outcome):
-        if self.done:
-            return
-        self.done = True
-        self.parity = None
+        self.outcome = outcome
         if self.mgr.config.async_parity and self.data_acked_ns is not None:
-            completed = self.data_acked_ns
+            self.completed_ns = self.data_acked_ns
         else:
-            completed = self.mgr.cluster.now
-        self.completion = WriteCompletion(
-            range_id=self.arange.range_id,
-            page_index=self.page_index,
-            submitted_ns=self.submitted_ns,
-            started_ns=self.started_ns,
-            data_acked_ns=self.data_acked_ns,
-            durable_ns=self.durable_ns,
-            outcome=outcome,
-            fanout=self.fanout,
-            encode_ack_ns=self.encode_ack_ns,
-            completed_ns=completed,
-        )
+            self.completed_ns = self.mgr.cluster.now
+        # a done write is kept as its completion and needs no buffers or issue state
+        self.page = self.splits = self.parity = self.wave1_roles = None
+        self.done = True
         if self.on_done:
-            self.on_done(self.completion)
+            self.on_done(self)
         self.mgr._release(self.arange.range_id, self.page_index, self)
 
 
-class _ReadOp:
+class _ReadOp(_PageOp):
+    """Also carries `page`, `corrected` and `decode_ns` once delivered."""
+
+    __slots__ = (
+        "force_correction", "page", "corrected", "decode_ns", "targets", "need", "guarded",
+        "escalated", "arrivals",
+    )
+
     def __init__(self, mgr, arange, page_index, on_done, force_correction=False):
-        self.mgr = mgr
-        self.arange = arange
-        self.page_index = page_index
-        self.on_done = on_done
+        super().__init__(mgr, arange, page_index, on_done)
         self.force_correction = force_correction
-        self.submitted_ns = mgr.cluster.now
-        self.started_ns = None
-        self.completion = None
-        self.done = False
+        self.page = None
+        self.corrected = False
+        self.decode_ns = 0
         self.targets = ()
-        self.fanout = 0
         self.need = 0
         self.guarded = False
         self.escalated = False
-        self.arrivals = []  # (time_ns, role, data)
-        self.outstanding = 0
+        self.arrivals = []  # (time_ns, role, data) until delivery
 
     def start(self):
         mgr = self.mgr
@@ -433,26 +423,19 @@ class _ReadOp:
 
     def _deliver(self, outcome, page, extra_ns=0, corrected=False):
         mgr = self.mgr
-        completed = None
+        self.outcome = outcome
+        self.page = page
+        self.corrected = corrected
+        self.decode_ns = extra_ns
         if outcome == "ok":
-            completed = mgr.cluster.now + extra_ns + mgr.ctx_ns
+            self.completed_ns = mgr.cluster.now + extra_ns + mgr.ctx_ns
             if not mgr.config.in_place_coding:
-                completed += mgr.copy_ns
-        self.completion = ReadCompletion(
-            range_id=self.arange.range_id,
-            page_index=self.page_index,
-            submitted_ns=self.submitted_ns,
-            started_ns=self.started_ns,
-            completed_ns=completed,
-            outcome=outcome,
-            fanout=self.fanout,
-            corrected=corrected,
-            page=page,
-            decode_ns=extra_ns if outcome == "ok" else 0,
-        )
+                self.completed_ns += mgr.copy_ns
+        # a delivered read is kept as its completion; its splits are not needed
+        self.arrivals = None
         self.done = True
         if self.on_done:
-            self.on_done(self.completion)
+            self.on_done(self)
         if self.outstanding == 0:
             mgr._release(self.arange.range_id, self.page_index, self)
 
@@ -554,24 +537,21 @@ class ResilienceManager:
     def remote_read(self, range_id, page_index):
         op = self.submit_read(range_id, page_index)
         self.drive(op)
-        return self._unwrap(op.completion)
+        return self._unwrap(op)
 
     def read_with_correction(self, range_id, page_index):
         """Read with the full correction fan-out from the first hop."""
         op = self.submit_read(range_id, page_index, force_correction=True)
         self.drive(op)
-        return self._unwrap(op.completion)
+        return self._unwrap(op)
 
-    def _unwrap(self, completion):
-        if completion.outcome == "ok":
-            return completion.page
-        if completion.outcome == "corrupt-unrecoverable":
-            raise UncorrectableCorruption(
-                f"range {completion.range_id} page {completion.page_index}"
-            )
-        raise UnrecoverableRead(
-            f"range {completion.range_id} page {completion.page_index}"
-        )
+    def _unwrap(self, op):
+        if op.outcome == "ok":
+            return op.page
+        where = f"range {op.arange.range_id} page {op.page_index}"
+        if op.outcome == "corrupt-unrecoverable":
+            raise UncorrectableCorruption(where)
+        raise UnrecoverableRead(where)
 
     def drive(self, op):
         """Run the event loop until the op reaches its caller-visible point."""
@@ -579,9 +559,6 @@ class ResilienceManager:
             if self.cluster.step() is None:
                 raise RuntimeError("op cannot make progress")
         return op
-
-    def drive_all(self):
-        self.cluster.run_until_idle()
 
     # -- ordering ---------------------------------------------------------
 
@@ -634,6 +611,12 @@ class ResilienceManager:
         for slab in list(machine.slabs.values()):
             if slab.owner is not None and slab.state is not SlabState.EVICTED:
                 self.cluster.free_slab(slab.slab_id)
+        # a ref parked for want of a spare may find one on the machine now
+        for arange in self.ranges.values():
+            if machine_id in arange.group_members:
+                for ref in arange.refs:
+                    if ref.slab.state in LOST:
+                        self._request_regen(arange.range_id, ref.role)
 
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
@@ -697,4 +680,4 @@ class ResilienceManager:
     # -- health -----------------------------------------------------------
 
     def _record_health(self, arange, role, ok):
-        self.health[arange.ref_for_role(role).machine_id].record(ok)
+        self.health[arange.refs[role].machine_id].record(ok)

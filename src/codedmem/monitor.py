@@ -11,7 +11,8 @@ row, and backfill it onto the fresh slab that `ResilienceManager.relocate`
 places on a spare member of the range's group. Foreground writes keep
 flowing while this runs; they backfill the new slab directly, and the
 catch-up loop skips pages that already landed. When the group has no
-spare, the ref's slab stays lost. A rebuild's state is its slab's: it
+spare, the ref's slab stays lost until a member of the group recovers,
+which requests the rebuild again. A rebuild's state is its slab's: it
 starts REGENERATING and ends AVAILABLE in `ResilienceManager.promote`,
 which logs the `complete` row also when a foreground write lands the
 last missing page, or is freed when the rebuild aborts. Each rebuild's
@@ -60,15 +61,15 @@ class _RegenFill:
         inner = _ReadOp(mgr, task.arange, self.page_index, self._on_read)
         inner.start()
 
-    def _on_read(self, completion):
+    def _on_read(self, read):
         task = self.task
         mgr = task.mgr
-        if completion.outcome != "ok":
+        if read.outcome != "ok":
             self._done(advance=False)
             task.abort(retry=False)
             return
-        payload = coding._page_split(mgr.codec, completion.page, task.ref.role)
-        delay = (completion.completed_ns - mgr.cluster.now) + mgr.encode_ns
+        payload = coding._page_split(mgr.codec, read.page, task.ref.role)
+        delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
         mgr.cluster.schedule(delay, lambda: self._submit_fill(payload))
 
     def _submit_fill(self, payload):
@@ -121,7 +122,7 @@ class _RegenTask:
             self._finish(False)
             return
         self.arange = arange
-        self.ref = ref = arange.ref_for_role(self.role)
+        self.ref = ref = arange.refs[self.role]
         if ref.slab.state is SlabState.AVAILABLE:
             self._finish(True)
             return

@@ -276,7 +276,7 @@ def loss_probability_montecarlo(plan, shape, params, trials, seed):
             rows = min(block, t - lo)
             failed = _failure_sets(rng, spare, rows, failures, n)
             hit = np.sort(table[failed].reshape(rows, -1), axis=1)
-            same = (hit[:, run:] == hit[:, :-run]) & (hit[:, run:] >= 0)
+            same = (hit[:, run:] == hit[:, : hit.shape[1] - run]) & (hit[:, run:] >= 0)
             losses += int(same.any(axis=1).sum())
     est = losses / trials
     hw = 1.96 * math.sqrt(est * (1.0 - est) / trials)

@@ -159,7 +159,6 @@ class Cluster:
 
     def __init__(self, n_machines, latency=None, machine_bytes=1 << 30, seed=0):
         self.latency = latency or LatencyModel()
-        self.seed = seed
         self.latencies = SplitLatencies(self.latency, np.random.SeedSequence((seed, 0xC1A5)))
         self.now = 0
         self.machines = [Machine(i, machine_bytes, self) for i in range(n_machines)]

@@ -423,7 +423,7 @@ def test_criterion_10_regeneration_equivalence():
             data = np.random.default_rng((role, page)).bytes(PAGE)
             payload[page] = data
             assert manager.remote_write(0, page, data).outcome == "durable"
-        ref = manager.ranges[0].ref_for_role(role)
+        ref = manager.ranges[0].refs[role]
         evicted_slab = ref.slab_id  # the ref is repointed in place on rebuild
         cluster.evict_slab(evicted_slab)
         assert manager.regeneration_requests
@@ -432,13 +432,13 @@ def test_criterion_10_regeneration_equivalence():
         for page in (0, pages // 2, pages - 1):
             assert manager.remote_read(0, page) == payload[page]
         settle(cluster, manager, monitor)
-        rebuilt = manager.ranges[0].ref_for_role(role)
+        rebuilt = manager.ranges[0].refs[role]
         assert rebuilt.slab_id != evicted_slab
         store = cluster.slabs[rebuilt.slab_id].store
         for page in range(pages):
             assert store[page] == expected_split(manager.codec, payload[page], role)
         # the range survives a later fault, proving the rebuild is usable
-        cluster.evict_slab(manager.ranges[0].ref_for_role((role + 1) % 6).slab_id)
+        cluster.evict_slab(manager.ranges[0].refs[(role + 1) % 6].slab_id)
         monitor.drain_regeneration()
         assert manager.remote_read(0, 1) == payload[1]
         settle(cluster, manager, monitor)

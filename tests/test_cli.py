@@ -131,6 +131,13 @@ class TestDispatch:
         assert header == analysis.LOSS_HEADER
         assert len(rows) == 1
 
+    def test_loss_without_parity_runs(self, tmp_path):
+        cfg = dict(LOSS_CFG, code={"k": 3, "r": 0})
+        out_dir = tmp_path / "results"
+        assert cli.main(["loss", "--config", dump(tmp_path, cfg), "--out", str(out_dir)]) == 0
+        header, rows = read_rows(next(out_dir.glob("loss_*.csv")))
+        assert len(rows) == 1
+
     def test_scenario_mismatch_rejected(self, tmp_path, capsys):
         rc = cli.main(["balance", "--config", dump(tmp_path, LOSS_CFG)])
         assert rc == 2

@@ -222,10 +222,71 @@ class TestReadPath:
         op = mgr.submit_read(0, 0)
         mgr.drive(op)
         cluster.run_until_idle()
-        # k+delta splits arrive, the k before delivery are kept, the late one dropped
+        # k+delta splits arrive; the late one is dropped, and a delivered
+        # read holds none of them
         assert cluster.split_outcomes["read_split", "ok"] - before == 3
-        assert len(op.arrivals) == 2
+        assert op.arrivals is None
         assert cluster.event_log == []
+
+
+class TestOpIsItsCompletion:
+    def test_read_and_write_are_their_own_completions(self):
+        _, mgr = build(3, CodecParams(k=2, r=1))
+        mgr.map_range(0)
+        seen = []
+        write = mgr.submit_write(0, 0, page_of(21), on_done=seen.append)
+        assert write.completion is None
+        mgr.drive(write)
+        read = mgr.submit_read(0, 0, on_done=seen.append)
+        assert read.completion is None
+        mgr.drive(read)
+        assert write.completion is write and read.completion is read
+        assert seen == [write, read]
+        assert read.page == page_of(21)
+
+    def test_done_ops_release_their_buffers(self):
+        cluster, mgr = build(3, CodecParams(k=2, r=1))
+        mgr.map_range(0)
+        write = mgr.submit_write(0, 0, page_of(22))
+        read = mgr.submit_read(0, 0)
+        cluster.run_until_idle()
+        assert write.outcome == "durable"
+        assert (write.page, write.splits, write.parity, write.wave1_roles) == (None,) * 4
+        assert read.outcome == "ok"
+        assert read.arrivals is None
+
+    def test_ack_times_are_split_conclusions(self, monkeypatch):
+        # lognormal hops and a data split failed mid-flight: the k-th ok
+        # conclusion plus the context switch is the data ack, and the last
+        # ok conclusion is the durable point
+        model = LatencyModel(median_us=1.5, sigma=0.5, straggler_prob=0.0)
+        params = CodecParams(k=3, r=2)
+        cluster = Cluster(6, latency=model, seed=5)
+        config = ManagerConfig(run_to_completion=False)
+        _, mgr = build(6, params, l=1, seed=5, config=config, cluster=cluster)
+        arange = mgr.map_range(0)
+        concluded = []
+        real = Cluster.write_split
+
+        def recorded(cluster, machine_id, slab_id, page_index, data, on_done, fill=False):
+            def done(split):
+                concluded.append((cluster.now, split.outcome))
+                on_done(split)
+
+            return real(cluster, machine_id, slab_id, page_index, data, done, fill=fill)
+
+        monkeypatch.setattr(Cluster, "write_split", recorded)
+        victim = arange.refs[0].machine_id
+        op = mgr.submit_write(0, 0, page_of(23))
+        cluster.schedule_at(1, lambda: cluster.fail_machine(victim))
+        cluster.run_until_idle()
+        ok = [t for t, outcome in concluded if outcome == "ok"]
+        assert "disconnect" in {outcome for _, outcome in concluded}
+        assert op.outcome == "durable" and len(ok) == 5
+        assert len(set(ok)) == 5  # distinct times, so the k-th is not the last
+        assert op.data_acked_ns == ok[params.k - 1] + mgr.ctx_ns
+        assert mgr.ctx_ns == 1500
+        assert op.durable_ns == ok[-1]
 
 
 class TestDataPathKnobs:
@@ -247,17 +308,25 @@ class TestDataPathKnobs:
         assert switched_write == write + mgr.ctx_ns
         assert switched_read == read + mgr.ctx_ns
 
-    def test_copy_before_issue_and_again_at_read_completion(self):
+    def test_copy_before_issue_and_again_at_read_completion(self, monkeypatch):
         _, write, read = self.latencies()
         mgr, copied_write, copied_read = self.latencies(in_place_coding=False)
         assert mgr.copy_ns == 850
         assert copied_write == write + mgr.copy_ns
         assert copied_read == read + 2 * mgr.copy_ns
-        # the copy comes before the splits go out: a read's splits arrive
-        # one copy plus one hop after it starts
+        # the copy comes before the splits go out: a read's splits are
+        # issued one copy after it starts
+        issued = []
+        real = Cluster.read_split
+
+        def recorded(cluster, *args):
+            issued.append(cluster.now)
+            return real(cluster, *args)
+
+        monkeypatch.setattr(Cluster, "read_split", recorded)
         op = mgr.submit_read(0, 0)
         mgr.drive(op)
-        assert {t - op.started_ns for t, _, _ in op.arrivals} == {mgr.copy_ns + 1500}
+        assert issued and {t - op.started_ns for t in issued} == {mgr.copy_ns}
 
 
 class TestCorruption:

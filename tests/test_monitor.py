@@ -279,22 +279,29 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        return cluster, mgr, arange, victim, dead
+        return cluster, mgr, mon, arange, victim, dead
 
     def test_group_without_spare_keeps_the_ref_failed(self):
-        cluster, mgr, arange, victim, dead = self.no_spare()
+        cluster, mgr, mon, arange, victim, dead = self.no_spare()
         assert victim.slab.state in LOST
         others = [m for m in range(6) if m not in arange.group_members]
         assert all(cluster.machines[m].free_bytes >= SLAB for m in others)
         assert [s for s in cluster.slabs.values() if s.owner == 0 and s.machine_id in others] == []
 
-    def test_ref_without_target_stays_failed_after_recover(self):
-        cluster, mgr, arange, victim, dead = self.no_spare()
+    def test_ref_without_target_is_rebuilt_after_recover(self):
+        cluster, mgr, mon, arange, victim, dead = self.no_spare()
+        old = victim.slab_id
         cluster.recover_machine(dead)
         assert victim.slab.state in LOST
-        assert victim.slab_id not in cluster.slabs
+        assert old not in cluster.slabs
+        # the recovered machine is a spare of the group again
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.slab.state is SlabState.AVAILABLE
+        assert victim.machine_id in arange.group_members
+        assert victim.slab.store[0] == expected_split(CodecParams(k=2, r=1), page_of(1), 0)
         fresh = page_of(2)
-        assert mgr.remote_write(0, 0, fresh).outcome == "degraded"
+        assert mgr.remote_write(0, 0, fresh).outcome == "durable"
         assert mgr.remote_read(0, 0) == fresh
 
     def test_regenerated_range_survives_next_failure(self):

@@ -248,6 +248,20 @@ class TestMonteCarloLoss:
         est, hw = placement.loss_probability_montecarlo(plan, sh, params, trials=20000, seed=6)
         assert abs(est - exact) <= 3 * hw
 
+    def test_r0_matches_exhaustive(self):
+        # r = 0: one failed member loses its group, and the run test
+        # compares each sorted id with itself
+        sh = shape(20, f=0.05)
+        params = CodecParams(k=3, r=0)
+        for plan in (
+            placement.build_eccache(sh, params, seed=1),
+            placement.build_codingsets(sh, params, l=0, seed=1),
+        ):
+            exact = float(analysis.exhaustive_loss(plan, sh, params))
+            est, hw = placement.loss_probability_montecarlo(plan, sh, params, trials=5000, seed=2)
+            assert abs(est - exact) <= 3 * hw
+        assert exact == 1.0  # codingsets: every machine sits in a group
+
     def test_seed_and_chunk_independence(self):
         sh = shape(60, f=0.05)
         params = CodecParams(k=4, r=2)
