@@ -33,7 +33,7 @@ from .placement import (
 )
 from .simulator import Cluster, FaultScript, LatencyModel, inject
 from .manager import ManagerConfig, ResilienceManager
-from .monitor import MonitorConfig, MonitorService
+from .monitor import MonitorService
 from .analysis import (
     config_hash,
     emit_report,
@@ -71,7 +71,6 @@ __all__ = [
     "inject",
     "ManagerConfig",
     "ResilienceManager",
-    "MonitorConfig",
     "MonitorService",
     "config_hash",
     "emit_report",

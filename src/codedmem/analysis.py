@@ -140,10 +140,15 @@ def validate_config(cfg):
             _is_int(cluster["slabs_per_machine"]) and cluster["slabs_per_machine"] >= 1,
             "cluster.slabs_per_machine must be a positive integer",
         )
+    if "machine_bytes" in cluster:
+        _require(
+            _is_int(cluster["machine_bytes"]) and cluster["machine_bytes"] >= 1,
+            "cluster.machine_bytes must be a positive integer",
+        )
     if "latency" in cluster:
         try:
             LatencyModel(**cluster["latency"])
-        except TypeError as err:
+        except (InvalidParams, TypeError) as err:
             raise ConfigError(f"cluster.latency: {err}") from err
     code = cfg.get("code")
     _require(isinstance(code, dict) and "k" in code, "code.k is required")
@@ -254,7 +259,7 @@ def _validate_datapath(cfg):
     if "manager" in cfg:
         try:
             ManagerConfig(**cfg["manager"])
-        except TypeError as err:
+        except (InvalidParams, TypeError) as err:
             raise ConfigError(f"manager: {err}") from err
     if "placement" in cfg:
         _require(isinstance(cfg["placement"], dict), "placement must be a mapping")
@@ -573,7 +578,7 @@ def _build_stack(cfg, seed):
     plan = build_codingsets(shape, params, l, seed)
     mconfig = ManagerConfig(**cfg.get("manager", {}))
     manager = ResilienceManager(cluster, plan, params, config=mconfig, seed=seed)
-    monitor = MonitorService(cluster, manager, seed=seed)
+    monitor = MonitorService(cluster, manager)
     return cluster, manager, monitor
 
 

@@ -33,6 +33,7 @@ ops.
 
 from __future__ import annotations
 
+import numbers
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -110,6 +111,21 @@ class ManagerConfig:
     in_place_coding: bool = True
     error_correction_limit: float = 0.05
     health_window: int = 64
+
+    def __post_init__(self):
+        for name in ("page_size", "slab_size", "health_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise InvalidParams(f"{name} must be a positive integer, got {value!r}")
+        for name in ("corruption_guard", "async_parity", "run_to_completion", "in_place_coding"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidParams(f"{name} must be true or false, got {value!r}")
+        limit = self.error_correction_limit
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit >= 0:
+            raise InvalidParams(
+                f"error_correction_limit must be a non-negative number, got {limit!r}"
+            )
 
 
 class _PageOp:

@@ -1,9 +1,4 @@
-"""Memory pressure control loop and slab regeneration.
-
-Each control tick walks the machines: any machine whose free memory
-fraction has dropped below the headroom target evicts a batch of cold
-slabs (sampled candidates, least-accessed first), then every slab's
-access counter decays so the usage signal tracks recent traffic.
+"""Slab regeneration: the monitor starts a rebuild for each lost slab.
 
 Regeneration rebuilds a lost slab from the surviving splits: decode
 each written page from k healthy slabs, compute only the lost split's
@@ -18,26 +13,20 @@ which logs the `complete` row also when a foreground write lands the
 last missing page, or is freed when the rebuild aborts. Each rebuild's
 outcome (complete, aborted, no_quorum, no_target) is a `regenerate` row
 of `Cluster.event_log`; the monitor keeps no log of its own.
+
+Under the corruption guard with delta > 0, a rebuild only fills from
+guarded reads. A read that could not be verified (fewer than k + delta
+healthy splits) aborts the rebuild like a failed one: filling from an
+unchecked decode would turn a corrupted split into a consistent wrong
+codeword that no later guarded read could detect. Such a range stays
+degraded, since a recovering machine's slabs are stale and freed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import coding
 from .manager import _ReadOp
-from .simulator import MachineState, SlabState
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    headroom: float = 0.25
-    control_period_us: float = 1_000_000.0
-    eviction_batch: int = 4
-    extra_candidates: int = 2
-    decay: float = 0.5
+from .simulator import SlabState
 
 
 class _RegenFill:
@@ -64,7 +53,8 @@ class _RegenFill:
     def _on_read(self, read):
         task = self.task
         mgr = task.mgr
-        if read.outcome != "ok":
+        guard = mgr.config.corruption_guard and mgr.codec.params.delta > 0
+        if read.outcome != "ok" or (guard and not read.guarded):
             self._done(advance=False)
             task.abort(retry=False)
             return
@@ -117,11 +107,7 @@ class _RegenTask:
 
     def start(self):
         mgr = self.mgr
-        arange = mgr.ranges.get(self.range_id)
-        if arange is None:
-            self._finish(False)
-            return
-        self.arange = arange
+        self.arange = arange = mgr.ranges[self.range_id]
         self.ref = ref = arange.refs[self.role]
         if ref.slab.state is SlabState.AVAILABLE:
             self._finish(True)
@@ -175,64 +161,14 @@ class _RegenTask:
 
 
 class MonitorService:
-    """Per-cluster control loop: eviction, usage decay, regeneration."""
+    """Starts a rebuild for each regeneration request of its manager.
 
-    def __init__(self, cluster, manager=None, config=None, seed=0):
-        self.cluster = cluster
+    `cluster` and `seed` are unused; they remain only because the
+    benchmark builds the service with them.
+    """
+
+    def __init__(self, cluster, manager, seed=0):
         self.manager = manager
-        self.config = config or MonitorConfig()
-        self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5E)))
-        self._started = False
-
-    # -- control loop -------------------------------------------------------
-
-    def start(self):
-        if self._started:
-            return
-        self._started = True
-        self._arm()
-
-    def _arm(self):
-        period_ns = round(self.config.control_period_us * 1000)
-        self.cluster.schedule(period_ns, self._periodic)
-
-    def _periodic(self):
-        self.control_tick()
-        self._arm()
-
-    def control_tick(self):
-        for machine in self.cluster.machines:
-            if machine.state is MachineState.UP and machine.free_fraction < self.config.headroom:
-                self.batch_evict(machine)
-        if self.manager is not None:
-            self.drain_regeneration()
-        for slab in self.cluster.slabs.values():
-            slab.access_count *= self.config.decay
-
-    def batch_evict(self, machine):
-        """Evict up to a batch of cold slabs to restore headroom."""
-        evictable = sorted(
-            sid
-            for sid, slab in machine.slabs.items()
-            if slab.state is SlabState.AVAILABLE
-        )
-        if not evictable:
-            return []
-        sample_size = min(
-            len(evictable), self.config.eviction_batch + self.config.extra_candidates
-        )
-        picked = self.rng.choice(len(evictable), size=sample_size, replace=False)
-        candidates = [evictable[int(i)] for i in picked]
-        candidates.sort(key=lambda sid: (machine.slabs[sid].access_count, sid))
-        evicted = []
-        for sid in candidates[: self.config.eviction_batch]:
-            if machine.free_fraction >= self.config.headroom:
-                break
-            self.cluster.evict_slab(sid)
-            evicted.append(sid)
-        return evicted
-
-    # -- regeneration -------------------------------------------------------
 
     def drain_regeneration(self):
         """Start a task for every queued regeneration request."""

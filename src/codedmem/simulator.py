@@ -10,8 +10,9 @@ evictions, corruptions, and load windows at scripted times.
 
 import heapq
 import itertools
+import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -50,6 +51,16 @@ class LatencyModel:
     context_switch_us: float = 1.5
     copy_us: float = 0.85
     disk_us: float = 100.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+                raise InvalidParams(f"{f.name} must be a non-negative number, got {value!r}")
+        if self.median_us == 0:
+            raise InvalidParams("median_us must be positive, got 0")
+        if self.straggler_prob > 1:
+            raise InvalidParams(f"straggler_prob must be in [0, 1], got {self.straggler_prob}")
 
 
 LATENCY_BLOCK = 1024  # split latencies drawn per refill of a SplitLatencies
@@ -96,14 +107,12 @@ class Slab:
     split_size: int = 0
     state: SlabState = SlabState.AVAILABLE
     store: dict = field(default_factory=dict)  # page index -> split bytes
-    access_count: float = 0.0
 
 
 class Machine:
     def __init__(self, machine_id, total_bytes, cluster):
         self.machine_id = machine_id
         self.total_bytes = total_bytes
-        self.local_bytes = 0
         self.state = MachineState.UP
         self.slabs = {}
         self.pending = set()
@@ -112,11 +121,7 @@ class Machine:
 
     @property
     def free_bytes(self):
-        return self.total_bytes - self.local_bytes - self.slab_bytes
-
-    @property
-    def free_fraction(self):
-        return self.free_bytes / self.total_bytes
+        return self.total_bytes - self.slab_bytes
 
     def allocate_slab(self, size_bytes, owner=None, role=None, split_size=0):
         """Carve a slab out of free memory; None when capacity is exhausted."""
@@ -380,7 +385,6 @@ class _InflightIo:
         else:
             width = slab.split_size or (len(next(iter(slab.store.values()))) if slab.store else 0)
             self.data = slab.store.get(self.page_index, b"\x00" * width)
-            slab.access_count += 1.0
             self.cluster._finish(self, "ok")
 
     def refuse(self):

@@ -40,7 +40,7 @@ def build_stack(n, params, l, seed, config=None, latency=None, machine_bytes=1 <
     cluster = Cluster(n, latency=latency, machine_bytes=machine_bytes, seed=seed)
     plan = build_codingsets(ClusterShape(machines=n), params, l, seed=seed)
     manager = ResilienceManager(cluster, plan, params, config=config, seed=seed)
-    monitor = MonitorService(cluster, manager, seed=seed)
+    monitor = MonitorService(cluster, manager)
     return cluster, manager, monitor
 
 

@@ -100,6 +100,29 @@ class TestFaultRows:
             assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("cluster.machine_bytes", "1G"),
+            ("cluster.latency.median_us", "x"),
+            ("manager.slab_size", "x"),
+            ("manager.page_size", 0),
+            ("manager.corruption_guard", "yes"),
+        ],
+    )
+    def test_bad_fields_fail_before_the_run(self, tmp_path, capsys, path, value):
+        cfg = copy.deepcopy(DATAPATH_CFG)
+        section, _, key = path.rpartition(".")
+        node = cfg
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        config = dump(tmp_path, cfg)
+        for argv in (["validate-config"], ["datapath", "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", config]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
         "fault",
         [
             {"type": "evict", "time_us": 1, "slab": 999},

@@ -45,7 +45,6 @@ class TestMapRange:
 
     def test_least_loaded_preferred(self):
         cluster, mgr = build(4, CodecParams(k=1, r=1), l=2)
-        cluster.machines[0].local_bytes = 0
         # preload machines 2,3 with slabs so 0,1 are the least loaded
         cluster.machines[2].allocate_slab(1 << 20)
         cluster.machines[3].allocate_slab(1 << 20)

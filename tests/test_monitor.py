@@ -1,10 +1,7 @@
-"""Memory pressure control loop and slab regeneration.
+"""Slab regeneration.
 
-Eviction expectations are frozen by hand: headroom 0.25, one machine
-with 655360 bytes hosting eight 64KiB slabs leaves free fraction 0.2,
-a 32768-byte deficit, so exactly one slab (the least accessed) goes.
-Regeneration expectations are recomputed with the codec: every split
-on the rebuilt slab must equal a fresh encode of the written page.
+Expectations are recomputed with the codec: every split on a rebuilt
+slab must equal a fresh encode of the written page.
 """
 
 import numpy as np
@@ -13,7 +10,7 @@ import pytest
 from codedmem import coding, placement
 from codedmem.coding import CodecParams
 from codedmem.manager import ManagerConfig, ResilienceManager
-from codedmem.monitor import MonitorConfig, MonitorService
+from codedmem.monitor import MonitorService
 from codedmem.simulator import LOST, Cluster, LatencyModel, SlabState
 
 SLAB = 64 * 1024
@@ -24,12 +21,12 @@ def flat_cluster(n, seed=0, **kw):
     return Cluster(n, latency=model, seed=seed, **kw)
 
 
-def build(n, params, l=0, seed=0, config=None, machine_bytes=1 << 30, mon_config=None):
+def build(n, params, l=0, seed=0, config=None, machine_bytes=1 << 30):
     cluster = flat_cluster(n, seed=seed, machine_bytes=machine_bytes)
     shape = placement.ClusterShape(machines=n)
     plan = placement.build_codingsets(shape, params, l=l, seed=seed)
     mgr = ResilienceManager(cluster, plan, params, config=config, seed=seed)
-    mon = MonitorService(cluster, mgr, config=mon_config, seed=seed)
+    mon = MonitorService(cluster, mgr)
     return cluster, mgr, mon
 
 
@@ -46,63 +43,15 @@ def expected_split(params, page, role):
 
 
 class TestEviction:
-    def pressured(self, batch=4, extra=4, local=0):
-        cluster = flat_cluster(1, machine_bytes=655360)
-        machine = cluster.machines[0]
-        machine.local_bytes = local
-        slabs = [machine.allocate_slab(SLAB) for _ in range(8)]
-        for i, slab in enumerate(slabs):
-            slab.access_count = float(i)
-        mon = MonitorService(
-            cluster,
-            None,
-            config=MonitorConfig(eviction_batch=batch, extra_candidates=extra),
-        )
-        return cluster, machine, slabs, mon
-
-    def test_evicts_least_accessed_until_headroom(self):
-        cluster, machine, slabs, mon = self.pressured()
-        assert machine.free_fraction == pytest.approx(0.2)
-        mon.control_tick()
-        evicted = [s for s in slabs if s.state is SlabState.EVICTED]
-        assert [s.slab_id for s in evicted] == [slabs[0].slab_id]
-        assert machine.free_fraction >= 0.25
-
-    def test_batch_limit_caps_evictions_per_tick(self):
-        cluster, machine, slabs, mon = self.pressured(batch=2, local=100000)
-        mon.control_tick()
-        assert sum(1 for s in slabs if s.state is SlabState.EVICTED) == 2
-        mon.control_tick()
-        assert sum(1 for s in slabs if s.state is SlabState.EVICTED) == 3
-        assert machine.free_fraction >= 0.25
-
-    def test_no_eviction_above_headroom(self):
-        cluster = flat_cluster(1, machine_bytes=1 << 20)
-        machine = cluster.machines[0]
-        slab = machine.allocate_slab(SLAB)
-        mon = MonitorService(cluster, None)
-        mon.control_tick()
-        assert slab.state is SlabState.AVAILABLE
-
-    def test_access_counts_decay_each_tick(self):
-        cluster = flat_cluster(1, machine_bytes=1 << 20)
-        slab = cluster.machines[0].allocate_slab(SLAB)
-        slab.access_count = 8.0
-        mon = MonitorService(cluster, None)
-        mon.control_tick()
-        mon.control_tick()
-        assert slab.access_count == 2.0
-
     def test_eviction_of_mapped_slab_degrades_range(self):
         cluster, mgr, mon = build(4, CodecParams(k=2, r=1), l=1, machine_bytes=3 * SLAB)
         rng = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1))
         cluster.run_until_idle()
         victim = rng.refs[1]
-        # crank pressure on the victim's machine only
-        cluster.machines[victim.machine_id].local_bytes = 2 * SLAB
-        mon.control_tick()
-        # the tick both evicts the slab and kicks off its regeneration
+        cluster.evict_slab(victim.slab_id)
+        mon.drain_regeneration()
+        # the eviction requested the rebuild, and the drain started it
         assert victim.slab.state is SlabState.REGENERATING
         assert (0, victim.role) in mgr._regen_requested
         cluster.run_until_idle()
@@ -320,29 +269,42 @@ class TestRegeneration:
         assert mgr.remote_read(0, 0) == payloads[0]
 
 
+    def test_guarded_rebuild_never_fills_from_an_unverified_read(self):
+        # with only k healthy splits the rebuild read cannot be verified, so
+        # it must not copy role 0's corruption into the rebuilt parity
+        params = CodecParams(k=2, r=2, delta=1)
+        config = ManagerConfig(corruption_guard=True)
+        cluster, mgr, mon = build(5, params, l=1, config=config)
+        arange = mgr.map_range(0)
+        page = page_of(7)
+        assert mgr.remote_write(0, 0, page).outcome == "durable"
+        cluster.corrupt_slab(arange.refs[0].slab_id, 0, bytes.fromhex("ff"))
+
+        def settle():
+            cluster.run_until_idle()
+            while mgr.regeneration_requests:
+                mon.drain_regeneration()
+                cluster.run_until_idle()
+
+        down = [arange.refs[2].machine_id, arange.refs[3].machine_id]
+        for m in down:
+            cluster.fail_machine(m)
+        settle()
+        for m in down:
+            cluster.recover_machine(m)
+        settle()
+        for ref in arange.refs[1:]:
+            if ref.slab.state is SlabState.AVAILABLE:
+                assert ref.slab.store[0] == expected_split(params, page, ref.role), ref.role
+        # nothing can verify a rebuild at k healthy splits, so the range stays degraded
+        assert len(arange.healthy_refs()) == params.k
+
+
 class TestStatsAndTicks:
-    def test_periodic_ticks_reschedule(self):
-        cluster, mgr, mon = build(
-            2,
-            CodecParams(k=1, r=1),
-            mon_config=MonitorConfig(control_period_us=10.0),
-        )
-        ticks = []
-        tick = mon.control_tick
-
-        def record():
-            ticks.append(cluster.now)
-            tick()
-
-        mon.control_tick = record
-        mon.start()
-        cluster.run_until(35 * 1000)
-        assert ticks == [10_000, 20_000, 30_000]
-
     def test_tick_drains_regeneration_requests(self):
         cluster, mgr, mon, payloads = TestRegeneration().settled()
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        mon.control_tick()
+        assert mon.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[2].slab.state is SlabState.AVAILABLE

@@ -353,7 +353,7 @@ def test_slab_bytes_match_live_slabs_after_churn():
     c = new_cluster(n=n, seed=3)
     plan = placement.build_codingsets(placement.ClusterShape(machines=n), params, l=1, seed=3)
     mgr = ResilienceManager(c, plan, params, seed=3)
-    mon = MonitorService(c, mgr, seed=3)
+    mon = MonitorService(c, mgr)
     rng = np.random.default_rng(21)
     for step in range(300):
         action = int(rng.integers(0, 6))
