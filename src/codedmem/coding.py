@@ -5,13 +5,14 @@ produced by a Cauchy-derived generator whose first parity row is all ones,
 so the single-parity configuration degenerates to plain xor. Any k of the
 k+r splits reconstruct the page; k+delta splits detect up to delta
 corruptions and k+2*delta+1 locate and repair them.
+
+A split's payload is ``bytes`` throughout: the codec hands lists of split
+payloads to ``gf256.apply_matrix`` and joins the k data rows into a page.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import gf256
 from .errors import InsufficientSplits, InvalidParams, LengthMismatch, UncorrectableCorruption
@@ -100,12 +101,6 @@ def split_page(page, k):
     return [Split(i, DATA, padded[i * size : (i + 1) * size]) for i in range(k)]
 
 
-def _stack(splits):
-    # one read-only (len(splits) x split size) view over the joined bytes
-    joined = b"".join(s.data for s in splits)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(splits), -1)
-
-
 def _rows(codec, data, indices):
     """Codeword rows ``indices`` of the k data rows: a data row as it is, a
     parity row from its own ``parity_matrix`` row, never the whole codeword."""
@@ -117,9 +112,7 @@ def _rows(codec, data, indices):
 
 def _page_split(codec, page, index):
     """Split ``index`` of a page, computing only its own codeword row."""
-    padded = page.ljust(codec.k * codec.split_size, b"\0")
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(codec.k, -1)
-    return _rows(codec, data, [index])[0].tobytes()
+    return _rows(codec, [s.data for s in split_page(page, codec.k)], [index])[0]
 
 
 def encode(codec, data_splits):
@@ -131,8 +124,8 @@ def encode(codec, data_splits):
     if any(len(s.data) != size for s in data_splits):
         raise LengthMismatch("data splits differ in length")
     ordered = sorted(data_splits, key=lambda s: s.index)
-    parity = _rows(codec, _stack(ordered), range(k, k + r))
-    return [Split(k + i, PARITY, parity[i].tobytes()) for i in range(r)]
+    parity = _rows(codec, [s.data for s in ordered], range(k, k + r))
+    return [Split(k + i, PARITY, row) for i, row in enumerate(parity)]
 
 
 def _generator_row(codec, index):
@@ -178,18 +171,16 @@ def _reconstruct_data(codec, use):
     k = codec.k
     use = sorted(use, key=lambda s: s.index)
     indices = tuple(s.index for s in use)
-    stacked = _stack(use)
+    rows = [s.data for s in use]
     if indices[-1] < k:  # k distinct indices below k: all data splits
-        return stacked
+        return rows
     # erasure-only decode: keep the data rows that arrived and rebuild just
     # the missing ones from their rows of the inverse
-    missing = [i for i in range(k) if i not in indices]
-    present = k - len(missing)
+    arrived = dict(zip(indices, rows))
+    missing = [i for i in range(k) if i not in arrived]
     inv = _decode_matrix(codec, indices)
-    data = np.empty((k, size), dtype=np.uint8)
-    data[list(indices[:present])] = stacked[:present]
-    data[missing] = gf256.apply_matrix([inv[i] for i in missing], stacked)
-    return data
+    rebuilt = iter(gf256.apply_matrix([inv[i] for i in missing], rows))
+    return [arrived[i] if i in arrived else next(rebuilt) for i in range(k)]
 
 
 def _verified_decode(codec, splits, page_size=None):
@@ -202,16 +193,16 @@ def _verified_decode(codec, splits, page_size=None):
     use, others = _first_k(codec, splits)
     data = _reconstruct_data(codec, use)
     rows = _rows(codec, data, [s.index for s in others])
-    if any(s.data != row.tobytes() for s, row in zip(others, rows)):
+    if any(s.data != row for s, row in zip(others, rows)):
         return None
-    return data.tobytes()[: codec.page_size if page_size is None else page_size]
+    return b"".join(data)[: codec.page_size if page_size is None else page_size]
 
 
 def decode(codec, available, page_size=None):
     """Rebuild the page from the first k distinct splits by arrival order;
     the later splits are not compared."""
     data = _reconstruct_data(codec, _first_k(codec, available)[0])
-    return data.tobytes()[: codec.page_size if page_size is None else page_size]
+    return b"".join(data)[: codec.page_size if page_size is None else page_size]
 
 
 def detect_corruption(codec, splits, delta):

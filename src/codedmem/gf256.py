@@ -1,17 +1,15 @@
 """Arithmetic over GF(2^8) with primitive polynomial 0x11d.
 
-Scalar ops use exp/log tables; bulk byte transforms go through a full
-256x256 product table so numpy can apply a coding matrix to whole splits
-with pure table lookups and xors.
+Scalar ops use exp/log tables. A byte row is ``bytes``: multiplying it by a
+coefficient is one ``bytes.translate`` through that coefficient's 256-byte
+product table, and adding rows is an xor of the rows read as integers.
 """
-
-import numpy as np
 
 PRIMITIVE_POLY = 0x11D
 
 # exp table doubled so products of two logs never need a modulo
-_EXP = np.zeros(512, dtype=np.uint8)
-_LOG = np.zeros(256, dtype=np.int64)
+_EXP = [0] * 512
+_LOG = [0] * 256
 
 _x = 1
 for _i in range(255):
@@ -23,30 +21,25 @@ for _i in range(255):
 for _i in range(255, 512):
     _EXP[_i] = _EXP[_i - 255]
 
-# GF_MUL[a, b] = a * b
-GF_MUL = np.zeros((256, 256), dtype=np.uint8)
-GF_MUL[1:, 1:] = _EXP[(_LOG[1:, None] + _LOG[None, 1:]) % 255]
-_GF_MUL_FLAT = GF_MUL.ravel()  # a * b at index a << 8 | b
-
 
 def gf_mul(a, b):
     if a == 0 or b == 0:
         return 0
-    return int(_EXP[_LOG[a] + _LOG[b]])
+    return _EXP[_LOG[a] + _LOG[b]]
+
+
+# _MUL_TABLES[c][b] = c * b, one translate table per coefficient
+_MUL_TABLES = [bytes(gf_mul(c, b) for b in range(256)) for c in range(256)]
 
 
 def gf_inv(a):
     if a == 0:
         raise ZeroDivisionError("no inverse for 0 in GF(2^8)")
-    return int(_EXP[255 - _LOG[a]])
+    return _EXP[255 - _LOG[a]]
 
 
 def gf_div(a, b):
-    if b == 0:
-        raise ZeroDivisionError("division by 0 in GF(2^8)")
-    if a == 0:
-        return 0
-    return int(_EXP[_LOG[a] - _LOG[b] + 255])
+    return gf_mul(a, gf_inv(b))
 
 
 def mat_mul(a, b):
@@ -83,14 +76,18 @@ def mat_inv(m):
     return [row[n:] for row in aug]
 
 
-def apply_matrix(matrix, data):
-    """Multiply a coefficient matrix by stacked byte rows.
-
-    matrix: (rows x inner) nested list of field elements
-    data:   (inner x width) uint8 array; returns (rows x width) uint8.
-    """
-    data = np.asarray(data, dtype=np.uint8)
-    coefs = np.asarray(matrix, dtype=np.intp).reshape(len(matrix), data.shape[0])
-    # one gather of every coefficient-byte product, then xor over the inner axis
-    products = _GF_MUL_FLAT.take((coefs[:, :, None] << 8) | data)
-    return np.bitwise_xor.reduce(products, axis=1)
+def apply_matrix(matrix, rows):
+    """Multiply a coefficient matrix by a list of equal-length ``bytes`` rows;
+    returns one ``bytes`` row of that length per matrix row."""
+    width = len(rows[0])
+    out = []
+    for coefs in matrix:
+        acc = 0
+        for c, row in zip(coefs, rows, strict=True):
+            # 0 adds nothing and 1 adds the row as it is, so neither translates
+            if c == 1:
+                acc ^= int.from_bytes(row, "little")
+            elif c:
+                acc ^= int.from_bytes(row.translate(_MUL_TABLES[c]), "little")
+        out.append(acc.to_bytes(width, "little"))
+    return out

@@ -10,6 +10,7 @@ evictions, corruptions, and load windows at scripted times.
 
 import heapq
 import itertools
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -383,8 +384,7 @@ class _InflightIo:
             slab.store[self.page_index] = self.data
             self.cluster._finish(self, "ok")
         else:
-            width = slab.split_size or (len(next(iter(slab.store.values()))) if slab.store else 0)
-            self.data = slab.store.get(self.page_index, b"\x00" * width)
+            self.data = slab.store.get(self.page_index, bytes(slab.split_size))
             self.cluster._finish(self, "ok")
 
     def refuse(self):
@@ -439,14 +439,18 @@ class FaultScript:
                 ):
                     raise ValueError(f"fault {name} must be a non-negative integer: {row}")
             time_us = float(row["time_us"])
+            if not 0 <= time_us < math.inf:
+                raise ValueError(f"fault time_us must be a finite number >= 0: {row}")
             until_us = row.get("until_us")
             if until_us is not None:
                 until_us = float(until_us)
-                if until_us <= time_us:
-                    raise ValueError(f"fault until_us must be after time_us: {row}")
+                if not time_us < until_us < math.inf:
+                    raise ValueError(f"fault until_us must be finite and after time_us: {row}")
             level = row.get("level")
             if level is not None:
                 level = float(level)
+                if not 1 <= level < math.inf:
+                    raise ValueError(f"fault level must be a finite number >= 1: {row}")
             mask = row.get("mask")
             if isinstance(mask, str):
                 mask = bytes.fromhex(mask)

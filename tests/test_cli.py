@@ -3,6 +3,7 @@ report emission."""
 
 import copy
 import csv
+import math
 
 import pytest
 import yaml
@@ -88,6 +89,15 @@ class TestFaultRows:
             ({"type": "background_load", "time_us": 5, "until_us": 5}, "after time_us"),
             ({"type": "background_load", "time_us": 1, "until_us": 5, "level": "x"}, "float"),
             ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": 5}, "mask"),
+            ({"type": "fail", "time_us": -5, "machine": 0}, "time_us must be"),
+            ({"type": "fail", "time_us": math.nan, "machine": 0}, "time_us must be"),
+            ({"type": "fail", "time_us": math.inf, "machine": 0}, "time_us must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": math.inf}, "until_us must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": math.nan}, "until_us must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "level": 0}, "level must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "level": 0.5}, "level must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "level": math.nan}, "level must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "level": math.inf}, "level must be"),
         ],
     )
     def test_bad_rows_fail_before_the_run(self, tmp_path, capsys, fault, message):

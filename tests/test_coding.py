@@ -8,6 +8,7 @@ Frozen oracle values:
       correct  -> 11 splits, overhead 11/8
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -99,6 +100,21 @@ class TestEncode:
         p1 = coding.encode(codec, data)
         p2 = coding.encode(codec, data)
         assert [s.data for s in p1] == [s.data for s in p2]
+
+    @pytest.mark.parametrize(
+        "k, r, seed, digest",
+        [
+            (8, 2, 12, "1d9fdbe2bff41ddc6d1b0ce458c92577d7fa5efa7aca9d74600b11195f15c499"),
+            (4, 3, 43, "fd5277b73bd2446b7e564f5defb1ff660471eb218ebb9dc0eb8981c3a1e5ac0b"),
+        ],
+    )
+    def test_parity_matches_golden_digest(self, k, r, seed, digest):
+        # digests of the joined parity splits, frozen from the numpy product-table kernel
+        codec = coding.make_codec(coding.CodecParams(k=k, r=r))
+        page = random_page(np.random.default_rng(seed))
+        parity = coding.encode(codec, coding.split_page(page, k))
+        assert [len(s.data) for s in parity] == [4096 // k] * r
+        assert hashlib.sha256(b"".join(s.data for s in parity)).hexdigest() == digest
 
     def test_length_mismatch_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=2, r=1))

@@ -51,10 +51,11 @@ def test_field_axioms_sampled():
 
 
 def test_mul_table_matches_scalar():
-    rng = np.random.default_rng(11)
-    pairs = rng.integers(0, 256, size=(300, 2))
-    for a, b in pairs.tolist():
-        assert int(gf256.GF_MUL[a, b]) == gf256.gf_mul(a, b)
+    # a row of one coefficient against every byte value: only the product table is read
+    every_byte = [bytes(range(256))]
+    for a in range(256):
+        products = bytes(gf256.gf_mul(a, b) for b in range(256))
+        assert gf256.apply_matrix([[a]], every_byte) == [products]
 
 
 def test_mat_inv_roundtrip():
@@ -80,13 +81,24 @@ def test_mat_inv_singular_rejected():
 
 def test_apply_matrix_matches_rowwise_scalar():
     rng = np.random.default_rng(5)
-    mat = rng.integers(0, 256, size=(3, 4)).tolist()
-    data = rng.integers(0, 256, size=(4, 32), dtype=np.uint8)
-    out = gf256.apply_matrix(mat, data)
-    assert out.shape == (3, 32)
-    for i in range(3):
-        for col in range(32):
-            acc = 0
-            for j in range(4):
-                acc ^= gf256.gf_mul(mat[i][j], int(data[j, col]))
-            assert int(out[i, col]) == acc
+    coefficients = set()
+    for width in [1, 3, 17, 32, 255] * 8:
+        out_rows, inner = (int(v) for v in rng.integers(1, 6, size=2))
+        # draw half the coefficients from {0, 1} so both shortcuts run
+        mat = np.where(
+            rng.random((out_rows, inner)) < 0.5,
+            rng.integers(0, 2, size=(out_rows, inner)),
+            rng.integers(0, 256, size=(out_rows, inner)),
+        ).tolist()
+        rows = [rng.integers(0, 256, size=width, dtype=np.uint8).tobytes() for _ in range(inner)]
+        coefficients.update(c for coefs in mat for c in coefs)
+        out = gf256.apply_matrix(mat, rows)
+        assert len(out) == out_rows
+        for coefs, got in zip(mat, out):
+            assert type(got) is bytes and len(got) == width
+            for col in range(width):
+                acc = 0
+                for c, row in zip(coefs, rows):
+                    acc ^= gf256.gf_mul(c, row[col])
+                assert got[col] == acc
+    assert {0, 1} <= coefficients
