@@ -22,7 +22,6 @@ import yaml
 from .coding import CodecParams
 from .errors import ConfigError, InvalidParams, MonotonicityViolation
 from .manager import ManagerConfig, ResilienceManager
-from .monitor import MonitorService
 from .placement import (
     CODINGSETS,
     ECCACHE,
@@ -44,6 +43,27 @@ DEFAULT_EXACT_THRESHOLD = 50_000
 
 # sweeps over these leaf keys must never decrease the analytic loss
 MONOTONE_SWEEPS = ("failure_fraction", "slabs_per_machine")
+
+# the keys each scenario reads; any other key would pass and change nothing
+_COMMON_KEYS = {"schema_version", "scenario", "seeds", "cluster", "code", "output_dir"}
+_TOP_KEYS = {
+    "loss": _COMMON_KEYS | {"schemes", "trials", "failure_fraction", "exact_threshold", "sweep"},
+    "balance": _COMMON_KEYS | {"policies", "ranges"},
+    "datapath": _COMMON_KEYS | {"workload", "baselines", "faults", "manager", "placement"},
+}
+_CLUSTER_KEYS = {
+    "loss": {"machines", "slabs_per_machine"},
+    "balance": {"machines", "slabs_per_machine"},
+    "datapath": {"machines", "machine_bytes", "latency"},
+}
+# per scheme, policy or baseline name; only codingsets reads an l
+_ENTRY_KEYS = {
+    CODINGSETS: {"name", "l"},
+    ECCACHE: {"name"},
+    "power_of_two": {"name"},
+    "replication": {"name", "copies"},
+    "ssd_backup": {"name"},
+}
 
 LOSS_HEADER = [
     "seed", "confighash", "sweep_path", "sweep_value", "scheme", "l",
@@ -116,6 +136,11 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, float)
 
 
+def _known_keys(section, keys, where):
+    unknown = sorted(str(key) for key in section if key not in keys)
+    _require(not unknown, f"{where}unknown key {', '.join(unknown)}")
+
+
 def validate_config(cfg):
     _require(isinstance(cfg, dict), "config must be a mapping")
     _require(
@@ -124,6 +149,7 @@ def validate_config(cfg):
     )
     scenario = cfg.get("scenario")
     _require(scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    _known_keys(cfg, _TOP_KEYS[scenario], f"{scenario} config: ")
     seeds = cfg.get("seeds")
     _require(
         isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
@@ -131,6 +157,7 @@ def validate_config(cfg):
     )
     cluster = cfg.get("cluster")
     _require(isinstance(cluster, dict), "cluster section is required")
+    _known_keys(cluster, _CLUSTER_KEYS[scenario], "cluster: ")
     _require(
         _is_int(cluster.get("machines")) and cluster["machines"] >= 1,
         "cluster.machines must be a positive integer",
@@ -159,6 +186,7 @@ def validate_config(cfg):
     if "sweep" in cfg:
         sweep = cfg["sweep"]
         _require(isinstance(sweep, dict), "sweep must be a mapping")
+        _known_keys(sweep, {"path", "values"}, "sweep: ")
         path = sweep.get("path")
         _require(isinstance(path, str) and path, "sweep.path must be a non-empty string")
         values = sweep.get("values")
@@ -186,6 +214,7 @@ def _validate_loss(cfg):
         _require(isinstance(sc, dict), "each scheme must be a mapping")
         name = sc.get("name")
         _require(name in (CODINGSETS, ECCACHE), f"unknown scheme {name!r}")
+        _known_keys(sc, _ENTRY_KEYS[name], f"scheme {name}: ")
         if "l" in sc:
             _require(_is_int(sc["l"]) and sc["l"] >= 0, "scheme l must be a non-negative integer")
     _require(
@@ -211,6 +240,7 @@ def _validate_balance(cfg):
         _require(isinstance(pol, dict), "each policy must be a mapping")
         name = pol.get("name")
         _require(name in BALANCE_POLICIES, f"unknown policy {name!r}")
+        _known_keys(pol, _ENTRY_KEYS[name], f"policy {name}: ")
         if "l" in pol:
             _require(_is_int(pol["l"]) and pol["l"] >= 0, "policy l must be a non-negative integer")
     if "ranges" in cfg:
@@ -223,6 +253,7 @@ def _validate_balance(cfg):
 def _validate_datapath(cfg):
     wl = cfg.get("workload")
     _require(isinstance(wl, dict), "workload section is required")
+    _known_keys(wl, {"operations", "ranges", "read_fraction"}, "workload: ")
     _require(
         _is_int(wl.get("operations")) and wl["operations"] >= 1,
         "workload.operations must be a positive integer",
@@ -240,6 +271,7 @@ def _validate_datapath(cfg):
         _require(isinstance(base, dict), "each baseline must be a mapping")
         name = base.get("name")
         _require(name in BASELINES, f"unknown baseline {name!r}")
+        _known_keys(base, _ENTRY_KEYS[name], f"baseline {name}: ")
         if name == "replication" and "copies" in base:
             _require(
                 _is_int(base["copies"]) and base["copies"] >= 1,
@@ -263,6 +295,7 @@ def _validate_datapath(cfg):
             raise ConfigError(f"manager: {err}") from err
     if "placement" in cfg:
         _require(isinstance(cfg["placement"], dict), "placement must be a mapping")
+        _known_keys(cfg["placement"], {"l"}, "placement: ")
         l = cfg["placement"].get("l", 0)
         _require(_is_int(l) and l >= 0, "placement.l must be a non-negative integer")
 
@@ -578,12 +611,11 @@ def _build_stack(cfg, seed):
     plan = build_codingsets(shape, params, l, seed)
     mconfig = ManagerConfig(**cfg.get("manager", {}))
     manager = ResilienceManager(cluster, plan, params, config=mconfig, seed=seed)
-    monitor = MonitorService(cluster, manager)
-    return cluster, manager, monitor
+    return cluster, manager
 
 
 def _run_coded(cfg, seed, ops, chash):
-    cluster, manager, monitor = _build_stack(cfg, seed)
+    cluster, manager = _build_stack(cfg, seed)
     page_size = manager.config.page_size
     zero = bytes(page_size)
     for rid in range(int(cfg["workload"]["ranges"])):
@@ -633,12 +665,12 @@ def _run_coded(cfg, seed, ops, chash):
                     c.completed_ns - c.started_ns - c.decode_ns - ctx - copied
                 )
         if manager.regeneration_requests:
-            monitor.drain_regeneration()
+            manager.drain_regeneration()
     cluster.run_until_idle()
     for _ in range(8):
         if not manager.regeneration_requests:
             break
-        monitor.drain_regeneration()
+        manager.drain_regeneration()
         cluster.run_until_idle()
     return [
         reads.row(seed, chash, "coded", "R"),

@@ -1,4 +1,4 @@
-"""Resilient data path over coded remote memory.
+"""Resilient data path over coded remote memory, and the rebuild of lost slabs.
 
 Pages are striped into k data splits plus r parity splits and spread
 over k+r slabs on distinct machines. Writes ack the caller once k
@@ -20,15 +20,35 @@ available, regenerating, or lost (`simulator.LOST`). A lost split moves
 to a fresh slab on a spare member of the range's own group, never
 outside it; the slab it leaves, a slab whose rebuild aborts, and every
 slab on a recovered machine are freed, so a stale slab never reads as
-healthy again. A ref that found no spare asks for its rebuild again when
-a member of its group recovers. A REGENERATING slab becomes AVAILABLE in
-`promote`, once it holds every written page, whether a rebuild or a
-foreground write filled the last one.
+healthy again. A REGENERATING slab becomes AVAILABLE in `promote`, once
+it holds every written page, whether a rebuild or a foreground write
+filled the last one.
+
+`ResilienceManager.drain_regeneration` starts one rebuild per queued
+request. A rebuild decodes each written page from k healthy slabs,
+computes only the lost split's row, and backfills it onto the fresh slab
+that `relocate` placed. It takes each page's queue like a foreground op,
+so a page is never read for a rebuild while a write to it is in flight;
+foreground writes keep flowing, backfill the new slab directly, and the
+rebuild skips the pages that already landed. A rebuild whose slab is
+lost before it is whole aborts and asks for its rebuild again. A ref
+that found no spare asks again when a member of its group recovers or
+frees room: an eviction, or an aborted rebuild that frees its slab.
+`promote` logs a rebuild's `complete` row; every other outcome (aborted,
+no_quorum, no_target) is a `regenerate` row of `Cluster.event_log` too.
+
+Under the corruption guard with delta > 0, a guarded rebuild fills only
+from verified reads. A read that could not be verified (fewer than
+k + delta healthy splits) aborts the rebuild like a failed one: filling
+from an unchecked decode would turn a corrupted split into a consistent
+wrong codeword that no later guarded read could detect. Such a range
+stays degraded, since a recovering machine's slabs are stale and freed.
 
 A page read or write is its own completion: once `done`, its caller
 reads the outcome and the timeline from the op, and `on_done` receives
 the op. A done op keeps no page buffers, and the manager keeps no log of
-ops.
+ops; a rebuild is likewise one record, whose `done` and `succeeded` its
+caller reads.
 """
 
 from __future__ import annotations
@@ -456,6 +476,120 @@ class _ReadOp(_PageOp):
             mgr._release(self.arange.range_id, self.page_index, self)
 
 
+class _Rebuild:
+    """Rebuilds the slab of one ref, one page at a time.
+
+    The record is also its own entry in the queue of the page it works
+    on; once `done`, `succeeded` says whether the slab was made whole.
+    """
+
+    __slots__ = ("mgr", "arange", "role", "ref", "page", "pages", "done", "succeeded")
+
+    def __init__(self, mgr, range_id, role):
+        self.mgr = mgr
+        self.arange = mgr.ranges[range_id]
+        self.role = role
+        self.ref = self.arange.refs[role]
+        self.page = None
+        self.pages = []
+        self.done = False
+        self.succeeded = False
+
+    def begin(self):
+        mgr = self.mgr
+        if self.ref.slab.state is SlabState.AVAILABLE:
+            self._finish(True)
+        elif len(self.arange.healthy_refs()) < mgr.codec.params.k:
+            self._abort(retry=False, outcome="no_quorum")
+        elif mgr.relocate(self.arange, self.role) is None:
+            mgr._parked.add((self.arange.range_id, self.role))
+            self._log("no_target")
+            self._finish(False)
+        else:
+            self._next_page()
+
+    def _next_page(self):
+        slab = self.ref.slab
+        while slab.state is SlabState.REGENERATING:
+            if not self.pages:
+                if self.mgr.promote(self.arange, self.role):
+                    break
+                self.pages = sorted(self.arange.written_pages - set(slab.store))
+            page = self.pages.pop(0)
+            if page not in slab.store:
+                self.page = page
+                self.mgr._enqueue(self.arange.range_id, page, self)
+                return
+        # a foreground write that fills the last page promotes the slab itself
+        if slab.state is SlabState.AVAILABLE:
+            self._finish(True)
+        else:
+            self._abort(retry=True)
+
+    def start(self):
+        """Read the page once the rebuild heads its queue."""
+        slab = self.ref.slab
+        if slab.state is not SlabState.REGENERATING or self.page in slab.store:
+            self._page_done(advance=True)
+            return
+        _ReadOp(self.mgr, self.arange, self.page, self._on_read).start()
+
+    def _on_read(self, read):
+        mgr = self.mgr
+        guard = mgr.config.corruption_guard and mgr.codec.params.delta > 0
+        if read.outcome != "ok" or (guard and not read.guarded):
+            self._page_done(advance=False)
+            self._abort(retry=False)
+            return
+        payload = coding._page_split(mgr.codec, read.page, self.role)
+        delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
+        mgr.cluster.schedule(delay, lambda: self._fill(payload))
+
+    def _fill(self, payload):
+        ref = self.ref
+        if ref.slab.state is not SlabState.REGENERATING:
+            self._page_done(advance=True)
+            return
+        self.mgr.cluster.write_split(
+            ref.machine_id, ref.slab_id, self.page, payload, self._on_fill, fill=True
+        )
+
+    def _on_fill(self, completion):
+        ok = completion.outcome == "ok"
+        self._page_done(advance=ok)
+        if not ok:
+            self._abort(retry=True)
+
+    def _page_done(self, advance):
+        self.mgr._release(self.arange.range_id, self.page, self)
+        if advance:
+            self._next_page()
+
+    def _abort(self, retry, outcome="aborted"):
+        """Free the unfinished slab, so the ref reads as lost, and log why."""
+        mgr = self.mgr
+        slab = self.ref.slab
+        freed = slab.state is SlabState.REGENERATING
+        if freed or slab.state is SlabState.FAILED:
+            mgr.cluster.free_slab(slab.slab_id)
+        self._log(outcome)
+        self._finish(False)
+        if retry:
+            mgr._request_regen(self.arange.range_id, self.role)
+        if freed:
+            # only refs parked for want of a spare: one whose read failed
+            # would abort again and free the same room, without end
+            mgr._retry_parked(slab.machine_id, parked_only=True)
+
+    def _log(self, outcome):
+        self.mgr.cluster.log("regenerate", f"r{self.arange.range_id}:role{self.role}", outcome)
+
+    def _finish(self, ok):
+        self.done = True
+        self.succeeded = ok
+        self.mgr._regen_requested.discard((self.arange.range_id, self.role))
+
+
 class ResilienceManager:
     """Owns ranges, drives coded I/O, and reacts to faults."""
 
@@ -475,6 +609,7 @@ class ResilienceManager:
         )
         self.regeneration_requests = []
         self._regen_requested = set()
+        self._parked = set()  # refs whose last rebuild found no spare
         self._locks = {}
         m = cluster.latency
         self.encode_ns = int(round(m.encode_us * 1000))
@@ -619,6 +754,7 @@ class ResilienceManager:
         arange = self.ranges.get(slab.owner)
         if arange is not None and arange.refs[slab.role].slab is slab:
             self._request_regen(arange.range_id, slab.role)
+        self._retry_parked(slab.machine_id)
 
     def _on_recover(self, machine_id):
         # every ref on the machine was failed at disconnect and has missed
@@ -627,12 +763,18 @@ class ResilienceManager:
         for slab in list(machine.slabs.values()):
             if slab.owner is not None and slab.state is not SlabState.EVICTED:
                 self.cluster.free_slab(slab.slab_id)
-        # a ref parked for want of a spare may find one on the machine now
+        self._retry_parked(machine_id)
+
+    def _retry_parked(self, machine_id, parked_only=False):
+        """Request again the rebuild of each lost ref whose group holds
+        `machine_id`, which may be a spare with room now; with
+        `parked_only`, only of the refs whose last rebuild found no spare."""
         for arange in self.ranges.values():
             if machine_id in arange.group_members:
                 for ref in arange.refs:
-                    if ref.slab.state in LOST:
-                        self._request_regen(arange.range_id, ref.role)
+                    key = (arange.range_id, ref.role)
+                    if ref.slab.state in LOST and (not parked_only or key in self._parked):
+                        self._request_regen(*key)
 
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
@@ -687,11 +829,19 @@ class ResilienceManager:
         key = (range_id, role)
         if key in self._regen_requested:
             return
+        self._parked.discard(key)
         self._regen_requested.add(key)
         self.regeneration_requests.append(key)
 
-    def regen_done(self, range_id, role):
-        self._regen_requested.discard((range_id, role))
+    def drain_regeneration(self):
+        """Start a rebuild for every queued request, in order; the records."""
+        pending, self.regeneration_requests = self.regeneration_requests, []
+        started = []
+        for range_id, role in pending:
+            rebuild = _Rebuild(self, range_id, role)
+            rebuild.begin()
+            started.append(rebuild)
+        return started
 
     # -- health -----------------------------------------------------------
 

@@ -18,6 +18,9 @@ def check_invariants(manager):
     - each range's live refs sit on distinct machines
     - every ref's machine is a member of its range's group
     - no op holds a page's queue once the cluster is idle
+    - with no rebuild request queued, no ref is lost while its range could
+      be rebuilt: while the range has k healthy splits (k + delta under the
+      guard) and its group an up spare with room for the slab
     """
     cluster = manager.cluster
     assert not manager._locks, f"page queues held at idle: {sorted(manager._locks)}"
@@ -41,3 +44,20 @@ def check_invariants(manager):
                 assert cluster.slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)
                 machine_slabs = cluster.machines[ref.machine_id].slabs
                 assert machine_slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)
+    if manager.regeneration_requests:
+        return
+    params = manager.codec.params
+    floor = params.k + (params.delta if manager.config.corruption_guard else 0)
+    for arange in manager.ranges.values():
+        lost = [ref.role for ref in arange.refs if ref.slab.state in LOST]
+        if not lost or len(arange.healthy_refs()) < floor:
+            continue
+        hosting = {ref.machine_id for ref in arange.refs if ref.slab.state not in LOST}
+        spares = [
+            m
+            for m in arange.group_members
+            if m not in hosting
+            and cluster.machines[m].state is MachineState.UP
+            and cluster.machines[m].free_bytes >= manager.config.slab_size
+        ]
+        assert not spares, f"range {arange.range_id} roles {lost} lost beside spares {spares}"

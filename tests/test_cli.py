@@ -133,6 +133,36 @@ class TestFaultRows:
             assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize(
+        "base, path",
+        [
+            (DATAPATH_CFG, "trails"),
+            (DATAPATH_CFG, "sweep"),
+            (DATAPATH_CFG, "workload.read_fracton"),
+            (DATAPATH_CFG, "placement.ell"),
+            (DATAPATH_CFG, "cluster.slabs_per_machine"),
+            (DATAPATH_CFG, "baselines.0.copys"),
+            (LOSS_CFG, "ranges"),
+            (LOSS_CFG, "cluster.latency"),
+            (LOSS_CFG, "schemes.0.ell"),
+            (dict(LOSS_CFG, sweep={"path": "failure_fraction", "values": [0.1]}), "sweep.step"),
+            (BALANCE_CFG, "failure_fraction"),
+            (BALANCE_CFG, "policies.0.l"),  # power_of_two reads no l
+        ],
+    )
+    def test_unread_keys_fail_before_the_run(self, tmp_path, capsys, base, path):
+        cfg = copy.deepcopy(base)
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[key] = 1
+        config = dump(tmp_path, cfg)
+        for argv in (["validate-config"], [cfg["scenario"], "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", config]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"unknown key {key}" in err
+
+    @pytest.mark.parametrize(
         "fault",
         [
             {"type": "evict", "time_us": 1, "slab": 999},

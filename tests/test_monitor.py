@@ -6,8 +6,9 @@ slab must equal a fresh encode of the written page.
 
 import numpy as np
 import pytest
+from invariants import check_invariants
 
-from codedmem import coding, placement
+from codedmem import coding, manager, placement
 from codedmem.coding import CodecParams
 from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.monitor import MonitorService
@@ -299,12 +300,89 @@ class TestRegeneration:
         # nothing can verify a rebuild at k healthy splits, so the range stays degraded
         assert len(arange.healthy_refs()) == params.k
 
+    @pytest.mark.parametrize("loss", ["fail", "evict"])
+    def test_slab_lost_mid_rebuild_is_rebuilt_elsewhere(self, loss):
+        params = CodecParams(k=2, r=1)
+        cluster, mgr, mon, payloads = self.settled(params=params, n=5, l=2)
+        victim = mgr.ranges[0].refs[0]
+        cluster.fail_machine(victim.machine_id)
+        mon.drain_regeneration()
+        target = victim.slab
+        assert target.state is SlabState.REGENERATING
+        # the rebuild's first page read is in flight when its slab is lost
+        if loss == "fail":
+            cluster.fail_machine(target.machine_id)
+        else:
+            cluster.evict_slab(target.slab_id)
+        cluster.run_until_idle()
+        assert ("regenerate", "r0:role0", "aborted") in [row[1:] for row in cluster.event_log]
+        assert mgr.regeneration_requests == [(0, 0)]
+        check_invariants(mgr)
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.slab.state is SlabState.AVAILABLE
+        for p, payload in payloads.items():
+            assert victim.slab.store[p] == expected_split(params, payload, 0)
+        check_invariants(mgr)
+
+    def test_ref_without_target_is_rebuilt_after_an_eviction(self):
+        # one group of four machines, each with room for one slab: the
+        # range's spare holds a slab of no range, so a lost ref finds no target
+        params = CodecParams(k=2, r=1)
+        cluster, mgr, mon = build(4, params, l=1, machine_bytes=SLAB)
+        arange = mgr.map_range(0)
+        mgr.remote_write(0, 0, page_of(1))
+        (spare,) = set(arange.group_members) - {ref.machine_id for ref in arange.refs}
+        filler = cluster.machines[spare].allocate_slab(SLAB)
+        victim = arange.refs[0]
+        cluster.fail_machine(victim.machine_id)
+        cluster.run_until_idle()
+        (rebuild,) = mon.drain_regeneration()
+        assert rebuild.done and not rebuild.succeeded
+        assert victim.slab.state in LOST and not mgr.regeneration_requests
+        # the eviction alone makes room on the spare; nothing recovers
+        cluster.evict_slab(filler.slab_id)
+        assert mgr.regeneration_requests == [(0, 0)]
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert victim.slab.state is SlabState.AVAILABLE and victim.machine_id == spare
+        assert victim.slab.store[0] == expected_split(params, page_of(1), 0)
+
+    def test_aborted_rebuild_gives_its_room_to_a_parked_ref(self):
+        # one group of nine machines with room for one slab each: range 0 on
+        # 0-3, range 1 on 4-7, and machine 8 the only spare
+        params = CodecParams(k=2, r=2, delta=1)
+        config = ManagerConfig(corruption_guard=True)
+        cluster, mgr, mon = build(9, params, l=5, config=config, machine_bytes=SLAB)
+        doomed, parked = mgr.map_range(0), mgr.map_range(1)
+        mgr.remote_write(0, 0, page_of(0))
+        mgr.remote_write(1, 0, page_of(1))
+        # range 0 keeps only k healthy splits, so its rebuilds cannot be
+        # verified; each takes machine 8 first and aborts, and range 1's ref
+        # finds no spare until then
+        for m in (0, 1, 4):
+            cluster.fail_machine(m)
+        cluster.run_until_idle()
+        for _ in range(8):
+            mon.drain_regeneration()
+            cluster.run_until_idle()
+        assert not mgr.regeneration_requests
+        assert [ref.slab.state in LOST for ref in doomed.refs] == [True, True, False, False]
+        victim = parked.refs[0]
+        assert victim.slab.state is SlabState.AVAILABLE and victim.machine_id == 8
+        assert victim.slab.store[0] == expected_split(params, page_of(1), 0)
+        check_invariants(mgr)
+
 
 class TestStatsAndTicks:
     def test_tick_drains_regeneration_requests(self):
         cluster, mgr, mon, payloads = TestRegeneration().settled()
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        assert mon.drain_regeneration()
+        rebuilds = mon.drain_regeneration()
+        assert rebuilds
+        assert all(type(r) is manager._Rebuild for r in rebuilds)
         cluster.run_until_idle()
         assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        # the fields the benchmark reads from each record
+        assert all(r.done and r.succeeded for r in rebuilds)
