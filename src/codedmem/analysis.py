@@ -198,6 +198,11 @@ def validate_config(cfg):
             get_path(cfg, path)
         except KeyError:
             raise ConfigError(f"sweep.path {path!r} not found in config") from None
+        for value in values:
+            try:
+                validate_config(_at_sweep_value(cfg, path, value))
+            except ConfigError as err:
+                raise ConfigError(f"sweep {path}={value!r}: {err}") from None
     if scenario == "loss":
         _validate_loss(cfg)
     elif scenario == "balance":
@@ -358,6 +363,14 @@ def _sweep_points(cfg):
     return sweep["path"], sorted(sweep["values"])
 
 
+def _at_sweep_value(cfg, path, value):
+    """A copy of the config with ``value`` at ``path`` and no sweep."""
+    point = copy.deepcopy(cfg)
+    set_path(point, path, value)
+    point.pop("sweep", None)
+    return point
+
+
 def run_loss_curves(cfg):
     """Analytic, exact, and sampled loss probability per scheme and seed.
 
@@ -367,17 +380,15 @@ def run_loss_curves(cfg):
     """
     validate_config(cfg)
     chash = config_hash(cfg)
-    params = CodecParams(**cfg["code"])
-    trials = cfg["trials"]
-    threshold = cfg.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
     sweep_path, values = _sweep_points(cfg)
     monotone = sweep_path is not None and sweep_path.split(".")[-1] in MONOTONE_SWEEPS
-    work = copy.deepcopy(cfg)
     last = {}
     rows = []
     for value in values:
-        if sweep_path is not None:
-            set_path(work, sweep_path, value)
+        work = cfg if sweep_path is None else _at_sweep_value(cfg, sweep_path, value)
+        params = CodecParams(**work["code"])
+        trials = work["trials"]
+        threshold = work.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
         shape = _shape_from(work)
         n = shape.machines
         failures = math.floor(n * shape.failure_fraction)
@@ -392,7 +403,7 @@ def run_loss_curves(cfg):
                     f"{last[key]} to {analytic} at value {value}"
                 )
             last[key] = analytic
-            for seed in cfg["seeds"]:
+            for seed in work["seeds"]:
                 plan = _build_plan(name, shape, params, l, int(seed))
                 exact = ""
                 if math.comb(n, failures) <= threshold:

@@ -100,12 +100,15 @@ class AddressRange:
         return [ref for ref in self.refs if ref.slab.state is SlabState.AVAILABLE]
 
 
+ERROR_CORRECTION_LIMIT = 0.05  # error rate above which a machine is suspect
+HEALTH_WINDOW = 64  # verification results kept per machine
+
+
 class MachineHealth:
     """Sliding window of verification results for one machine."""
 
-    def __init__(self, limit, window=64):
-        self.limit = limit
-        self.window = deque(maxlen=window)
+    def __init__(self):
+        self.window = deque(maxlen=HEALTH_WINDOW)
 
     def record(self, ok):
         self.window.append(0 if ok else 1)
@@ -118,7 +121,7 @@ class MachineHealth:
 
     @property
     def suspect(self):
-        return self.error_rate > self.limit
+        return self.error_rate > ERROR_CORRECTION_LIMIT
 
 
 @dataclass(frozen=True)
@@ -129,11 +132,9 @@ class ManagerConfig:
     async_parity: bool = True
     run_to_completion: bool = True
     in_place_coding: bool = True
-    error_correction_limit: float = 0.05
-    health_window: int = 64
 
     def __post_init__(self):
-        for name in ("page_size", "slab_size", "health_window"):
+        for name in ("page_size", "slab_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise InvalidParams(f"{name} must be a positive integer, got {value!r}")
@@ -141,11 +142,6 @@ class ManagerConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise InvalidParams(f"{name} must be true or false, got {value!r}")
-        limit = self.error_correction_limit
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit >= 0:
-            raise InvalidParams(
-                f"error_correction_limit must be a non-negative number, got {limit!r}"
-            )
 
 
 class _PageOp:
@@ -602,11 +598,7 @@ class ResilienceManager:
             raise InvalidParams("slab size smaller than one split")
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
         self.ranges = {}
-        self.health = defaultdict(
-            lambda: MachineHealth(
-                self.config.error_correction_limit, self.config.health_window
-            )
-        )
+        self.health = defaultdict(MachineHealth)
         self.regeneration_requests = []
         self._regen_requested = set()
         self._parked = set()  # refs whose last rebuild found no spare

@@ -2,6 +2,8 @@
 
 Virtual time is integer nanoseconds. Events fire in (time, submission
 sequence) order, so identical inputs and seeds replay identical histories.
+A heap entry is the only scheduled object; clearing its callable cancels
+it, and a cancelled entry never runs nor moves the clock.
 Machines expose slab storage with split-granularity reads and writes whose
 latencies come from a seeded lognormal model with straggler and
 background-load effects; fault scripts inject failures, recoveries,
@@ -142,16 +144,6 @@ class Machine:
         return slab
 
 
-class _Event:
-    """A scheduled callback; clearing ``alive`` cancels it."""
-
-    __slots__ = ("fn", "alive")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.alive = True
-
-
 @dataclass
 class _Window:
     start_ns: int
@@ -174,7 +166,7 @@ class Cluster:
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
         self.on_recover = []  # callbacks(machine_id)
-        self._heap = []  # (time_ns, seq, _Event); seq breaks time ties
+        self._heap = []  # [time_ns, seq, fn] entries; seq breaks time ties
         self._seq = itertools.count()
         self._slab_ids = itertools.count()
         self._background = []
@@ -182,9 +174,10 @@ class Cluster:
     # -- event loop -------------------------------------------------------
 
     def schedule_at(self, time_ns, fn):
-        ev = _Event(fn)
-        heapq.heappush(self._heap, (int(time_ns), next(self._seq), ev))
-        return ev
+        """Queue `fn`; setting the returned entry's fn to None cancels it."""
+        entry = [int(time_ns), next(self._seq), fn]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule(self, delay_ns, fn):
         return self.schedule_at(self.now + delay_ns, fn)
@@ -192,35 +185,24 @@ class Cluster:
     def step(self):
         """Run the next live event; None when the queue is empty."""
         while self._heap:
-            time_ns, _, ev = heapq.heappop(self._heap)
-            if not ev.alive:
+            time_ns, _, fn = heapq.heappop(self._heap)
+            if fn is None:  # cancelled: dropped without moving the clock
                 continue
             self.now = time_ns
-            ev.fn()
-            return ev
+            fn()
+            return fn
         return None
 
     def run_until_idle(self):
         while self.step():
             pass
 
-    def run_until(self, time_ns):
-        while self._heap:
-            head_ns, _, nxt = self._heap[0]
-            if not nxt.alive:
-                heapq.heappop(self._heap)
-                continue
-            if head_ns > time_ns:
-                break
-            self.step()
-        self.now = max(self.now, int(time_ns))
-
     # -- environment ------------------------------------------------------
 
-    def background_level(self, time_ns):
+    def background_level(self):
         level = 1.0
         for w in self._background:
-            if w.start_ns <= time_ns < w.end_ns:
+            if w.start_ns <= self.now < w.end_ns:
                 level = max(level, w.level)
         return level
 
@@ -249,11 +231,11 @@ class Cluster:
             io.outcome = "rejected"
         else:
             io.slab = slab
-            delay = self.latencies.draw(self.background_level(self.now))
+            delay = self.latencies.draw(self.background_level())
             io.event = self.schedule_at(self.now + delay, io.arrive)
             machine.pending.add(io)
             return io
-        self.schedule(0, io.refuse)
+        self.schedule(0, io.arrive)
         return io
 
     def read_split(self, machine_id, slab_id, page_index, on_done):
@@ -277,9 +259,9 @@ class Cluster:
         inflight = list(machine.pending)
         machine.pending.clear()
         for io in inflight:
-            io.event.alive = False
+            io.event[2] = None
             io.outcome = "disconnect"
-            self.schedule(0, io.refuse)
+            self.schedule(0, io.arrive)
         self.log("fail", f"m{machine_id}", "down")
         for cb in self.on_disconnect:
             cb(machine_id)
@@ -345,8 +327,11 @@ class Cluster:
 class _InflightIo:
     """One split I/O; once concluded it is also its completion.
 
-    `outcome` and `time_ns` are set when it concludes. `data` is the payload
-    of a write, or the bytes a read fetched once it concludes ok.
+    `event` is its heap entry, and `arrive` is the one way it concludes. A
+    split refused at submission or cut off by a disconnect gets its
+    `outcome` set first and a fresh entry at delay 0. `outcome` and
+    `time_ns` are set when it concludes. `data` is the payload of a write,
+    or the bytes a read fetched once it concludes ok.
     """
 
     __slots__ = (
@@ -375,10 +360,13 @@ class _InflightIo:
         self.time_ns = None
 
     def arrive(self):
-        """The request reaches its slab at the drawn latency."""
+        """Conclude the split: with the outcome already set when it was
+        refused or cut off, else as it reaches its slab."""
         slab = self.slab
+        if self.outcome is not None:
+            self.cluster._finish(self, self.outcome)
         # the slab may have been lost while the request was in flight
-        if slab.state in LOST:
+        elif slab.state in LOST:
             self.cluster._finish(self, "unavailable")
         elif self.op == "write_split":
             slab.store[self.page_index] = self.data
@@ -386,10 +374,6 @@ class _InflightIo:
         else:
             self.data = slab.store.get(self.page_index, bytes(slab.split_size))
             self.cluster._finish(self, "ok")
-
-    def refuse(self):
-        """Conclude with the failure outcome set at submission or disconnect."""
-        self.cluster._finish(self, self.outcome)
 
 
 # -- fault scripts ---------------------------------------------------------

@@ -141,6 +141,27 @@ class TestLossCurves:
         header, rows = analysis.run_loss_curves(cfg)
         assert all(r[header.index("exact")] == "" for r in rows)
 
+    @pytest.mark.parametrize(
+        "path, values, cell, cells",
+        [
+            ("trials", [10, 1000], "trials", ["10", "1000"]),
+            ("code.k", [2, 6], "groups", ["7", "3"]),
+        ],
+    )
+    def test_each_row_reads_its_swept_config(self, path, values, cell, cells):
+        cfg = cfg_of(
+            LOSS_CFG,
+            cluster={"machines": 30, "slabs_per_machine": 1},
+            code={"k": 2, "r": 1},
+            schemes=[{"name": "codingsets", "l": 1}],
+            failure_fraction=0.1,
+            trials=10,
+            exact_threshold=0,
+            sweep={"path": path, "values": values},
+        )
+        header, rows = analysis.run_loss_curves(cfg)
+        assert [r[header.index(cell)] for r in rows] == cells
+
     def test_rows_cover_sweep_and_seeds(self):
         cfg = cfg_of(LOSS_CFG, seeds=[0, 7])
         header, rows = analysis.run_loss_curves(cfg)

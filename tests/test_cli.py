@@ -73,6 +73,14 @@ class TestValidate:
             assert rc == 2
             assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, bad", [("code.k", 300), ("seeds", 1)])
+    def test_every_sweep_value_is_validated(self, tmp_path, capsys, path, bad):
+        cfg = dict(LOSS_CFG, sweep={"path": path, "values": [2, bad]})
+        rc = cli.main(["validate-config", "--config", dump(tmp_path, cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"sweep {path}=" in err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = cli.main(["validate-config", "--config", str(tmp_path / "nope.yaml")])
         assert rc == 2
@@ -117,6 +125,7 @@ class TestFaultRows:
             ("manager.slab_size", "x"),
             ("manager.page_size", 0),
             ("manager.corruption_guard", "yes"),
+            ("manager.health_window", 64),  # a constant, not a config field
         ],
     )
     def test_bad_fields_fail_before_the_run(self, tmp_path, capsys, path, value):

@@ -57,22 +57,20 @@ class TestEventLoop:
             pass
         assert times == [10, 20, 30]
 
-    def test_run_until_skips_cancelled_head_and_keeps_tie_order(self):
+    def test_cancelled_entries_never_run_nor_move_the_clock(self):
         c = new_cluster()
         order = []
-        first = c.schedule_at(10, lambda: order.append("cancelled"))
+        head = c.schedule_at(10, lambda: order.append("cancelled"))
         c.schedule_at(20, lambda: order.append("a"))
         c.schedule_at(20, lambda: order.append("b"))
-        last = c.schedule_at(22, lambda: order.append("cancelled"))
+        middle = c.schedule_at(22, lambda: order.append("cancelled"))
         c.schedule_at(30, lambda: order.append("late"))
-        first.alive = last.alive = False
-        # once "b" has run, the cancelled head at 22 must not let the run
-        # reach the live event at 30
-        c.run_until(25)
-        assert order == ["a", "b"]
-        assert c.now == 25
+        tail = c.schedule_at(40, lambda: order.append("cancelled"))
+        for entry in (head, middle, tail):
+            entry[2] = None
         c.run_until_idle()
         assert order == ["a", "b", "late"]
+        assert c.now == 30  # the last live event's time, not the tail's
 
 
 def latencies(model, seed):
@@ -162,8 +160,11 @@ class TestFailures:
         c.write_split(2, slab.slab_id, 0, b"x" * 64, cb)
         c.schedule_at(700, lambda: c.fail_machine(2))
         c.run_until_idle()
+        assert len(results) == 1
         assert results[0].outcome == "disconnect"
         assert results[0].time_ns == 700
+        # the cancelled arrival, due at 1500, neither ran nor moved the clock
+        assert c.now == 700
         assert slab.store == {}  # nothing landed
 
     def test_io_to_failed_machine_rejected(self):
@@ -288,8 +289,8 @@ class TestFaultScript:
         simulator.inject(c, script)
         slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=4)
         results, cb = collect(c)
-        c.run_until(2000)
-        c.read_split(0, slab.slab_id, 0, cb)  # inside the window
+        # issued inside the window
+        c.schedule_at(2000, lambda: c.read_split(0, slab.slab_id, 0, cb))
         c.run_until_idle()
         assert results[0].time_ns - 2000 == 3000
 
