@@ -36,6 +36,9 @@ that found no spare asks again when a member of its group recovers or
 frees room: an eviction, or an aborted rebuild that frees its slab.
 `promote` logs a rebuild's `complete` row; every other outcome (aborted,
 no_quorum, no_target) is a `regenerate` row of `Cluster.event_log` too.
+The fault handlers find a machine's ranges in a per-machine list of the
+ranges whose group holds it, kept in mapping order, so they request
+rebuilds in the order a scan of every range would.
 
 Under the corruption guard with delta > 0, a guarded rebuild fills only
 from verified reads. A read that could not be verified (fewer than
@@ -43,6 +46,11 @@ k + delta healthy splits) aborts the rebuild like a failed one: filling
 from an unchecked decode would turn a corrupted split into a consistent
 wrong codeword that no later guarded read could detect. Such a range
 stays degraded, since a recovering machine's slabs are stale and freed.
+
+A page op hands its bound `_on_split` to every split I/O it issues, with
+no closure per split. A read takes a split's role from the slab that
+served it; a write keeps a slab id -> role map, since a refused split has
+no slab to ask. The splits a read decodes are `coding.Split` named tuples.
 
 A page read or write is its own completion: once `done`, its caller
 reads the outcome and the timeline from the op, and `on_done` receives
@@ -60,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding
-from .coding import Split, make_codec
+from .coding import DATA, PARITY, Split, make_codec
 from .errors import (
     CapacityExhausted,
     InvalidParams,
@@ -68,7 +76,7 @@ from .errors import (
     UnrecoverableRead,
 )
 from .placement import ExtendedGroup, select_members
-from .simulator import LOST, MachineState, Slab, SlabState
+from .simulator import AVAILABLE, LOST, REGENERATING, UP, Slab, SlabState
 
 
 @dataclass
@@ -97,7 +105,7 @@ class AddressRange:
     written_pages: set = field(default_factory=set)
 
     def healthy_refs(self):
-        return [ref for ref in self.refs if ref.slab.state is SlabState.AVAILABLE]
+        return [ref for ref in self.refs if ref.slab.state is AVAILABLE]
 
 
 ERROR_CORRECTION_LIMIT = 0.05  # error rate above which a machine is suspect
@@ -184,7 +192,7 @@ class _WriteOp(_PageOp):
 
     __slots__ = (
         "page", "data_acked_ns", "durable_ns", "acks", "wave1_roles", "wave2_issued",
-        "encode_ack_ns", "splits", "parity",
+        "encode_ack_ns", "splits", "parity", "roles",
     )
 
     def __init__(self, mgr, arange, page_index, page, on_done):
@@ -198,6 +206,7 @@ class _WriteOp(_PageOp):
         self.encode_ack_ns = 0
         self.splits = None
         self.parity = None  # parity split bytes, held from encode to send
+        self.roles = {}  # slab id -> the role a split I/O to that slab writes
 
     # -- plumbing ---------------------------------------------------------
 
@@ -256,20 +265,18 @@ class _WriteOp(_PageOp):
             self._submit(ref, payload, fill)
 
     def _submit(self, ref, payload, fill):
-        role = ref.role
+        slab = ref.slab
+        self.roles[slab.slab_id] = ref.role
         self.mgr.cluster.write_split(
-            ref.machine_id,
-            ref.slab_id,
-            self.page_index,
-            payload,
-            lambda c: self._on_split(role, c),
-            fill=fill,
+            slab.machine_id, slab.slab_id, self.page_index, payload, self._on_split, fill=fill
         )
 
-    def _on_split(self, role, split):
+    def _on_split(self, io):
+        # a refused split has no slab to read its role from, so the op keeps it
+        role = self.roles[io.slab_id]
         mgr = self.mgr
         self.outstanding -= 1
-        if split.outcome == "ok":
+        if io.outcome == "ok":
             self.acks += 1
             mgr.promote(self.arange, role)
         elif mgr.relocate(self.arange, role) is not None:
@@ -308,7 +315,7 @@ class _WriteOp(_PageOp):
         self._encode()
         for ref in rest:
             # a slab mid-regeneration only takes backfill writes
-            self._issue(ref.role, delay, fill=ref.slab.state is SlabState.REGENERATING)
+            self._issue(ref.role, delay, fill=ref.slab.state is REGENERATING)
 
     def _finish(self, outcome):
         self.outcome = outcome
@@ -317,7 +324,7 @@ class _WriteOp(_PageOp):
         else:
             self.completed_ns = self.mgr.cluster.now
         # a done write is kept as its completion and needs no buffers or issue state
-        self.page = self.splits = self.parity = self.wave1_roles = None
+        self.page = self.splits = self.parity = self.wave1_roles = self.roles = None
         self.done = True
         if self.on_done:
             self.on_done(self)
@@ -363,9 +370,9 @@ class _ReadOp(_PageOp):
         width = min(width, len(healthy))
         self.guarded = mgr.config.corruption_guard and width >= k + delta and delta > 0
         self.need = width if self.guarded else k
-        picked = mgr.rng.permutation(len(healthy))[:width]
-        targets = [healthy[int(i)] for i in picked]
-        self.targets = tuple(ref.role for ref in targets)
+        picked = mgr.rng.permutation(len(healthy))[:width].tolist()
+        targets = [healthy[i] for i in picked]
+        self.targets = tuple([ref.role for ref in targets])
         for ref in targets:
             self._issue(ref)
 
@@ -374,15 +381,14 @@ class _ReadOp(_PageOp):
         self.fanout += 1
         self.outstanding += 1
         if mgr.config.in_place_coding:
-            self._submit(ref)
+            slab = ref.slab
+            mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
         else:
             mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(ref))
 
     def _submit(self, ref):
-        role = ref.role
-        self.mgr.cluster.read_split(
-            ref.machine_id, ref.slab_id, self.page_index, lambda c: self._on_split(role, c)
-        )
+        slab = ref.slab
+        self.mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
 
     def _ask(self, count):
         """Issue up to `count` healthy refs not yet asked; how many were."""
@@ -393,15 +399,16 @@ class _ReadOp(_PageOp):
             self._issue(ref)
         return len(spares)
 
-    def _on_split(self, role, completion):
+    def _on_split(self, io):
         self.outstanding -= 1
         if self.done:
             # an unguarded read drops the splits that arrive after delivery
             if self.outstanding == 0:
                 self.mgr._release(self.arange.range_id, self.page_index, self)
             return
-        if completion.outcome == "ok":
-            self.arrivals.append((completion.time_ns, role, completion.data))
+        if io.outcome == "ok":
+            # a slab holds the split of one role for its whole life
+            self.arrivals.append((io.time_ns, io.slab.role, io.data))
         elif len(self.arrivals) + self.outstanding < self.need:
             self._ask(1)
         # a guarded read never has more than `need` splits asked, so it only
@@ -411,9 +418,10 @@ class _ReadOp(_PageOp):
 
     def _decide(self):
         mgr = self.mgr
-        k, delta = mgr.codec.params.k, mgr.codec.params.delta
+        params = mgr.codec.params
+        k, delta = params.k, params.delta
         splits = [
-            Split(index=role, kind=coding.DATA if role < k else coding.PARITY, data=data)
+            Split(role, DATA if role < k else PARITY, data)
             for _, role, data in sorted(self.arrivals)
         ]
         if len(splits) < k:
@@ -421,7 +429,8 @@ class _ReadOp(_PageOp):
             return
         if not self.guarded:
             page = coding.decode(mgr.codec, splits, mgr.config.page_size)
-            cost = mgr.decode_ns if any(s.kind == coding.PARITY for s in splits[:k]) else 0
+            # splits order by index first: the highest one used says if parity was
+            cost = mgr.decode_ns if max(splits[:k]).index >= k else 0
             self._deliver("ok", page, extra_ns=cost)
             return
         if len(splits) >= k + 2 * delta + 1:
@@ -493,7 +502,7 @@ class _Rebuild:
 
     def begin(self):
         mgr = self.mgr
-        if self.ref.slab.state is SlabState.AVAILABLE:
+        if self.ref.slab.state is AVAILABLE:
             self._finish(True)
         elif len(self.arange.healthy_refs()) < mgr.codec.params.k:
             self._abort(retry=False, outcome="no_quorum")
@@ -506,7 +515,7 @@ class _Rebuild:
 
     def _next_page(self):
         slab = self.ref.slab
-        while slab.state is SlabState.REGENERATING:
+        while slab.state is REGENERATING:
             if not self.pages:
                 if self.mgr.promote(self.arange, self.role):
                     break
@@ -517,7 +526,7 @@ class _Rebuild:
                 self.mgr._enqueue(self.arange.range_id, page, self)
                 return
         # a foreground write that fills the last page promotes the slab itself
-        if slab.state is SlabState.AVAILABLE:
+        if slab.state is AVAILABLE:
             self._finish(True)
         else:
             self._abort(retry=True)
@@ -525,7 +534,7 @@ class _Rebuild:
     def start(self):
         """Read the page once the rebuild heads its queue."""
         slab = self.ref.slab
-        if slab.state is not SlabState.REGENERATING or self.page in slab.store:
+        if slab.state is not REGENERATING or self.page in slab.store:
             self._page_done(advance=True)
             return
         _ReadOp(self.mgr, self.arange, self.page, self._on_read).start()
@@ -543,7 +552,7 @@ class _Rebuild:
 
     def _fill(self, payload):
         ref = self.ref
-        if ref.slab.state is not SlabState.REGENERATING:
+        if ref.slab.state is not REGENERATING:
             self._page_done(advance=True)
             return
         self.mgr.cluster.write_split(
@@ -565,7 +574,7 @@ class _Rebuild:
         """Free the unfinished slab, so the ref reads as lost, and log why."""
         mgr = self.mgr
         slab = self.ref.slab
-        freed = slab.state is SlabState.REGENERATING
+        freed = slab.state is REGENERATING
         if freed or slab.state is SlabState.FAILED:
             mgr.cluster.free_slab(slab.slab_id)
         self._log(outcome)
@@ -603,6 +612,7 @@ class ResilienceManager:
         self._regen_requested = set()
         self._parked = set()  # refs whose last rebuild found no spare
         self._locks = {}
+        self._group_ranges = defaultdict(list)  # machine -> ranges whose group holds it
         m = cluster.latency
         self.encode_ns = int(round(m.encode_us * 1000))
         self.decode_ns = int(round(m.decode_us * 1000))
@@ -625,7 +635,7 @@ class ResilienceManager:
         eligible = [
             m
             for m in group.members
-            if self.cluster.machines[m].state is MachineState.UP
+            if self.cluster.machines[m].state is UP
             and self.cluster.machines[m].free_bytes >= self.config.slab_size
         ]
         if len(eligible) < width:
@@ -654,6 +664,8 @@ class ResilienceManager:
             page_capacity=self.config.slab_size // self.codec.split_size,
         )
         self.ranges[range_id] = arange
+        for m in arange.group_members:
+            self._group_ranges[m].append(arange)
         return arange
 
     # -- data path ------------------------------------------------------
@@ -698,8 +710,9 @@ class ResilienceManager:
 
     def drive(self, op):
         """Run the event loop until the op reaches its caller-visible point."""
+        step = self.cluster.step
         while not op.done:
-            if self.cluster.step() is None:
+            if step() is None:
                 raise RuntimeError("op cannot make progress")
         return op
 
@@ -736,10 +749,13 @@ class ResilienceManager:
     # -- fault handling -----------------------------------------------------
 
     def handle_disconnect(self, machine_id):
-        # the disconnect failed every slab that was live on the machine
-        for arange in self.ranges.values():
+        # the disconnect failed every slab that was live on the machine; a
+        # slab sits on a member of its range's group, and the ranges come in
+        # mapping order
+        for arange in self._group_ranges.get(machine_id, ()):
             for ref in arange.refs:
-                if ref.machine_id == machine_id and ref.slab.state is SlabState.FAILED:
+                slab = ref.slab
+                if slab.machine_id == machine_id and slab.state is SlabState.FAILED:
                     self._request_regen(arange.range_id, ref.role)
 
     def _on_eviction(self, slab):
@@ -761,12 +777,11 @@ class ResilienceManager:
         """Request again the rebuild of each lost ref whose group holds
         `machine_id`, which may be a spare with room now; with
         `parked_only`, only of the refs whose last rebuild found no spare."""
-        for arange in self.ranges.values():
-            if machine_id in arange.group_members:
-                for ref in arange.refs:
-                    key = (arange.range_id, ref.role)
-                    if ref.slab.state in LOST and (not parked_only or key in self._parked):
-                        self._request_regen(*key)
+        for arange in self._group_ranges.get(machine_id, ()):
+            for ref in arange.refs:
+                key = (arange.range_id, ref.role)
+                if ref.slab.state in LOST and (not parked_only or key in self._parked):
+                    self._request_regen(*key)
 
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
@@ -786,7 +801,7 @@ class ResilienceManager:
             m
             for m in arange.group_members
             if m not in hosting
-            and machines[m].state is MachineState.UP
+            and machines[m].state is UP
             and machines[m].free_bytes >= self.config.slab_size
         ]
         if not spares:
@@ -798,7 +813,7 @@ class ResilienceManager:
             role=role,
             split_size=self.codec.split_size,
         )
-        slab.state = SlabState.REGENERATING
+        slab.state = REGENERATING
         old, ref.slab = ref.slab, slab
         if old.slab_id in self.cluster.slabs:
             self.cluster.free_slab(old.slab_id)
@@ -812,10 +827,10 @@ class ResilienceManager:
         `complete` row.
         """
         slab = arange.refs[role].slab
-        if slab.state is SlabState.REGENERATING and arange.written_pages.issubset(slab.store):
-            slab.state = SlabState.AVAILABLE
+        if slab.state is REGENERATING and arange.written_pages.issubset(slab.store):
+            slab.state = AVAILABLE
             self.cluster.log("regenerate", f"r{arange.range_id}:role{role}", "complete")
-        return slab.state is SlabState.AVAILABLE
+        return slab.state is AVAILABLE
 
     def _request_regen(self, range_id, role):
         key = (range_id, role)

@@ -4,6 +4,10 @@ Virtual time is integer nanoseconds. Events fire in (time, submission
 sequence) order, so identical inputs and seeds replay identical histories.
 A heap entry is the only scheduled object; clearing its callable cancels
 it, and a cancelled entry never runs nor moves the clock.
+A split I/O concludes in one place, `_InflightIo.arrive`, which hands the
+record to the caller's `on_done`. A machine keeps the splits in flight to
+it in submission order, so a failure cuts them off in that order, never in
+the order their records happen to sit in memory.
 Machines expose slab storage with split-granularity reads and writes whose
 latencies come from a seeded lognormal model with straggler and
 background-load effects; fault scripts inject failures, recoveries,
@@ -38,6 +42,12 @@ class SlabState(Enum):
 
 
 LOST = (SlabState.EVICTED, SlabState.FAILED)  # slab states that serve no I/O
+
+# the members the split path tests, bound once: a module global loads
+# faster than an Enum member lookup
+UP = MachineState.UP
+AVAILABLE = SlabState.AVAILABLE
+REGENERATING = SlabState.REGENERATING
 
 
 @dataclass
@@ -118,7 +128,7 @@ class Machine:
         self.total_bytes = total_bytes
         self.state = MachineState.UP
         self.slabs = {}
-        self.pending = set()
+        self.pending = {}  # split I/Os in flight, in submission order (values unused)
         self.slab_bytes = 0  # bytes of non-evicted slabs, kept by allocate/evict/free
         self._cluster = cluster
 
@@ -211,31 +221,23 @@ class Cluster:
 
     # -- split I/O --------------------------------------------------------
 
-    def _finish(self, io, outcome):
-        """Conclude a split I/O: the record itself is handed to `on_done`."""
-        self.machines[io.machine_id].pending.discard(io)
-        io.outcome = outcome
-        io.time_ns = self.now
-        self.split_outcomes[io.op, outcome] += 1
-        io.on_done(io)
-
     def _submit_io(self, op, machine_id, slab_id, page_index, data, on_done, fill=False):
-        io = _InflightIo(self, op, machine_id, page_index, data, on_done)
+        io = _InflightIo(self, op, machine_id, slab_id, page_index, data, on_done)
         machine = self.machines[machine_id]
         slab = self.slabs.get(slab_id)
-        if machine.state is not MachineState.UP:
+        state = slab.state if slab is not None and slab.machine_id == machine_id else None
+        if machine.state is not UP:
             io.outcome = "disconnect"
-        elif slab is None or slab.machine_id != machine_id or slab.state in LOST:
-            io.outcome = "unavailable"
-        elif slab.state is SlabState.REGENERATING and not fill:
-            io.outcome = "rejected"
-        else:
+        elif state is AVAILABLE or (state is REGENERATING and fill):
             io.slab = slab
-            delay = self.latencies.draw(self.background_level())
-            io.event = self.schedule_at(self.now + delay, io.arrive)
-            machine.pending.add(io)
+            background = self.background_level() if self._background else 1.0
+            io.event = self.schedule_at(self.now + self.latencies.draw(background), io.arrive)
+            machine.pending[io] = None
             return io
-        self.schedule(0, io.arrive)
+        else:
+            # a slab mid-regeneration only takes backfill writes
+            io.outcome = "rejected" if state is REGENERATING else "unavailable"
+        self.schedule_at(self.now, io.arrive)
         return io
 
     def read_split(self, machine_id, slab_id, page_index, on_done):
@@ -254,14 +256,14 @@ class Cluster:
             return
         machine.state = MachineState.FAILED
         for slab in machine.slabs.values():
-            if slab.state is SlabState.AVAILABLE or slab.state is SlabState.REGENERATING:
+            if slab.state is AVAILABLE or slab.state is REGENERATING:
                 slab.state = SlabState.FAILED
         inflight = list(machine.pending)
         machine.pending.clear()
         for io in inflight:
             io.event[2] = None
             io.outcome = "disconnect"
-            self.schedule(0, io.arrive)
+            self.schedule_at(self.now, io.arrive)
         self.log("fail", f"m{machine_id}", "down")
         for cb in self.on_disconnect:
             cb(machine_id)
@@ -327,17 +329,21 @@ class Cluster:
 class _InflightIo:
     """One split I/O; once concluded it is also its completion.
 
-    `event` is its heap entry, and `arrive` is the one way it concludes. A
-    split refused at submission or cut off by a disconnect gets its
-    `outcome` set first and a fresh entry at delay 0. `outcome` and
-    `time_ns` are set when it concludes. `data` is the payload of a write,
-    or the bytes a read fetched once it concludes ok.
+    `event` is its heap entry while it is in flight. `arrive` is the one
+    place it concludes: it leaves its machine's `pending`, gets its
+    `outcome` and `time_ns`, is counted, and is handed to `on_done`, usually
+    a bound method of the page op that issued it. A split refused at
+    submission or cut off by a disconnect gets its `outcome` set first and
+    a fresh entry at delay 0. `slab_id` is the slab it was sent to, and
+    `slab` that slab once it was accepted. `data` is the payload of a
+    write, or the bytes a read fetched once it concludes ok.
     """
 
     __slots__ = (
         "cluster",
         "op",
         "machine_id",
+        "slab_id",
         "page_index",
         "data",
         "on_done",
@@ -347,10 +353,11 @@ class _InflightIo:
         "time_ns",
     )
 
-    def __init__(self, cluster, op, machine_id, page_index, data, on_done):
+    def __init__(self, cluster, op, machine_id, slab_id, page_index, data, on_done):
         self.cluster = cluster
         self.op = op
         self.machine_id = machine_id
+        self.slab_id = slab_id
         self.page_index = page_index
         self.data = data
         self.on_done = on_done
@@ -360,20 +367,30 @@ class _InflightIo:
         self.time_ns = None
 
     def arrive(self):
-        """Conclude the split: with the outcome already set when it was
-        refused or cut off, else as it reaches its slab."""
-        slab = self.slab
-        if self.outcome is not None:
-            self.cluster._finish(self, self.outcome)
-        # the slab may have been lost while the request was in flight
-        elif slab.state in LOST:
-            self.cluster._finish(self, "unavailable")
-        elif self.op == "write_split":
-            slab.store[self.page_index] = self.data
-            self.cluster._finish(self, "ok")
-        else:
-            self.data = slab.store.get(self.page_index, bytes(slab.split_size))
-            self.cluster._finish(self, "ok")
+        """Conclude the split and hand the record to `on_done`: with the
+        outcome already set when it was refused or cut off, else as it
+        reaches its slab."""
+        cluster = self.cluster
+        outcome = self.outcome
+        if outcome is None:
+            del cluster.machines[self.machine_id].pending[self]
+            slab = self.slab
+            state = slab.state
+            # the slab may have been lost while the request was in flight
+            if state is not AVAILABLE and state is not REGENERATING:
+                outcome = "unavailable"
+            elif self.op == "write_split":
+                slab.store[self.page_index] = self.data
+                outcome = "ok"
+            else:
+                data = slab.store.get(self.page_index)
+                self.data = bytes(slab.split_size) if data is None else data
+                outcome = "ok"
+            self.outcome = outcome
+        self.time_ns = cluster.now
+        self.event = None  # the entry refers back to the record: drop the cycle
+        cluster.split_outcomes[self.op, outcome] += 1
+        self.on_done(self)
 
 
 # -- fault scripts ---------------------------------------------------------

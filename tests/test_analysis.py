@@ -8,6 +8,7 @@ out of C(60,3) = 34220 equally likely ones, so the exact loss is
 """
 
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -412,6 +413,9 @@ GUARDED_FAULTED_ROWS = [
      "0.000", "0.000", "100.000", "0", "0", "0"],
 ]
 
+# SHA-256 of the datapath CSV of GUARDED_FAULTED_CFG at seeds 0, 1 and 2
+GUARDED_FAULTED_DIGEST = "50f357426d57278dba15f53005d5cb3abe5c16310f341685034650584534820e"
+
 
 class TestPinnedDatapathRows:
     """A refactor of the data path, the monitor or the simulator must leave
@@ -424,6 +428,14 @@ class TestPinnedDatapathRows:
         assert [row[:1] + row[2:] for row in rows] == GUARDED_FAULTED_ROWS
         coded_r = dict(zip(header, rows[0]))
         assert int(coded_r["corrected"]) > 0
+
+    def test_csv_digest_at_three_seeds(self, tmp_path):
+        # every virtual value of the run, pinned as the bytes of its CSV; no
+        # split is in flight to the machine when it fails, at any seed
+        cfg = cfg_of(GUARDED_FAULTED_CFG, seeds=[0, 1, 2])
+        header, rows = analysis.run_datapath(cfg)
+        path = analysis.emit_report(header, rows, "datapath", analysis.config_hash(cfg), tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GUARDED_FAULTED_DIGEST
 
 
 class TestWorkload:

@@ -8,6 +8,8 @@ data-path rules:
   sync write: encode 700, all acks 2200
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,111 @@ class TestOrderingAndEviction:
         assert victim.slab.state in simulator.LOST
         assert (0, victim.role) in mgr.regeneration_requests
         assert mgr.remote_read(0, 0) == page_of(19)  # still recoverable
+
+
+def scanned_requests(mgr, machine_id, handler):
+    """The rebuild requests a fault handler makes, found by scanning every
+    range in mapping order and every ref in role order."""
+    keys = []
+    for arange in mgr.ranges.values():
+        for ref in arange.refs:
+            key = (arange.range_id, ref.role)
+            state = ref.slab.state
+            if handler == "disconnect":
+                hit = ref.machine_id == machine_id and state is simulator.SlabState.FAILED
+            else:
+                hit = (
+                    machine_id in arange.group_members
+                    and state in simulator.LOST
+                    and (handler == "retry" or key in mgr._parked)
+                )
+            if hit:
+                keys.append(key)
+    return keys
+
+
+class TestFaultHandlerIndex:
+    HANDLERS = {
+        "disconnect": lambda mgr, m: mgr.handle_disconnect(m),
+        "retry": lambda mgr, m: mgr._retry_parked(m),
+        "parked": lambda mgr, m: mgr._retry_parked(m, parked_only=True),
+    }
+
+    def handler_requests(self, mgr, machine_id, handler, monkeypatch):
+        made = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mgr, "_request_regen", lambda *key: made.append(key))
+            self.HANDLERS[handler](mgr, machine_id)
+        return made
+
+    def test_handlers_request_in_scan_order_after_churn(self, monkeypatch):
+        # three groups of four, ranges mapped between faults so their
+        # mapping order interleaves the groups; tight memory parks refs
+        n = 12
+        params = CodecParams(k=2, r=1)
+        cluster, mgr = build(n, params, l=1, seed=5, cluster=flat_cluster(n, machine_bytes=5 << 16))
+        rng = np.random.default_rng(8)
+        nonempty = {handler: 0 for handler in self.HANDLERS}
+        for step in range(250):
+            action = int(rng.integers(0, 5))
+            m = int(rng.integers(0, n))
+            if action == 0:
+                try:
+                    mgr.map_range(step)
+                except CapacityExhausted:
+                    pass
+                else:
+                    mgr.submit_write(step, 0, bytes([step % 256]) * mgr.config.page_size)
+            elif action == 1:
+                cluster.fail_machine(m)
+            elif action == 2:
+                cluster.recover_machine(m)
+            elif action == 3 and cluster.slabs:
+                ids = sorted(cluster.slabs)
+                cluster.evict_slab(ids[int(rng.integers(0, len(ids)))])
+            else:
+                mgr.drain_regeneration()
+            cluster.run_until_idle()
+            for machine_id in range(n):
+                for handler in self.HANDLERS:
+                    made = self.handler_requests(mgr, machine_id, handler, monkeypatch)
+                    assert made == scanned_requests(mgr, machine_id, handler), (step, handler)
+                    nonempty[handler] += bool(made)
+        assert len(mgr.ranges) > 6
+        assert all(nonempty.values()), nonempty
+
+
+def test_read_path_python_calls_stay_bounded():
+    # the host cost of the read path as a count that does not depend on the
+    # host: Python calls, generator resumptions included, over 200 seeded
+    # reads at k=8, r=2 once 200 earlier reads have filled the decode-matrix
+    # cache. 118.1 per read when the bound was set, and 222.9 while each
+    # split had a lambda callback, a conclusion frame of its own and a
+    # dataclass Split.
+    reads = 200
+    params = CodecParams(k=8, r=2, delta=1)
+    cluster = Cluster(12, latency=LatencyModel(straggler_prob=0.05), machine_bytes=1 << 26, seed=1)
+    plan = placement.build_codingsets(placement.ClusterShape(machines=12), params, 2, 1)
+    mgr = ResilienceManager(cluster, plan, params, seed=1)
+    mgr.map_range(0)
+    for page in range(16):
+        mgr.remote_write(0, page, bytes([page + 1]) * mgr.config.page_size)
+    for i in range(reads):
+        mgr.remote_read(0, i % 16)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for i in range(reads):
+            mgr.remote_read(0, i % 16)
+    finally:
+        sys.setprofile(None)
+    assert calls / reads <= 130
 
 
 class TestDeterminism:

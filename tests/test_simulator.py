@@ -167,6 +167,19 @@ class TestFailures:
         assert c.now == 700
         assert slab.store == {}  # nothing landed
 
+    def test_disconnects_conclude_in_submission_order(self):
+        # the cut-off splits are scheduled in `pending` order, which must not
+        # depend on where the records happen to sit in memory
+        c = new_cluster()
+        slab = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
+        results, cb = collect(c)
+        submitted = [c.read_split(1, slab.slab_id, i, cb) for i in range(40)]
+        c.schedule_at(700, lambda: c.fail_machine(1))
+        c.run_until_idle()
+        assert [r.outcome for r in results] == ["disconnect"] * 40
+        assert [r.page_index for r in results] == list(range(40))
+        assert results == submitted
+
     def test_io_to_failed_machine_rejected(self):
         c = new_cluster()
         slab = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
