@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import placement
 from .coding import CodecParams
 from .errors import ConfigError, InvalidParams, MonotonicityViolation
 from .manager import ManagerConfig, ResilienceManager
@@ -29,6 +30,7 @@ from .placement import (
     build_codingsets,
     build_eccache,
     count_copysets,
+    eccache_members,
     load_imbalance,
     loss_probability_analytic,
     loss_probability_montecarlo,
@@ -450,23 +452,28 @@ def _two_choice_loads(n, width, ranges, rng):
     so every pick matches a loop of scalar draws.
     """
     loads = [0] * n
-    block, pos, saved = [], 0, None
+    block, pos, end, saved = [], 0, 0, None
+    attempts = _P2C_ATTEMPTS
     for _ in range(ranges):
         used = set()
+        add = used.add
         for _ in range(width):
-            for _ in range(_P2C_ATTEMPTS):
-                if pos == len(block):
+            tries = attempts
+            while tries:
+                if pos == end:
                     saved = rng.bit_generator.state
-                    block, pos = rng.integers(0, n, size=_P2C_BLOCK).tolist(), 0
-                a, b = block[pos], block[pos + 1]
+                    block, pos, end = rng.integers(0, n, size=_P2C_BLOCK).tolist(), 0, _P2C_BLOCK
+                a = block[pos]
+                b = block[pos + 1]
                 pos += 2
                 if a != b and a not in used and b not in used:
                     break
+                tries -= 1
             else:
                 # dense fallback when nearly every machine is already used
                 rng.bit_generator.state = saved
                 rng.integers(0, n, size=pos)
-                block, pos = [], 0
+                block, pos, end = [], 0, 0
                 avail = [m for m in range(n) if m not in used]
                 if not avail:
                     raise InvalidParams("no machines left for distinct placement")
@@ -475,14 +482,14 @@ def _two_choice_loads(n, width, ranges, rng):
                 else:
                     pick = rng.choice(len(avail), size=2, replace=False)
                     a, b = avail[int(pick[0])], avail[int(pick[1])]
-            if loads[a] < loads[b]:
-                m = a
-            elif loads[b] < loads[a]:
-                m = b
+            la = loads[a]
+            lb = loads[b]
+            if la < lb or (la == lb and a < b):  # the less loaded, ties to the smaller id
+                add(a)
+                loads[a] = la + 1
             else:
-                m = min(a, b)
-            used.add(m)
-            loads[m] += 1
+                add(b)
+                loads[b] = lb + 1
     return loads
 
 
@@ -502,17 +509,18 @@ def run_load_balance(cfg):
         for seed in cfg["seeds"]:
             seed = int(seed)
             if name == ECCACHE:
-                plan = build_eccache(shape, params, seed)
-                members = np.array([g.members for g in plan.groups], dtype=np.int64)
-                gids = np.arange(ranges) % len(plan.groups)
+                # build_eccache's groups as a matrix; range i sits on row i mod groups
+                members = eccache_members(shape, params, seed)
+                gids = np.arange(ranges) % len(members)
                 loads = np.bincount(members[gids].ravel(), minlength=n)
                 label = "eccache"
             elif name == CODINGSETS:
                 plan = build_codingsets(shape, params, l, seed)
+                groups = plan.groups
                 loads = [0] * n
-                for rid in range(ranges):
-                    _, chosen = plan.place_range(rid, loads)
-                    for m in chosen:
+                for gid in plan.group_ids(ranges):
+                    # through the module, where a tracer can wrap it
+                    for m in placement.select_members(groups[gid], loads, params):
                         loads[m] += 1
                 label = f"codingsets_l{l}"
             else:
@@ -560,9 +568,14 @@ def gen_workload(wcfg, capacity, seed):
 
 
 def page_payload(payload_seed, page_size):
-    """The page contents a write's payload_seed denotes."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(payload_seed), 0xFA6E)))
-    return rng.bytes(page_size)
+    """The page contents a write's payload_seed denotes.
+
+    These are the bytes of ``default_rng(seed).bytes(page_size)``: a fresh
+    PCG64 serves each 64-bit word as its low then its high 32-bit half, so
+    the raw words in little-endian order are the same stream.
+    """
+    bits = np.random.PCG64(np.random.SeedSequence((int(payload_seed), 0xFA6E)))
+    return bits.random_raw(-(-page_size // 8)).astype("<u8").tobytes()[:page_size]
 
 
 class _OpStats:

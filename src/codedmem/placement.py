@@ -11,8 +11,10 @@ count for eccache), so a plan keeps no per-range record. Loss analysis
 counts all of a group's extended members as its copyset universe.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ CODINGSETS = "codingsets"
 ECCACHE = "eccache"
 
 MC_CHUNK_TRIALS = 5000  # trials per spawned seed; fixes the estimate for a seed
-MC_BLOCK_BYTES = 2 << 20  # cap on the int64 machine ids a trial block holds at once
+MC_BLOCK_BYTES = 2 << 20  # cap on the bytes of draws or incidence ids a trial block holds
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ class ClusterShape:
             )
 
 
-@dataclass(frozen=True)
-class ExtendedGroup:
+class ExtendedGroup(NamedTuple):
     """A placement group: k+r+l candidate machines for one coding group."""
 
     index: int
@@ -75,17 +76,19 @@ class PlacementPlan:
 
     def group_for_range(self, range_id):
         """Group index that hosts the given address range."""
+        if isinstance(range_id, bool) or not isinstance(range_id, (int, np.integer)):
+            raise InvalidParams(f"range id must be an integer, got {range_id!r}")
+        if range_id < 0:
+            raise InvalidParams(f"range id must be >= 0, got {range_id}")
         if self.scheme == ECCACHE:
-            return range_id % len(self.groups)
+            return int(range_id) % len(self.groups)
         return int(self._uniform_assignment(range_id + 1)[range_id])
 
-    def place_range(self, range_id, loads):
-        """The group and members for a range under the given loads."""
-        gid = self.group_for_range(range_id)
-        group = self.groups[gid]
+    def group_ids(self, count):
+        """Group indices of ranges 0 .. count-1, as group_for_range gives them."""
         if self.scheme == ECCACHE:
-            return gid, list(group.members)
-        return gid, select_members(group, loads, self.params)
+            return [rid % len(self.groups) for rid in range(count)]
+        return self._uniform_assignment(count)[:count].tolist()
 
 
 def build_codingsets(shape, params, l, seed):
@@ -100,15 +103,13 @@ def build_codingsets(shape, params, l, seed):
     n = shape.machines
     if n < width:
         raise InvalidParams(f"need at least k+r+l = {width} machines, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n).tolist()
     count = n // width
     groups = []
     for i in range(count):
-        members = perm[i * width : (i + 1) * width]
-        if i == count - 1:
-            members = perm[i * width :]  # fold the remainder into the last group
-        groups.append(ExtendedGroup(i, tuple(sorted(int(m) for m in members)), l))
+        # the last group folds in the remainder
+        members = perm[i * width : (i + 1) * width if i < count - 1 else n]
+        groups.append(ExtendedGroup(i, tuple(sorted(members)), l))
     return PlacementPlan(CODINGSETS, shape, params, l, seed, groups)
 
 
@@ -138,15 +139,19 @@ def build_eccache(shape, params, seed):
     slab on each of its k+r members, so a cluster of N machines supports
     N*S/(k+r) groups.
     """
+    rows = eccache_members(shape, params, seed)
+    groups = [ExtendedGroup(i, members, 0) for i, members in enumerate(map(tuple, rows.tolist()))]
+    return PlacementPlan(ECCACHE, shape, params, 0, seed, groups)
+
+
+def eccache_members(shape, params, seed):
+    """The groups x (k+r) matrix of machine ids build_eccache draws, one row per group."""
     width = params.k + params.r
     n = shape.machines
     if n < width:
         raise InvalidParams(f"need at least k+r = {width} machines, got {n}")
     count = max(1, round(n * shape.slabs_per_machine / width))
-    rng = np.random.default_rng(seed)
-    rows = _distinct_rows(rng, count, width, n)
-    groups = [ExtendedGroup(i, tuple(row), 0) for i, row in enumerate(rows.tolist())]
-    return PlacementPlan(ECCACHE, shape, params, 0, seed, groups)
+    return _distinct_rows(np.random.default_rng(seed), count, width, n)
 
 
 def select_members(group, loads, params):
@@ -166,8 +171,6 @@ def count_copysets(plan, params):
     if plan.scheme == CODINGSETS:
         # groups are disjoint, so per-group counts never overlap
         return sum(math.comb(len(g.members), size) for g in plan.groups)
-    import itertools
-
     seen = set()
     for g in plan.groups:
         for combo in itertools.combinations(sorted(g.members), size):
@@ -205,13 +208,18 @@ def loss_probability_analytic(scheme, shape, params, l):
 
 
 def _incidence_table(plan, n):
-    """machine -> padded row of group ids (-1 pads), for vectorized overlap."""
+    """machine -> padded row of group ids (-1 pads), for vectorized overlap.
+
+    The ids take the narrowest signed type that holds the group count,
+    int16 up to 32,767 groups, so the per-trial sort moves fewer bytes.
+    """
     lists = [[] for _ in range(n)]
     for g in plan.groups:
         for m in g.members:
             lists[m].append(g.index)
     width = max(1, max(len(v) for v in lists))
-    table = np.full((n, width), -1, dtype=np.int64)
+    dtype = np.int16 if len(plan.groups) <= np.iinfo(np.int16).max else np.int32
+    table = np.full((n, width), -1, dtype=dtype)
     for m, v in enumerate(lists):
         table[m, : len(v)] = v
     return table
@@ -232,7 +240,20 @@ def _failure_sets(rng, spare, rows, failures, n):
     draws = rng.integers(0, n, size=(rows, 2 * failures))
     out = draws[:, :failures].copy()
     head = np.sort(out, axis=1)
-    for i in np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1)):
+    bad = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+    # sort (id, draw position) keys: an id's first draw leads its equals
+    stream = draws[bad]
+    span = 2 * failures
+    keys = np.sort(stream * span + np.arange(span), axis=1)
+    ids = keys // span
+    lead = np.ones(keys.shape, dtype=bool)
+    lead[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    first = np.zeros_like(lead)
+    np.put_along_axis(first, keys - ids * span, lead, axis=1)
+    keep = first & (np.cumsum(first, axis=1) <= failures)
+    full = keep.sum(axis=1) == failures
+    out[bad[full]] = stream[full][keep[full]].reshape(-1, failures)
+    for i in bad[~full]:
         seen = dict.fromkeys(draws[i].tolist())  # keeps first-draw order
         while len(seen) < failures:
             seen.update(dict.fromkeys(spare.integers(0, n, failures - len(seen)).tolist()))
@@ -264,8 +285,9 @@ def loss_probability_montecarlo(plan, shape, params, trials, seed):
     table = _incidence_table(plan, n)
     n_chunks = -(-trials // MC_CHUNK_TRIALS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    row_ids = max(2 * failures, failures * table.shape[1])
-    block = max(1, MC_BLOCK_BYTES // (8 * row_ids))
+    # a trial row holds 2*failures int64 draws and failures*width incidence ids
+    row_bytes = max(16 * failures, table.itemsize * failures * table.shape[1])
+    block = max(1, MC_BLOCK_BYTES // row_bytes)
     losses = 0
     run = size - 1  # r+1 equal ids in a sorted row span this distance
     for ci in range(n_chunks):
@@ -275,7 +297,7 @@ def loss_probability_montecarlo(plan, shape, params, trials, seed):
         for lo in range(0, t, block):
             rows = min(block, t - lo)
             failed = _failure_sets(rng, spare, rows, failures, n)
-            hit = np.sort(table[failed].reshape(rows, -1), axis=1)
+            hit = np.sort(table.take(failed, axis=0).reshape(rows, -1), axis=1)
             same = (hit[:, run:] == hit[:, : hit.shape[1] - run]) & (hit[:, run:] >= 0)
             losses += int(same.any(axis=1).sum())
     est = losses / trials

@@ -308,12 +308,24 @@ BALANCE_2000_ROWS = [
 ]
 
 
+# SHA-256 of run_load_balance(BALANCE_2000) rows at seeds [1, 2], fields
+# joined by "," and rows by "\n"; recorded on the commit before the
+# two-choice, codingsets and eccache balance loops were rewritten
+BALANCE_2000_SEEDS_1_2_DIGEST = "5b4c3c9b63a1ff955bb345f91ec124552af0a00c14f2b5db68bc9f7550cb89bf"
+
+
 class TestPinnedBalanceRows:
     def test_rows_of_2000_machines(self):
         header, rows = analysis.run_load_balance(BALANCE_2000)
         chash = analysis.config_hash(BALANCE_2000)
         assert all(row[1] == chash for row in rows)
         assert [row[:1] + row[2:] for row in rows] == BALANCE_2000_ROWS
+
+    def test_digest_of_2000_machines_seeds_1_2(self):
+        _, rows = analysis.run_load_balance(cfg_of(BALANCE_2000, seeds=[1, 2]))
+        assert [row[2] for row in rows[::2]] == ["eccache", "codingsets_l2", "power_of_two"]
+        text = "\n".join(",".join(row) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == BALANCE_2000_SEEDS_1_2_DIGEST
 
     def test_power_of_two_on_10000_machines(self):
         cfg = cfg_of(
@@ -451,6 +463,14 @@ class TestWorkload:
             assert 0 <= rid < 2
             assert 0 <= page < 32
             assert (pseed is None) == (op == "R")
+
+
+class TestPagePayload:
+    @pytest.mark.parametrize("size", [1, 63, 64, 4096, 4097])
+    @pytest.mark.parametrize("seed", [0, 1, 0xFA6E, 2**32 - 1])
+    def test_equals_generator_bytes(self, seed, size):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFA6E)))
+        assert analysis.page_payload(seed, size) == rng.bytes(size)
 
 
 class TestEmit:

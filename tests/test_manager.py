@@ -15,7 +15,12 @@ import pytest
 
 from codedmem import coding, placement, simulator
 from codedmem.coding import CodecParams
-from codedmem.errors import CapacityExhausted, UncorrectableCorruption, UnrecoverableRead
+from codedmem.errors import (
+    CapacityExhausted,
+    InvalidParams,
+    UncorrectableCorruption,
+    UnrecoverableRead,
+)
 from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.simulator import Cluster, FaultScript, LatencyModel
 
@@ -58,6 +63,14 @@ class TestMapRange:
         _, mgr = build(3, CodecParams(k=2, r=1), l=0, cluster=cluster)
         with pytest.raises(CapacityExhausted):
             mgr.map_range(0)
+
+    @pytest.mark.parametrize("range_id", [-1, -5000, 2.0, "0"])
+    def test_bad_range_id_rejected(self, range_id):
+        _, mgr = build(6, CodecParams(k=2, r=1), l=3)
+        mgr.map_range(0)
+        with pytest.raises(InvalidParams, match="range id"):
+            mgr.map_range(range_id)
+        assert list(mgr.ranges) == [0]
 
     def test_page_capacity(self):
         _, mgr = build(3, CodecParams(k=2, r=1))

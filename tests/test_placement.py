@@ -311,6 +311,62 @@ class TestMonteCarloLoss:
         assert time.monotonic() - started < 30.0
 
 
+def reference_montecarlo(plan, sh, params, trials, seed):
+    """loss_probability_montecarlo with an int64 incidence table, one block
+    per chunk, and failure sets drawn one id at a time."""
+    n = sh.machines
+    failures = math.floor(n * sh.failure_fraction)
+    lists = [[] for _ in range(n)]
+    for g in plan.groups:
+        for m in g.members:
+            lists[m].append(g.index)
+    table = np.full((n, max(map(len, lists))), -1, dtype=np.int64)
+    for m, v in enumerate(lists):
+        table[m, : len(v)] = v
+    run = params.r
+    losses = 0
+    for ci, ss in enumerate(np.random.SeedSequence(seed).spawn(-(-trials // placement.MC_CHUNK_TRIALS))):
+        rng = np.random.default_rng(ss)
+        spare = np.random.default_rng(ss.spawn(1)[0])
+        rows = min(placement.MC_CHUNK_TRIALS, trials - ci * placement.MC_CHUNK_TRIALS)
+        if 2 * failures > n:
+            failed = np.array([rng.permutation(n)[:failures] for _ in range(rows)])
+        else:
+            failed = np.array(reference_subsets(rng, spare, rows, failures, n))
+        hit = np.sort(table[failed].reshape(rows, -1), axis=1)
+        same = (hit[:, run:] == hit[:, : hit.shape[1] - run]) & (hit[:, run:] >= 0)
+        losses += int(same.any(axis=1).sum())
+    est = losses / trials
+    return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
+
+
+class TestMonteCarloOracle:
+    """The narrow-int kernel against the int64 sort-and-compare kernel."""
+
+    @pytest.mark.parametrize("scheme, sh, params, l, trials, dtype", [
+        # 1,600 groups; a machine sits in up to ~30
+        ("eccache", shape(1000, s=16, f=0.01), CodecParams(k=8, r=2), 0, 12000, np.int16),
+        # 83 groups, the last of 16
+        ("codingsets", shape(1000, s=16, f=0.01), CodecParams(k=8, r=2), 2, 12000, np.int16),
+        # 7 groups of 7, the last folds in the 50th machine
+        ("codingsets", shape(50, f=0.1), CodecParams(k=4, r=2), 1, 6000, np.int16),
+        # 16 failed of 30: failure sets are permutation heads
+        ("eccache", shape(30, f=0.54), CodecParams(k=2, r=7), 0, 3000, np.int16),
+        ("codingsets", shape(30, f=0.54), CodecParams(k=2, r=7), 1, 3000, np.int16),
+        # 33,333 groups take the int32 table
+        ("eccache", shape(2000, s=100, f=0.005), CodecParams(k=4, r=2), 0, 300, np.int32),
+    ])
+    def test_matches_int64_kernel(self, scheme, sh, params, l, trials, dtype):
+        if scheme == "eccache":
+            plan = placement.build_eccache(sh, params, seed=4)
+        else:
+            plan = placement.build_codingsets(sh, params, l=l, seed=4)
+        assert placement._incidence_table(plan, sh.machines).dtype == dtype
+        got = placement.loss_probability_montecarlo(plan, sh, params, trials, seed=9)
+        assert got == reference_montecarlo(plan, sh, params, trials, seed=9)
+        assert 0.0 < got[0] < 1.0
+
+
 def reference_subsets(rng, spare, rows, failures, n):
     """First ``failures`` distinct ids of each row's stream, one id at a time."""
     out = []
@@ -404,16 +460,36 @@ class TestAssignment:
         counts = np.bincount(a, minlength=10)
         assert counts.min() > 120  # roughly uniform over 10 groups (mean 200)
 
-    def test_place_range_records_assignment(self):
-        plan = placement.build_codingsets(shape(12), CodecParams(k=2, r=1), l=1, seed=2)
-        loads = dict.fromkeys(range(12), 0.0)
-        gid, members = plan.place_range(5, loads)
+    def test_range_members_come_from_its_group(self):
+        params = CodecParams(k=2, r=1)
+        plan = placement.build_codingsets(shape(12), params, l=1, seed=2)
+        gid = plan.group_for_range(5)
         assert 0 <= gid < 3  # 12/(2+1+1) = 3 groups
+        members = placement.select_members(plan.groups[gid], dict.fromkeys(range(12), 0.0), params)
         assert len(members) == 3
         assert set(members) <= set(plan.groups[gid].members)
 
     def test_eccache_range_is_its_group(self):
         plan = placement.build_eccache(shape(30, s=2), CodecParams(k=2, r=1), seed=3)
-        gid, members = plan.place_range(7, dict.fromkeys(range(30), 0.0))
-        assert gid == 7
-        assert tuple(members) == tuple(plan.groups[7].members)
+        assert [plan.group_for_range(i) for i in (7, 27)] == [7, 7]  # 20 groups
+
+    @pytest.mark.parametrize("scheme", ["codingsets", "eccache"])
+    def test_group_ids_match_group_for_range(self, scheme):
+        plan = self.plan(scheme)
+        expect = [plan.group_for_range(i) for i in range(3000)]
+        assert plan.group_ids(3000) == expect
+        assert plan.group_for_range(np.int64(2999)) == expect[2999]
+
+    @pytest.mark.parametrize("scheme", ["codingsets", "eccache"])
+    @pytest.mark.parametrize("range_id", [-1, -5000, 1.0, "3", True, None])
+    def test_bad_range_id_rejected(self, scheme, range_id):
+        plan = self.plan(scheme)
+        plan.group_ids(1024)  # fill the assignment cache; -1 must not index its end
+        with pytest.raises(InvalidParams, match="range id"):
+            plan.group_for_range(range_id)
+
+    @staticmethod
+    def plan(scheme):
+        if scheme == "codingsets":
+            return placement.build_codingsets(shape(60), CodecParams(k=4, r=2), l=0, seed=1)
+        return placement.build_eccache(shape(30, s=2), CodecParams(k=2, r=1), seed=3)
