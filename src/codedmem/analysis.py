@@ -274,7 +274,9 @@ def _validate_datapath(cfg):
             _is_number(wl["read_fraction"]) and 0.0 <= wl["read_fraction"] <= 1.0,
             "workload.read_fraction must be in [0, 1]",
         )
-    for base in cfg.get("baselines", []):
+    baselines = cfg.get("baselines", [])
+    _require(isinstance(baselines, list), "baselines must be a list")
+    for base in baselines:
         _require(isinstance(base, dict), "each baseline must be a mapping")
         name = base.get("name")
         _require(name in BASELINES, f"unknown baseline {name!r}")

@@ -11,6 +11,7 @@ payloads to ``gf256.apply_matrix`` and joins the k data rows into a page.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,9 +20,6 @@ from . import gf256
 from .errors import InsufficientSplits, InvalidParams, LengthMismatch, UncorrectableCorruption
 
 PAGE_SIZE = 4096
-
-DATA = "data"
-PARITY = "parity"
 
 # recovery modes for min_splits
 MODES = ("failure", "detect", "correct")
@@ -36,6 +34,10 @@ class CodecParams:
     delta: int = 0
 
     def __post_init__(self):
+        for name in ("k", "r", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise InvalidParams(f"k must be >= 1, got {self.k}")
         if self.r < 0:
@@ -54,7 +56,6 @@ class Split(NamedTuple):
     """
 
     index: int
-    kind: str
     data: bytes
 
 
@@ -102,7 +103,7 @@ def split_page(page, k):
         raise InvalidParams(f"k must be >= 1, got {k}")
     size = -(-len(page) // k)
     padded = page + b"\x00" * (size * k - len(page))
-    return [Split(i, DATA, padded[i * size : (i + 1) * size]) for i in range(k)]
+    return [Split(i, padded[i * size : (i + 1) * size]) for i in range(k)]
 
 
 def _rows(codec, data, indices):
@@ -128,7 +129,7 @@ def encode(codec, data_splits):
         raise LengthMismatch("data splits differ in length")
     ordered = sorted(data_splits, key=lambda s: s.index)
     parity = _rows(codec, [s.data for s in ordered], range(k, k + r))
-    return [Split(k + i, PARITY, row) for i, row in enumerate(parity)]
+    return [Split(k + i, row) for i, row in enumerate(parity)]
 
 
 def _generator_row(codec, index):
@@ -171,7 +172,7 @@ def _first_k(codec, splits):
 
 def _reconstruct_data(codec, use):
     # the indices in `use` are distinct, so the tuples sort by index alone
-    indices, _, rows = zip(*sorted(use))
+    indices, rows = zip(*sorted(use))
     if len(set(map(len, rows))) > 1:
         raise LengthMismatch("splits differ in length")
     k = codec.params.k

@@ -38,23 +38,6 @@ def gf_inv(a):
     return _EXP[255 - _LOG[a]]
 
 
-def gf_div(a, b):
-    return gf_mul(a, gf_inv(b))
-
-
-def mat_mul(a, b):
-    """Product of two GF(2^8) matrices given as nested lists."""
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc ^= gf_mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
-
-
 def mat_inv(m):
     """Invert a square GF(2^8) matrix by Gauss-Jordan elimination.
 

@@ -15,8 +15,11 @@ the check of the whole set; past delta corrupted splits the read
 delivers `corrupt-unrecoverable`. Machines whose splits keep failing
 verification are put in suspect mode (wide fan-out from the start).
 
-A ref has no state of its own: it reads its slab's, so a split is
-available, regenerating, or lost (`simulator.LOST`). A lost split moves
+A range's `refs` are its slabs, indexed by role: slot `role` of the
+codeword is whichever slab `refs[role]` names now, and its state is that
+slab's, so a split is available, regenerating, or lost
+(`simulator.LOST`). Code that holds a slot across a delay keeps its role
+and reads `refs[role]` again when it acts. A lost split moves
 to a fresh slab on a spare member of the range's own group, never
 outside it; the slab it leaves, a slab whose rebuild aborts, and every
 slab on a recovered machine are freed, so a stale slab never reads as
@@ -31,7 +34,7 @@ that `relocate` placed. It takes each page's queue like a foreground op,
 so a page is never read for a rebuild while a write to it is in flight;
 foreground writes keep flowing, backfill the new slab directly, and the
 rebuild skips the pages that already landed. A rebuild whose slab is
-lost before it is whole aborts and asks for its rebuild again. A ref
+lost before it is whole aborts and asks for its rebuild again. A slot
 that found no spare asks again when a member of its group recovers or
 frees room: an eviction, or an aborted rebuild that frees its slab.
 `promote` logs a rebuild's `complete` row; every other outcome (aborted,
@@ -50,7 +53,8 @@ stays degraded, since a recovering machine's slabs are stale and freed.
 A page op hands its bound `_on_split` to every split I/O it issues, with
 no closure per split. A read takes a split's role from the slab that
 served it; a write keeps a slab id -> role map, since a refused split has
-no slab to ask. The splits a read decodes are `coding.Split` named tuples.
+no slab to ask. The splits a read decodes are `coding.Split` named tuples
+of (index, data).
 
 A page read or write is its own completion: once `done`, its caller
 reads the outcome and the timeline from the op, and `on_done` receives
@@ -68,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding
-from .coding import DATA, PARITY, Split, make_codec
+from .coding import Split, make_codec
 from .errors import (
     CapacityExhausted,
     InvalidParams,
@@ -76,23 +80,7 @@ from .errors import (
     UnrecoverableRead,
 )
 from .placement import ExtendedGroup, select_members
-from .simulator import AVAILABLE, LOST, REGENERATING, UP, Slab, SlabState
-
-
-@dataclass
-class SlabRef:
-    """One slot of a range's codeword: the slab that holds split `role`."""
-
-    role: int
-    slab: Slab
-
-    @property
-    def machine_id(self):
-        return self.slab.machine_id
-
-    @property
-    def slab_id(self):
-        return self.slab.slab_id
+from .simulator import AVAILABLE, LOST, REGENERATING, UP, SlabState
 
 
 @dataclass
@@ -100,12 +88,12 @@ class AddressRange:
     range_id: int
     group_id: int
     group_members: tuple
-    refs: list
+    refs: list  # the slab that holds each split, indexed by role
     page_capacity: int
     written_pages: set = field(default_factory=set)
 
     def healthy_refs(self):
-        return [ref for ref in self.refs if ref.slab.state is AVAILABLE]
+        return [slab for slab in self.refs if slab.state is AVAILABLE]
 
 
 ERROR_CORRECTION_LIMIT = 0.05  # error rate above which a machine is suspect
@@ -219,11 +207,11 @@ class _WriteOp(_PageOp):
         if len(healthy) < k:
             self._finish("write-failed")
             return
-        data_refs = [r for r in healthy if r.role < k]
-        parity_refs = [r for r in healthy if r.role >= k]
+        data_refs = [s for s in healthy if s.role < k]
+        parity_refs = [s for s in healthy if s.role >= k]
         delay = 0 if mgr.config.in_place_coding else mgr.copy_ns
         if mgr.config.async_parity and len(data_refs) == k:
-            self.wave1_roles = [r.role for r in data_refs]
+            self.wave1_roles = [s.role for s in data_refs]
         else:
             # parity enters the ack path, so the encode cost does too
             self._encode()
@@ -234,7 +222,7 @@ class _WriteOp(_PageOp):
                 wave = data_refs + parity_refs[:need]
             else:
                 wave = healthy
-            self.wave1_roles = [r.role for r in wave]
+            self.wave1_roles = [s.role for s in wave]
         if len(self.wave1_roles) < k:
             self._finish("write-failed")
             return
@@ -255,18 +243,18 @@ class _WriteOp(_PageOp):
 
     def _issue(self, role, delay=0, fill=False):
         mgr = self.mgr
-        ref = self.arange.refs[role]
         self.fanout += 1
         self.outstanding += 1
         payload = self._split_bytes(role)
         if delay:
-            mgr.cluster.schedule(delay, lambda: self._submit(ref, payload, fill))
+            mgr.cluster.schedule(delay, lambda: self._submit(role, payload, fill))
         else:
-            self._submit(ref, payload, fill)
+            self._submit(role, payload, fill)
 
-    def _submit(self, ref, payload, fill):
-        slab = ref.slab
-        self.roles[slab.slab_id] = ref.role
+    def _submit(self, role, payload, fill):
+        # the slot may have been relocated during the delay
+        slab = self.arange.refs[role]
+        self.roles[slab.slab_id] = role
         self.mgr.cluster.write_split(
             slab.machine_id, slab.slab_id, self.page_index, payload, self._on_split, fill=fill
         )
@@ -305,17 +293,17 @@ class _WriteOp(_PageOp):
         mgr = self.mgr
         self.wave2_issued = True
         rest = [
-            ref
-            for ref in self.arange.refs
-            if ref.role not in self.wave1_roles and ref.slab.state not in LOST
+            slab
+            for slab in self.arange.refs
+            if slab.role not in self.wave1_roles and slab.state not in LOST
         ]
         if not rest:
             return
         delay = 0 if self.parity is not None else mgr.encode_ns
         self._encode()
-        for ref in rest:
+        for slab in rest:
             # a slab mid-regeneration only takes backfill writes
-            self._issue(ref.role, delay, fill=ref.slab.state is REGENERATING)
+            self._issue(slab.role, delay, fill=slab.state is REGENERATING)
 
     def _finish(self, outcome):
         self.outcome = outcome
@@ -363,7 +351,7 @@ class _ReadOp(_PageOp):
         width = k + delta
         if mgr.config.corruption_guard:
             wide = self.force_correction or any(
-                mgr.health[ref.machine_id].suspect for ref in healthy
+                mgr.health[slab.machine_id].suspect for slab in healthy
             )
             if wide:
                 width = k + 2 * delta + 1
@@ -372,31 +360,32 @@ class _ReadOp(_PageOp):
         self.need = width if self.guarded else k
         picked = mgr.rng.permutation(len(healthy))[:width].tolist()
         targets = [healthy[i] for i in picked]
-        self.targets = tuple([ref.role for ref in targets])
-        for ref in targets:
-            self._issue(ref)
+        self.targets = tuple([slab.role for slab in targets])
+        for slab in targets:
+            self._issue(slab)
 
-    def _issue(self, ref):
+    def _issue(self, slab):
         mgr = self.mgr
         self.fanout += 1
         self.outstanding += 1
         if mgr.config.in_place_coding:
-            slab = ref.slab
             mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
         else:
-            mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(ref))
+            role = slab.role
+            mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(role))
 
-    def _submit(self, ref):
-        slab = ref.slab
+    def _submit(self, role):
+        # the slot may have been relocated during the copy delay
+        slab = self.arange.refs[role]
         self.mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
 
     def _ask(self, count):
-        """Issue up to `count` healthy refs not yet asked; how many were."""
+        """Issue up to `count` healthy slabs not yet asked; how many were."""
         used = set(self.targets)
-        spares = [ref for ref in self.arange.healthy_refs() if ref.role not in used][:count]
-        self.targets += tuple(ref.role for ref in spares)
-        for ref in spares:
-            self._issue(ref)
+        spares = [slab for slab in self.arange.healthy_refs() if slab.role not in used][:count]
+        self.targets += tuple(slab.role for slab in spares)
+        for slab in spares:
+            self._issue(slab)
         return len(spares)
 
     def _on_split(self, io):
@@ -420,10 +409,7 @@ class _ReadOp(_PageOp):
         mgr = self.mgr
         params = mgr.codec.params
         k, delta = params.k, params.delta
-        splits = [
-            Split(role, DATA if role < k else PARITY, data)
-            for _, role, data in sorted(self.arrivals)
-        ]
+        splits = [Split(role, data) for _, role, data in sorted(self.arrivals)]
         if len(splits) < k:
             self._deliver("unrecoverable", None)
             return
@@ -482,27 +468,31 @@ class _ReadOp(_PageOp):
 
 
 class _Rebuild:
-    """Rebuilds the slab of one ref, one page at a time.
+    """Rebuilds the slab in one slot of a range, one page at a time.
 
     The record is also its own entry in the queue of the page it works
     on; once `done`, `succeeded` says whether the slab was made whole.
     """
 
-    __slots__ = ("mgr", "arange", "role", "ref", "page", "pages", "done", "succeeded")
+    __slots__ = ("mgr", "arange", "role", "page", "pages", "done", "succeeded")
 
     def __init__(self, mgr, range_id, role):
         self.mgr = mgr
         self.arange = mgr.ranges[range_id]
         self.role = role
-        self.ref = self.arange.refs[role]
         self.page = None
         self.pages = []
         self.done = False
         self.succeeded = False
 
+    @property
+    def slab(self):
+        """The slab in the slot now: `relocate` may have replaced it."""
+        return self.arange.refs[self.role]
+
     def begin(self):
         mgr = self.mgr
-        if self.ref.slab.state is AVAILABLE:
+        if self.slab.state is AVAILABLE:
             self._finish(True)
         elif len(self.arange.healthy_refs()) < mgr.codec.params.k:
             self._abort(retry=False, outcome="no_quorum")
@@ -514,7 +504,7 @@ class _Rebuild:
             self._next_page()
 
     def _next_page(self):
-        slab = self.ref.slab
+        slab = self.slab
         while slab.state is REGENERATING:
             if not self.pages:
                 if self.mgr.promote(self.arange, self.role):
@@ -533,7 +523,7 @@ class _Rebuild:
 
     def start(self):
         """Read the page once the rebuild heads its queue."""
-        slab = self.ref.slab
+        slab = self.slab
         if slab.state is not REGENERATING or self.page in slab.store:
             self._page_done(advance=True)
             return
@@ -551,12 +541,12 @@ class _Rebuild:
         mgr.cluster.schedule(delay, lambda: self._fill(payload))
 
     def _fill(self, payload):
-        ref = self.ref
-        if ref.slab.state is not REGENERATING:
+        slab = self.slab
+        if slab.state is not REGENERATING:
             self._page_done(advance=True)
             return
         self.mgr.cluster.write_split(
-            ref.machine_id, ref.slab_id, self.page, payload, self._on_fill, fill=True
+            slab.machine_id, slab.slab_id, self.page, payload, self._on_fill, fill=True
         )
 
     def _on_fill(self, completion):
@@ -571,9 +561,9 @@ class _Rebuild:
             self._next_page()
 
     def _abort(self, retry, outcome="aborted"):
-        """Free the unfinished slab, so the ref reads as lost, and log why."""
+        """Free the unfinished slab, so the slot reads as lost, and log why."""
         mgr = self.mgr
-        slab = self.ref.slab
+        slab = self.slab
         freed = slab.state is REGENERATING
         if freed or slab.state is SlabState.FAILED:
             mgr.cluster.free_slab(slab.slab_id)
@@ -582,7 +572,7 @@ class _Rebuild:
         if retry:
             mgr._request_regen(self.arange.range_id, self.role)
         if freed:
-            # only refs parked for want of a spare: one whose read failed
+            # only slots parked for want of a spare: one whose read failed
             # would abort again and free the same room, without end
             mgr._retry_parked(slab.machine_id, parked_only=True)
 
@@ -610,7 +600,7 @@ class ResilienceManager:
         self.health = defaultdict(MachineHealth)
         self.regeneration_requests = []
         self._regen_requested = set()
-        self._parked = set()  # refs whose last rebuild found no spare
+        self._parked = set()  # (range, role) slots whose last rebuild found no spare
         self._locks = {}
         self._group_ranges = defaultdict(list)  # machine -> ranges whose group holds it
         m = cluster.latency
@@ -655,7 +645,7 @@ class ResilienceManager:
             )
             if slab is None:
                 raise CapacityExhausted(f"machine {machine_id} out of memory")
-            refs.append(SlabRef(role=role, slab=slab))
+            refs.append(slab)
         arange = AddressRange(
             range_id=range_id,
             group_id=gid,
@@ -689,14 +679,10 @@ class ResilienceManager:
         self.drive(op)
         return op.completion
 
-    def remote_read(self, range_id, page_index):
-        op = self.submit_read(range_id, page_index)
-        self.drive(op)
-        return self._unwrap(op)
-
-    def read_with_correction(self, range_id, page_index):
-        """Read with the full correction fan-out from the first hop."""
-        op = self.submit_read(range_id, page_index, force_correction=True)
+    def remote_read(self, range_id, page_index, force_correction=False):
+        """The page's bytes; `force_correction` fans out to k+2*delta+1
+        from the first hop under the corruption guard."""
+        op = self.submit_read(range_id, page_index, force_correction=force_correction)
         self.drive(op)
         return self._unwrap(op)
 
@@ -753,20 +739,19 @@ class ResilienceManager:
         # slab sits on a member of its range's group, and the ranges come in
         # mapping order
         for arange in self._group_ranges.get(machine_id, ()):
-            for ref in arange.refs:
-                slab = ref.slab
+            for slab in arange.refs:
                 if slab.machine_id == machine_id and slab.state is SlabState.FAILED:
-                    self._request_regen(arange.range_id, ref.role)
+                    self._request_regen(arange.range_id, slab.role)
 
     def _on_eviction(self, slab):
         arange = self.ranges.get(slab.owner)
-        if arange is not None and arange.refs[slab.role].slab is slab:
+        if arange is not None and arange.refs[slab.role] is slab:
             self._request_regen(arange.range_id, slab.role)
         self._retry_parked(slab.machine_id)
 
     def _on_recover(self, machine_id):
-        # every ref on the machine was failed at disconnect and has missed
-        # writes since, so none of its slabs may serve again
+        # every slab on the machine was failed at disconnect and has missed
+        # writes since, so none may serve again
         machine = self.cluster.machines[machine_id]
         for slab in list(machine.slabs.values()):
             if slab.owner is not None and slab.state is not SlabState.EVICTED:
@@ -774,13 +759,13 @@ class ResilienceManager:
         self._retry_parked(machine_id)
 
     def _retry_parked(self, machine_id, parked_only=False):
-        """Request again the rebuild of each lost ref whose group holds
+        """Request again the rebuild of each lost slot whose group holds
         `machine_id`, which may be a spare with room now; with
-        `parked_only`, only of the refs whose last rebuild found no spare."""
+        `parked_only`, only of the slots whose last rebuild found no spare."""
         for arange in self._group_ranges.get(machine_id, ()):
-            for ref in arange.refs:
-                key = (arange.range_id, ref.role)
-                if ref.slab.state in LOST and (not parked_only or key in self._parked):
+            for slab in arange.refs:
+                key = (arange.range_id, slab.role)
+                if slab.state in LOST and (not parked_only or key in self._parked):
                     self._request_regen(*key)
 
     def relocate(self, arange, role):
@@ -788,15 +773,15 @@ class ResilienceManager:
 
         A fresh slab goes on the least-loaded member of the range's group
         (ties to the lower id) that is up, has room, and hosts no other
-        live split of the range. It starts REGENERATING, and the slab the
-        ref leaves is freed if the cluster still holds it, evicted or not.
-        None when the group has no such spare.
+        live split of the range. It starts REGENERATING, takes the slot,
+        and the slab it replaces is freed if the cluster still holds it,
+        evicted or not. None when the group has no such spare.
         """
-        ref = arange.refs[role]
-        if ref.slab.state not in LOST:
-            return ref.slab
+        old = arange.refs[role]
+        if old.state not in LOST:
+            return old
         machines = self.cluster.machines
-        hosting = {r.machine_id for r in arange.refs if r.slab.state not in LOST}
+        hosting = {s.machine_id for s in arange.refs if s.state not in LOST}
         spares = [
             m
             for m in arange.group_members
@@ -814,19 +799,19 @@ class ResilienceManager:
             split_size=self.codec.split_size,
         )
         slab.state = REGENERATING
-        old, ref.slab = ref.slab, slab
+        arange.refs[role] = slab
         if old.slab_id in self.cluster.slabs:
             self.cluster.free_slab(old.slab_id)
         return slab
 
     def promote(self, arange, role):
-        """True once the ref's slab is AVAILABLE.
+        """True once the slab in slot `role` is AVAILABLE.
 
         A REGENERATING slab that holds every written page becomes AVAILABLE
         here, whichever write filled its last page, and its rebuild logs its
         `complete` row.
         """
-        slab = arange.refs[role].slab
+        slab = arange.refs[role]
         if slab.state is REGENERATING and arange.written_pages.issubset(slab.store):
             slab.state = AVAILABLE
             self.cluster.log("regenerate", f"r{arange.range_id}:role{role}", "complete")

@@ -5,9 +5,10 @@ sequence) order, so identical inputs and seeds replay identical histories.
 A heap entry is the only scheduled object; clearing its callable cancels
 it, and a cancelled entry never runs nor moves the clock.
 A split I/O concludes in one place, `_InflightIo.arrive`, which hands the
-record to the caller's `on_done`. A machine keeps the splits in flight to
-it in submission order, so a failure cuts them off in that order, never in
-the order their records happen to sit in memory.
+record to the caller's `on_done`. A split in flight is its heap entry and
+nothing else: a failing machine finds its accepted splits in the heap and
+cuts them off in submission (`seq`) order, never in the order their
+records happen to sit in memory.
 Machines expose slab storage with split-granularity reads and writes whose
 latencies come from a seeded lognormal model with straggler and
 background-load effects; fault scripts inject failures, recoveries,
@@ -128,7 +129,6 @@ class Machine:
         self.total_bytes = total_bytes
         self.state = MachineState.UP
         self.slabs = {}
-        self.pending = {}  # split I/Os in flight, in submission order (values unused)
         self.slab_bytes = 0  # bytes of non-evicted slabs, kept by allocate/evict/free
         self._cluster = cluster
 
@@ -231,8 +231,7 @@ class Cluster:
         elif state is AVAILABLE or (state is REGENERATING and fill):
             io.slab = slab
             background = self.background_level() if self._background else 1.0
-            io.event = self.schedule_at(self.now + self.latencies.draw(background), io.arrive)
-            machine.pending[io] = None
+            self.schedule_at(self.now + self.latencies.draw(background), io.arrive)
             return io
         else:
             # a slab mid-regeneration only takes backfill writes
@@ -258,10 +257,19 @@ class Cluster:
         for slab in machine.slabs.values():
             if slab.state is AVAILABLE or slab.state is REGENERATING:
                 slab.state = SlabState.FAILED
-        inflight = list(machine.pending)
-        machine.pending.clear()
-        for io in inflight:
-            io.event[2] = None
+        # a split in flight is the one entry whose fn is an `arrive` with no outcome yet
+        arrive = _InflightIo.arrive
+        inflight = [
+            entry
+            for entry in self._heap
+            if getattr(entry[2], "__func__", None) is arrive
+            and entry[2].__self__.outcome is None
+            and entry[2].__self__.machine_id == machine_id
+        ]
+        inflight.sort(key=lambda entry: entry[1])  # by seq: submission order
+        for entry in inflight:
+            io = entry[2].__self__
+            entry[2] = None
             io.outcome = "disconnect"
             self.schedule_at(self.now, io.arrive)
         self.log("fail", f"m{machine_id}", "down")
@@ -329,10 +337,11 @@ class Cluster:
 class _InflightIo:
     """One split I/O; once concluded it is also its completion.
 
-    `event` is its heap entry while it is in flight. `arrive` is the one
-    place it concludes: it leaves its machine's `pending`, gets its
-    `outcome` and `time_ns`, is counted, and is handed to `on_done`, usually
-    a bound method of the page op that issued it. A split refused at
+    While it is in flight, its heap entry, whose fn is its bound `arrive`,
+    is the cluster's one reference to it. `arrive` is the one place it
+    concludes: it gets its `outcome` and `time_ns`, is counted, and is
+    handed to `on_done`, usually a bound method of the page op that issued
+    it. A split refused at
     submission or cut off by a disconnect gets its `outcome` set first and
     a fresh entry at delay 0. `slab_id` is the slab it was sent to, and
     `slab` that slab once it was accepted. `data` is the payload of a
@@ -348,7 +357,6 @@ class _InflightIo:
         "data",
         "on_done",
         "slab",
-        "event",
         "outcome",
         "time_ns",
     )
@@ -362,7 +370,6 @@ class _InflightIo:
         self.data = data
         self.on_done = on_done
         self.slab = None
-        self.event = None
         self.outcome = None
         self.time_ns = None
 
@@ -373,7 +380,6 @@ class _InflightIo:
         cluster = self.cluster
         outcome = self.outcome
         if outcome is None:
-            del cluster.machines[self.machine_id].pending[self]
             slab = self.slab
             state = slab.state
             # the slab may have been lost while the request was in flight
@@ -388,7 +394,6 @@ class _InflightIo:
                 outcome = "ok"
             self.outcome = outcome
         self.time_ns = cluster.now
-        self.event = None  # the entry refers back to the record: drop the cycle
         cluster.split_outcomes[self.op, outcome] += 1
         self.on_done(self)
 

@@ -36,23 +36,24 @@ def check_invariants(manager):
         if slab.owner is not None and slab.state is SlabState.EVICTED:
             assert holders[slab.slab_id] == 1, f"evicted slab {slab.slab_id} held {holders[slab.slab_id]} times"
     for arange in manager.ranges.values():
-        hosts = [ref.machine_id for ref in arange.refs if ref.slab.state not in LOST]
+        hosts = [slab.machine_id for slab in arange.refs if slab.state not in LOST]
         assert len(hosts) == len(set(hosts)), f"range {arange.range_id} shares a machine"
-        for ref in arange.refs:
-            assert ref.machine_id in arange.group_members, (arange.range_id, ref.role)
-            if ref.slab.state not in LOST:
-                assert cluster.slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)
-                machine_slabs = cluster.machines[ref.machine_id].slabs
-                assert machine_slabs.get(ref.slab_id) is ref.slab, (arange.range_id, ref.role)
+        for role, slab in enumerate(arange.refs):
+            assert slab.role == role, (arange.range_id, role)
+            assert slab.machine_id in arange.group_members, (arange.range_id, role)
+            if slab.state not in LOST:
+                assert cluster.slabs.get(slab.slab_id) is slab, (arange.range_id, role)
+                machine_slabs = cluster.machines[slab.machine_id].slabs
+                assert machine_slabs.get(slab.slab_id) is slab, (arange.range_id, role)
     if manager.regeneration_requests:
         return
     params = manager.codec.params
     floor = params.k + (params.delta if manager.config.corruption_guard else 0)
     for arange in manager.ranges.values():
-        lost = [ref.role for ref in arange.refs if ref.slab.state in LOST]
+        lost = [slab.role for slab in arange.refs if slab.state in LOST]
         if not lost or len(arange.healthy_refs()) < floor:
             continue
-        hosting = {ref.machine_id for ref in arange.refs if ref.slab.state not in LOST}
+        hosting = {slab.machine_id for slab in arange.refs if slab.state not in LOST}
         spares = [
             m
             for m in arange.group_members

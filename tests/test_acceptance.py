@@ -93,16 +93,14 @@ def test_criterion_02_detection_correction_thresholds():
         victim = int(rng.integers(0, 9))
         corrupted = bytearray(nine[victim].data)
         corrupted[int(rng.integers(0, len(corrupted)))] ^= int(rng.integers(1, 256))
-        nine[victim] = coding.Split(nine[victim].index, nine[victim].kind, bytes(corrupted))
+        nine[victim] = coding.Split(nine[victim].index, bytes(corrupted))
         assert coding.detect_corruption(codec, nine, 1)  # corrupted: no miss
 
         eleven = list(splits)
         victim = int(rng.integers(0, 11))
         corrupted = bytearray(eleven[victim].data)
         corrupted[int(rng.integers(0, len(corrupted)))] ^= int(rng.integers(1, 256))
-        eleven[victim] = coding.Split(
-            eleven[victim].index, eleven[victim].kind, bytes(corrupted)
-        )
+        eleven[victim] = coding.Split(eleven[victim].index, bytes(corrupted))
         fixed, bad_roles = coding.correct_corruption(codec, eleven, 1)
         assert fixed == page
         assert bad_roles == {eleven[victim].index}
@@ -423,8 +421,7 @@ def test_criterion_10_regeneration_equivalence():
             data = np.random.default_rng((role, page)).bytes(PAGE)
             payload[page] = data
             assert manager.remote_write(0, page, data).outcome == "durable"
-        ref = manager.ranges[0].refs[role]
-        evicted_slab = ref.slab_id  # the ref is repointed in place on rebuild
+        evicted_slab = manager.ranges[0].refs[role].slab_id  # the slot takes a new slab on rebuild
         cluster.evict_slab(evicted_slab)
         assert manager.regeneration_requests
         monitor.drain_regeneration()

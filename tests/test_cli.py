@@ -81,6 +81,24 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"sweep {path}=" in err
 
+    @pytest.mark.parametrize(
+        "base, key, value, message",
+        [
+            (LOSS_CFG, "code", {"k": 8.0, "r": 1}, "k must be an integer"),
+            (LOSS_CFG, "code", {"k": True, "r": 1}, "k must be an integer"),
+            (LOSS_CFG, "code", {"k": 2, "r": 2, "delta": 1.5}, "delta must be an integer"),
+            (DATAPATH_CFG, "baselines", None, "baselines must be a list"),
+            (DATAPATH_CFG, "baselines", 5, "baselines must be a list"),
+        ],
+    )
+    def test_bad_field_types_exit_2(self, tmp_path, capsys, base, key, value, message):
+        cfg = dict(base, **{key: value})
+        config = dump(tmp_path, cfg)
+        for argv in (["validate-config"], [cfg["scenario"], "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", config]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = cli.main(["validate-config", "--config", str(tmp_path / "nope.yaml")])
         assert rc == 2

@@ -32,7 +32,7 @@ def random_page(rng, size=4096):
 def corrupt_split(split, offset, delta_byte):
     raw = bytearray(split.data)
     raw[offset] ^= delta_byte
-    return coding.Split(split.index, split.kind, bytes(raw))
+    return coding.Split(split.index, bytes(raw))
 
 
 class TestParams:
@@ -50,6 +50,18 @@ class TestParams:
         with pytest.raises(InvalidParams):
             coding.CodecParams(k=8, r=2, delta=3)  # delta > r
 
+    @pytest.mark.parametrize(
+        "fields", [{"k": 8.0}, {"k": True}, {"k": "8"}, {"r": 1.0}, {"r": False}, {"delta": 1.5}]
+    )
+    def test_non_integer_fields_rejected(self, fields):
+        values = dict(dict(k=8, r=2, delta=1), **fields)
+        with pytest.raises(InvalidParams, match=f"{next(iter(fields))} must be an integer"):
+            coding.CodecParams(**values)
+
+    def test_numpy_integers_accepted(self):
+        p = coding.CodecParams(k=np.int64(4), r=np.int32(2), delta=np.int8(1))
+        assert (p.k, p.r, p.delta) == (4, 2, 1)
+
 
 class TestSplitJoin:
     def test_split_lengths_k3(self):
@@ -58,7 +70,6 @@ class TestSplitJoin:
         splits = coding.split_page(page, 3)
         assert len(splits) == 3
         assert all(len(s.data) == 1366 for s in splits)
-        assert all(s.kind == coding.DATA for s in splits)
         assert [s.index for s in splits] == [0, 1, 2]
         # zero padding on the tail split only
         assert splits[2].data[-2:] == b"\x00\x00"
@@ -82,7 +93,6 @@ class TestEncode:
             parity = coding.encode(codec, data)
             assert len(parity) == 1
             assert parity[0].index == k
-            assert parity[0].kind == coding.PARITY
             expect = np.zeros(len(data[0].data), dtype=np.uint8)
             for s in data:
                 expect ^= np.frombuffer(s.data, dtype=np.uint8)
@@ -119,8 +129,8 @@ class TestEncode:
     def test_length_mismatch_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=2, r=1))
         bad = [
-            coding.Split(0, coding.DATA, b"\x01" * 8),
-            coding.Split(1, coding.DATA, b"\x02" * 9),
+            coding.Split(0, b"\x01" * 8),
+            coding.Split(1, b"\x02" * 9),
         ]
         with pytest.raises(LengthMismatch):
             coding.encode(codec, bad)

@@ -342,6 +342,38 @@ class TestDataPathKnobs:
         mgr.drive(op)
         assert issued and {t - op.started_ns for t in issued} == {mgr.copy_ns}
 
+    def test_copied_read_goes_to_the_slab_that_took_its_slot(self, monkeypatch):
+        # a target's slab is lost and its slot relocated during the copy
+        # delay: the split goes to the slab in the slot when it is sent
+        config = ManagerConfig(in_place_coding=False)
+        cluster, mgr = build(4, CodecParams(k=2, r=1), l=1, config=config)
+        arange = mgr.map_range(0)
+        page = page_of(31)
+        mgr.remote_write(0, 0, page)
+        cluster.run_until_idle()
+        sent = []
+        real = Cluster.read_split
+
+        def recorded(cluster, machine_id, slab_id, page_index, on_done):
+            sent.append(slab_id)
+            return real(cluster, machine_id, slab_id, page_index, on_done)
+
+        monkeypatch.setattr(Cluster, "read_split", recorded)
+        op = mgr.submit_read(0, 0)
+        role = op.targets[0]
+        old = arange.refs[role]
+
+        def relocate():
+            cluster.evict_slab(old.slab_id)
+            mgr.drain_regeneration()
+
+        cluster.schedule(mgr.copy_ns // 2, relocate)
+        mgr.drive(op)
+        new = arange.refs[role]
+        assert new is not old and new.role == role
+        assert new.slab_id in sent and old.slab_id not in sent
+        assert op.completion.page == page
+
 
 class TestCorruption:
     def corrupted_setup(self, seed=0):
@@ -413,7 +445,7 @@ class TestCorruption:
         assert op.completion.page is None
         assert mgr._locks == {}
         with pytest.raises(UncorrectableCorruption):
-            mgr.read_with_correction(0, 0)
+            mgr.remote_read(0, 0, force_correction=True)
         assert mgr._locks == {}
 
     def test_repeated_errors_mark_suspect_and_request_regen(self):
@@ -468,21 +500,21 @@ class TestOrderingAndEviction:
             FaultScript.from_events([{"type": "evict", "time_us": 1.0, "slab": victim.slab_id}]),
         )
         cluster.run_until_idle()
-        assert victim.slab.state in simulator.LOST
+        assert rng.refs[2].state in simulator.LOST
         assert (0, victim.role) in mgr.regeneration_requests
         assert mgr.remote_read(0, 0) == page_of(19)  # still recoverable
 
 
 def scanned_requests(mgr, machine_id, handler):
     """The rebuild requests a fault handler makes, found by scanning every
-    range in mapping order and every ref in role order."""
+    range in mapping order and every slab in role order."""
     keys = []
     for arange in mgr.ranges.values():
-        for ref in arange.refs:
-            key = (arange.range_id, ref.role)
-            state = ref.slab.state
+        for slab in arange.refs:
+            key = (arange.range_id, slab.role)
+            state = slab.state
             if handler == "disconnect":
-                hit = ref.machine_id == machine_id and state is simulator.SlabState.FAILED
+                hit = slab.machine_id == machine_id and state is simulator.SlabState.FAILED
             else:
                 hit = (
                     machine_id in arange.group_members

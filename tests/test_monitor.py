@@ -53,10 +53,10 @@ class TestEviction:
         cluster.evict_slab(victim.slab_id)
         mon.drain_regeneration()
         # the eviction requested the rebuild, and the drain started it
-        assert victim.slab.state is SlabState.REGENERATING
+        assert rng.refs[1].state is SlabState.REGENERATING
         assert (0, victim.role) in mgr._regen_requested
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
+        assert rng.refs[1].state is SlabState.AVAILABLE
 
 
 class TestRegeneration:
@@ -76,11 +76,11 @@ class TestRegeneration:
         arange = mgr.ranges[0]
         victim = arange.refs[2]
         cluster.evict_slab(victim.slab_id)
-        assert victim.slab.state in LOST
+        assert arange.refs[2].state in LOST
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
-        slab = cluster.slabs[victim.slab_id]
+        assert arange.refs[2].state is SlabState.AVAILABLE
+        slab = cluster.slabs[arange.refs[2].slab_id]
         assert slab.state is SlabState.AVAILABLE
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, 2)
@@ -89,14 +89,13 @@ class TestRegeneration:
         params = CodecParams(k=2, r=1)
         cluster, mgr, mon, payloads = self.settled(params=params)
         arange = mgr.ranges[0]
-        victim = arange.refs[0]
-        dead = victim.machine_id
+        dead = arange.refs[0].machine_id
         cluster.fail_machine(dead)
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
-        slab = cluster.slabs[victim.slab_id]
+        assert arange.refs[0].state is SlabState.AVAILABLE
+        slab = cluster.slabs[arange.refs[0].slab_id]
         assert slab.machine_id != dead
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, 0)
@@ -106,26 +105,25 @@ class TestRegeneration:
         # with r=3 a fill that computed the wrong parity row would differ
         params = CodecParams(k=4, r=3)
         cluster, mgr, mon, payloads = self.settled(params=params, n=10)
-        victim = mgr.ranges[0].refs[role]
-        cluster.evict_slab(victim.slab_id)
+        arange = mgr.ranges[0]
+        cluster.evict_slab(arange.refs[role].slab_id)
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
-        slab = cluster.slabs[victim.slab_id]
+        assert arange.refs[role].state is SlabState.AVAILABLE
+        slab = cluster.slabs[arange.refs[role].slab_id]
         for p, payload in payloads.items():
             assert slab.store[p] == expected_split(params, payload, role)
 
     def test_regen_target_avoids_range_hosts(self):
         cluster, mgr, mon, payloads = self.settled()
         arange = mgr.ranges[0]
-        hosts_before = {ref.machine_id for ref in arange.refs}
-        victim = arange.refs[1]
-        cluster.evict_slab(victim.slab_id)
+        hosts_before = {slab.machine_id for slab in arange.refs}
+        cluster.evict_slab(arange.refs[1].slab_id)
         mon.drain_regeneration()
         cluster.run_until_idle()
-        others = {ref.machine_id for ref in arange.refs if ref.role != 1}
-        assert victim.machine_id not in others
-        assert len({ref.machine_id for ref in arange.refs}) == 3
+        others = {slab.machine_id for slab in arange.refs if slab.role != 1}
+        assert arange.refs[1].machine_id not in others
+        assert len({slab.machine_id for slab in arange.refs}) == 3
 
     def test_reads_stay_correct_during_regen(self):
         cluster, mgr, mon, payloads = self.settled()
@@ -137,7 +135,7 @@ class TestRegeneration:
         mgr.drive(op)
         assert op.completion.page == payloads[1]
         cluster.run_until_idle()
-        assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        assert arange.refs[2].state is SlabState.AVAILABLE
 
     def test_writes_during_regen_reach_the_new_slab(self):
         params = CodecParams(k=2, r=1)
@@ -148,7 +146,7 @@ class TestRegeneration:
         fresh = page_of(500)
         mgr.submit_write(0, 7, fresh)
         cluster.run_until_idle()
-        assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        assert arange.refs[2].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[2].slab_id]
         assert slab.store[7] == expected_split(params, fresh, 2)
         for p, payload in payloads.items():
@@ -163,7 +161,7 @@ class TestRegeneration:
         mgr.submit_write(0, 0, page_of(501))
         (task,) = mon.drain_regeneration()
         cluster.run_until_idle()
-        assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        assert arange.refs[2].state is SlabState.AVAILABLE
         assert task.done and task.succeeded
         complete = [
             row for row in cluster.event_log if row[1:] == ("regenerate", "r0:role2", "complete")
@@ -181,7 +179,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert all(ref.slab.state in LOST for ref in arange.refs)
+        assert all(slab.state in LOST for slab in arange.refs)
         assert not any(slab.owner == 0 for slab in cluster.slabs.values())
 
     def test_recover_frees_the_slab_a_ref_left(self):
@@ -193,29 +191,29 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
+        assert arange.refs[0].state is SlabState.AVAILABLE
         assert old not in cluster.slabs
         cluster.recover_machine(dead)
         machine = cluster.machines[dead]
-        held = sum(SLAB for ref in arange.refs if ref.machine_id == dead)
+        held = sum(SLAB for slab in arange.refs if slab.machine_id == dead)
         assert machine.free_bytes == machine.total_bytes - held
 
     def test_aborted_rebuild_frees_its_slab(self):
         cluster, mgr, mon, payloads = self.settled()
-        victim = mgr.ranges[0].refs[2]
-        cluster.evict_slab(victim.slab_id)
+        arange = mgr.ranges[0]
+        cluster.evict_slab(arange.refs[2].slab_id)
         mon.drain_regeneration()
-        target, spare = victim.slab_id, victim.machine_id
+        target, spare = arange.refs[2].slab_id, arange.refs[2].machine_id
         # the first backfill write is in flight from 2200 to 3700 ns
         cluster.schedule(3000, lambda: cluster.fail_machine(spare))
         cluster.run_until_idle()
         assert ("regenerate", "aborted") in {(op, out) for _, op, _, out in cluster.event_log}
-        assert victim.slab.state in LOST
+        assert arange.refs[2].state in LOST
         assert target not in cluster.slabs
         assert cluster.machines[spare].slab_bytes == 0
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
+        assert arange.refs[2].state is SlabState.AVAILABLE
 
     def no_spare(self):
         # two groups of k+r=3 and no slack: a lost split has nowhere to go
@@ -233,7 +231,7 @@ class TestRegeneration:
 
     def test_group_without_spare_keeps_the_ref_failed(self):
         cluster, mgr, mon, arange, victim, dead = self.no_spare()
-        assert victim.slab.state in LOST
+        assert arange.refs[0].state in LOST
         others = [m for m in range(6) if m not in arange.group_members]
         assert all(cluster.machines[m].free_bytes >= SLAB for m in others)
         assert [s for s in cluster.slabs.values() if s.owner == 0 and s.machine_id in others] == []
@@ -242,14 +240,14 @@ class TestRegeneration:
         cluster, mgr, mon, arange, victim, dead = self.no_spare()
         old = victim.slab_id
         cluster.recover_machine(dead)
-        assert victim.slab.state in LOST
+        assert arange.refs[0].state in LOST
         assert old not in cluster.slabs
         # the recovered machine is a spare of the group again
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
-        assert victim.machine_id in arange.group_members
-        assert victim.slab.store[0] == expected_split(CodecParams(k=2, r=1), page_of(1), 0)
+        assert arange.refs[0].state is SlabState.AVAILABLE
+        assert arange.refs[0].machine_id in arange.group_members
+        assert arange.refs[0].store[0] == expected_split(CodecParams(k=2, r=1), page_of(1), 0)
         fresh = page_of(2)
         assert mgr.remote_write(0, 0, fresh).outcome == "durable"
         assert mgr.remote_read(0, 0) == fresh
@@ -263,7 +261,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert arange.refs[0].slab.state is SlabState.AVAILABLE
+        assert arange.refs[0].state is SlabState.AVAILABLE
         # redundancy is restored, so one more failure is still tolerable
         cluster.fail_machine(arange.refs[1].machine_id)
         cluster.run_until_idle()
@@ -294,9 +292,9 @@ class TestRegeneration:
         for m in down:
             cluster.recover_machine(m)
         settle()
-        for ref in arange.refs[1:]:
-            if ref.slab.state is SlabState.AVAILABLE:
-                assert ref.slab.store[0] == expected_split(params, page, ref.role), ref.role
+        for slab in arange.refs[1:]:
+            if slab.state is SlabState.AVAILABLE:
+                assert slab.store[0] == expected_split(params, page, slab.role), slab.role
         # nothing can verify a rebuild at k healthy splits, so the range stays degraded
         assert len(arange.healthy_refs()) == params.k
 
@@ -304,10 +302,10 @@ class TestRegeneration:
     def test_slab_lost_mid_rebuild_is_rebuilt_elsewhere(self, loss):
         params = CodecParams(k=2, r=1)
         cluster, mgr, mon, payloads = self.settled(params=params, n=5, l=2)
-        victim = mgr.ranges[0].refs[0]
-        cluster.fail_machine(victim.machine_id)
+        arange = mgr.ranges[0]
+        cluster.fail_machine(arange.refs[0].machine_id)
         mon.drain_regeneration()
-        target = victim.slab
+        target = arange.refs[0]
         assert target.state is SlabState.REGENERATING
         # the rebuild's first page read is in flight when its slab is lost
         if loss == "fail":
@@ -320,9 +318,9 @@ class TestRegeneration:
         check_invariants(mgr)
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE
+        assert arange.refs[0].state is SlabState.AVAILABLE
         for p, payload in payloads.items():
-            assert victim.slab.store[p] == expected_split(params, payload, 0)
+            assert arange.refs[0].store[p] == expected_split(params, payload, 0)
         check_invariants(mgr)
 
     def test_ref_without_target_is_rebuilt_after_an_eviction(self):
@@ -332,21 +330,21 @@ class TestRegeneration:
         cluster, mgr, mon = build(4, params, l=1, machine_bytes=SLAB)
         arange = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1))
-        (spare,) = set(arange.group_members) - {ref.machine_id for ref in arange.refs}
+        (spare,) = set(arange.group_members) - {slab.machine_id for slab in arange.refs}
         filler = cluster.machines[spare].allocate_slab(SLAB)
-        victim = arange.refs[0]
-        cluster.fail_machine(victim.machine_id)
+        cluster.fail_machine(arange.refs[0].machine_id)
         cluster.run_until_idle()
         (rebuild,) = mon.drain_regeneration()
         assert rebuild.done and not rebuild.succeeded
-        assert victim.slab.state in LOST and not mgr.regeneration_requests
+        assert arange.refs[0].state in LOST and not mgr.regeneration_requests
         # the eviction alone makes room on the spare; nothing recovers
         cluster.evict_slab(filler.slab_id)
         assert mgr.regeneration_requests == [(0, 0)]
         mon.drain_regeneration()
         cluster.run_until_idle()
-        assert victim.slab.state is SlabState.AVAILABLE and victim.machine_id == spare
-        assert victim.slab.store[0] == expected_split(params, page_of(1), 0)
+        victim = arange.refs[0]
+        assert victim.state is SlabState.AVAILABLE and victim.machine_id == spare
+        assert victim.store[0] == expected_split(params, page_of(1), 0)
 
     def test_aborted_rebuild_gives_its_room_to_a_parked_ref(self):
         # one group of nine machines with room for one slab each: range 0 on
@@ -367,10 +365,10 @@ class TestRegeneration:
             mon.drain_regeneration()
             cluster.run_until_idle()
         assert not mgr.regeneration_requests
-        assert [ref.slab.state in LOST for ref in doomed.refs] == [True, True, False, False]
+        assert [slab.state in LOST for slab in doomed.refs] == [True, True, False, False]
         victim = parked.refs[0]
-        assert victim.slab.state is SlabState.AVAILABLE and victim.machine_id == 8
-        assert victim.slab.store[0] == expected_split(params, page_of(1), 0)
+        assert victim.state is SlabState.AVAILABLE and victim.machine_id == 8
+        assert victim.store[0] == expected_split(params, page_of(1), 0)
         check_invariants(mgr)
 
 
@@ -383,6 +381,6 @@ class TestStatsAndTicks:
         assert rebuilds
         assert all(type(r) is manager._Rebuild for r in rebuilds)
         cluster.run_until_idle()
-        assert arange.refs[2].slab.state is SlabState.AVAILABLE
+        assert arange.refs[2].state is SlabState.AVAILABLE
         # the fields the benchmark reads from each record
         assert all(r.done and r.succeeded for r in rebuilds)

@@ -5,6 +5,8 @@ which freezes completion times for the scheduling tests:
 median 1.5us -> 1500ns per hop.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from invariants import check_invariants
@@ -168,8 +170,8 @@ class TestFailures:
         assert slab.store == {}  # nothing landed
 
     def test_disconnects_conclude_in_submission_order(self):
-        # the cut-off splits are scheduled in `pending` order, which must not
-        # depend on where the records happen to sit in memory
+        # the cut-off splits are scheduled in submission (`seq`) order, which
+        # must not depend on where the records happen to sit in memory
         c = new_cluster()
         slab = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
         results, cb = collect(c)
@@ -179,6 +181,75 @@ class TestFailures:
         assert [r.outcome for r in results] == ["disconnect"] * 40
         assert [r.page_index for r in results] == list(range(40))
         assert results == submitted
+
+    def test_disconnects_follow_seq_not_heap_position(self):
+        # spread latencies leave the heap's list order unlike submission order
+        c = Cluster(4, latency=flat_model(sigma=1.0), seed=3)
+        slab = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
+        results, cb = collect(c)
+        submitted = [c.read_split(1, slab.slab_id, i, cb) for i in range(40)]
+        assert [entry[2].__self__ for entry in c._heap] != submitted
+        c.fail_machine(1)
+        c.run_until_idle()
+        assert [r.outcome for r in results] == ["disconnect"] * 40
+        assert results == submitted
+
+    def test_refused_split_keeps_its_outcome_and_concludes_once(self):
+        c = new_cluster()
+        live = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
+        rebuilding = c.machines[1].allocate_slab(65536, owner=2, role=0, split_size=64)
+        rebuilding.state = simulator.SlabState.REGENERATING
+        results, cb = collect(c)
+        accepted = c.write_split(1, live.slab_id, 0, b"a" * 64, cb)
+        # a slab mid-regeneration refuses a write that is not a backfill
+        refused = c.write_split(1, rebuilding.slab_id, 0, b"b" * 64, cb)
+        c.fail_machine(1)
+        c.run_until_idle()
+        assert results == [refused, accepted]
+        assert [r.outcome for r in results] == ["rejected", "disconnect"]
+        assert c.split_outcomes == {("write_split", "rejected"): 1, ("write_split", "disconnect"): 1}
+
+    def test_split_to_another_machine_is_untouched(self):
+        c = new_cluster()
+        doomed = c.machines[1].allocate_slab(65536, owner=1, role=0, split_size=64)
+        other = c.machines[2].allocate_slab(65536, owner=1, role=1, split_size=64)
+        results, cb = collect(c)
+        cut = c.write_split(1, doomed.slab_id, 0, b"c" * 64, cb)
+        kept = c.write_split(2, other.slab_id, 0, b"d" * 64, cb)
+        c.schedule_at(700, lambda: c.fail_machine(1))
+        c.run_until_idle()
+        assert results == [cut, kept]
+        assert [(r.outcome, r.time_ns) for r in results] == [("disconnect", 700), ("ok", 1500)]
+        assert other.store == {0: b"d" * 64}
+
+    def test_no_split_record_is_left_for_the_cycle_collector(self):
+        # a split record is freed by reference counting alone, also when a
+        # failure cuts it off and cancels its heap entry
+        params = CodecParams(k=2, r=1)
+        c = Cluster(6, latency=flat_model(sigma=0.3), seed=4)
+        plan = placement.build_codingsets(placement.ClusterShape(machines=6), params, l=1, seed=4)
+        mgr = ResilienceManager(c, plan, params, seed=4)
+        mon = MonitorService(c, mgr)
+        pages = [np.random.default_rng(i).bytes(4096) for i in range(8)]
+        gc.collect()
+        gc.disable()
+        try:
+            for rid in range(2):
+                mgr.map_range(rid)
+            for i, page in enumerate(pages):
+                mgr.submit_write(i % 2, i, page)
+                mgr.submit_read(i % 2, (i + 3) % 8)
+            victim = mgr.ranges[0].refs[0].machine_id
+            c.schedule_at(700, lambda: c.fail_machine(victim))
+            c.schedule_at(5000, lambda: c.recover_machine(victim))
+            c.run_until_idle()
+            mon.drain_regeneration()
+            c.run_until_idle()
+            assert c.split_outcomes["write_split", "disconnect"] > 0
+            left = [o for o in gc.get_objects() if type(o) is simulator._InflightIo]
+            assert [io for io in left if io.cluster is c] == []
+        finally:
+            gc.enable()
 
     def test_io_to_failed_machine_rejected(self):
         c = new_cluster()

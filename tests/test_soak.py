@@ -110,8 +110,8 @@ def test_churned_cluster_matches_a_fresh_one(machine_bytes, seed):
 
     width = PARAMS.k + PARAMS.r
     for arange in manager.ranges.values():
-        assert all(ref.slab.state is SlabState.AVAILABLE for ref in arange.refs), arange.range_id
-        hosts = {ref.machine_id for ref in arange.refs}
+        assert all(slab.state is SlabState.AVAILABLE for slab in arange.refs), arange.range_id
+        hosts = {slab.machine_id for slab in arange.refs}
         assert len(hosts) == width and hosts <= set(arange.group_members), arange.range_id
     assert len(cluster.slabs) == RANGES * width
     fresh, _, _ = build(machine_bytes, seed)
