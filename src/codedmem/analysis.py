@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import placement
 from .coding import CodecParams
 from .errors import ConfigError, InvalidParams, MonotonicityViolation
 from .manager import ManagerConfig, ResilienceManager
@@ -29,6 +28,7 @@ from .placement import (
     ClusterShape,
     build_codingsets,
     build_eccache,
+    codingsets_loads,
     count_copysets,
     eccache_members,
     load_imbalance,
@@ -517,13 +517,7 @@ def run_load_balance(cfg):
                 loads = np.bincount(members[gids].ravel(), minlength=n)
                 label = "eccache"
             elif name == CODINGSETS:
-                plan = build_codingsets(shape, params, l, seed)
-                groups = plan.groups
-                loads = [0] * n
-                for gid in plan.group_ids(ranges):
-                    # through the module, where a tracer can wrap it
-                    for m in placement.select_members(groups[gid], loads, params):
-                        loads[m] += 1
+                loads = codingsets_loads(build_codingsets(shape, params, l, seed), ranges, params)
                 label = f"codingsets_l{l}"
             else:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0B2)))

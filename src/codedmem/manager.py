@@ -47,8 +47,11 @@ Under the corruption guard with delta > 0, a guarded rebuild fills only
 from verified reads. A read that could not be verified (fewer than
 k + delta healthy splits) aborts the rebuild like a failed one: filling
 from an unchecked decode would turn a corrupted split into a consistent
-wrong codeword that no later guarded read could detect. Such a range
-stays degraded, since a recovering machine's slabs are stale and freed.
+wrong codeword that no later guarded read could detect. The slot asks
+for its rebuild again once a write to its range completes durable or
+degraded, which may have mended the page that failed; until then the
+range stays degraded, since a recovering machine's slabs are stale and
+freed.
 
 A page op hands its bound `_on_split` to every split I/O it issues, with
 no closure per split. A read takes a split's role from the slab that
@@ -101,23 +104,30 @@ HEALTH_WINDOW = 64  # verification results kept per machine
 
 
 class MachineHealth:
-    """Sliding window of verification results for one machine."""
+    """Sliding window of verification results for one machine, and the
+    count of failures in it."""
 
     def __init__(self):
         self.window = deque(maxlen=HEALTH_WINDOW)
+        self.errors = 0
 
     def record(self, ok):
-        self.window.append(0 if ok else 1)
+        window = self.window
+        if len(window) == HEALTH_WINDOW:
+            self.errors -= window[0]  # the result the append drops
+        bit = 0 if ok else 1
+        window.append(bit)
+        self.errors += bit
 
     @property
     def error_rate(self):
         if not self.window:
             return 0.0
-        return sum(self.window) / len(self.window)
+        return self.errors / len(self.window)
 
     @property
     def suspect(self):
-        return self.error_rate > ERROR_CORRECTION_LIMIT
+        return self.errors > 0 and self.error_rate > ERROR_CORRECTION_LIMIT
 
 
 @dataclass(frozen=True)
@@ -306,17 +316,22 @@ class _WriteOp(_PageOp):
             self._issue(slab.role, delay, fill=slab.state is REGENERATING)
 
     def _finish(self, outcome):
+        mgr = self.mgr
+        range_id = self.arange.range_id
         self.outcome = outcome
-        if self.mgr.config.async_parity and self.data_acked_ns is not None:
+        if mgr.config.async_parity and self.data_acked_ns is not None:
             self.completed_ns = self.data_acked_ns
         else:
-            self.completed_ns = self.mgr.cluster.now
+            self.completed_ns = mgr.cluster.now
         # a done write is kept as its completion and needs no buffers or issue state
         self.page = self.splits = self.parity = self.wave1_roles = self.roles = None
         self.done = True
+        if mgr._unverified and outcome != "write-failed":
+            for role in sorted(mgr._unverified.pop(range_id, ())):
+                mgr._request_regen(range_id, role)
         if self.on_done:
             self.on_done(self)
-        self.mgr._release(self.arange.range_id, self.page_index, self)
+        mgr._release(range_id, self.page_index, self)
 
 
 class _ReadOp(_PageOp):
@@ -535,6 +550,8 @@ class _Rebuild:
         if read.outcome != "ok" or (guard and not read.guarded):
             self._page_done(advance=False)
             self._abort(retry=False)
+            # asked again once a write to the range may have mended the page
+            mgr._unverified.setdefault(self.arange.range_id, set()).add(self.role)
             return
         payload = coding._page_split(mgr.codec, read.page, self.role)
         delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
@@ -601,6 +618,7 @@ class ResilienceManager:
         self.regeneration_requests = []
         self._regen_requested = set()
         self._parked = set()  # (range, role) slots whose last rebuild found no spare
+        self._unverified = {}  # range -> roles whose last rebuild could not read a page
         self._locks = {}
         self._group_ranges = defaultdict(list)  # machine -> ranges whose group holds it
         m = cluster.latency
@@ -822,6 +840,7 @@ class ResilienceManager:
         if key in self._regen_requested:
             return
         self._parked.discard(key)
+        self._unverified.get(range_id, set()).discard(role)
         self._regen_requested.add(key)
         self.regeneration_requests.append(key)
 

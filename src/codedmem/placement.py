@@ -165,6 +165,32 @@ def select_members(group, loads, params):
     return sorted(sorted(group.members), key=loads.__getitem__)[:width]
 
 
+def codingsets_loads(plan, count, params):
+    """Per-machine slab counts once ranges 0 .. count-1 are placed on a
+    codingsets plan by select_members, every machine starting at load 0.
+
+    The groups are disjoint and their members sorted, so a group's ranges
+    never meet another group's load, and taking the w = k+r least loaded
+    members, ties to the lower id, deals its ranges round robin over the
+    members in id order. After s ranges of a group of g members, the member
+    at position p holds floor(s*w/g) + [p < s*w mod g]; the least loaded are
+    then positions s*w mod g onward, cyclically, and the next range takes w
+    of them. A group holding t ranges thus leaves position p at
+    floor(t*w/g) + [p < t*w mod g].
+    """
+    sizes = np.array([len(g.members) for g in plan.groups])
+    held = np.bincount(plan.group_ids(count), minlength=len(sizes))
+    base, extra = np.divmod(held * (params.k + params.r), sizes)
+    members = np.fromiter(
+        itertools.chain.from_iterable(g.members for g in plan.groups), np.int64, int(sizes.sum())
+    )
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    loads = np.zeros(plan.shape.machines, dtype=np.int64)
+    loads[members] = base[group] + (position < extra[group])
+    return loads
+
+
 def count_copysets(plan, params):
     """Number of distinct (r+1)-machine subsets whose loss can destroy data."""
     size = params.r + 1

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from codedmem import coding, placement, simulator
+from codedmem import coding, manager, placement, simulator
 from codedmem.coding import CodecParams
 from codedmem.errors import (
     CapacityExhausted,
@@ -467,6 +467,18 @@ class TestCorruption:
         mgr.drive(op)
         assert op.completion.fanout == 5
         assert op.completion.page == page
+
+    def test_health_error_count_tracks_its_window(self):
+        health = manager.MachineHealth()
+        rng = np.random.default_rng(4)
+        assert health.error_rate == 0.0 and not health.suspect
+        # a burst of failures, then long clean and mixed runs past the window
+        for ok in [False] * 10 + [True] * 200 + rng.random(300).tolist():
+            health.record(ok if isinstance(ok, bool) else ok > 0.1)
+            window = list(health.window)
+            assert health.errors == sum(window)
+            assert health.error_rate == sum(window) / len(window)
+            assert health.suspect == (sum(window) / len(window) > manager.ERROR_CORRECTION_LIMIT)
 
 
 class TestOrderingAndEviction:

@@ -371,6 +371,55 @@ class TestRegeneration:
         assert victim.store[0] == expected_split(params, page_of(1), 0)
         check_invariants(mgr)
 
+    def unverifiable_abort(self):
+        # one group of six machines: range 0 on four, two spares
+        params = CodecParams(k=2, r=2, delta=1)
+        config = ManagerConfig(corruption_guard=True, page_size=64, slab_size=1024)
+        cluster, mgr, mon = build(6, params, l=2, config=config)
+        arange = mgr.map_range(0)
+        mgr.remote_write(0, 0, page_of(1, size=64))
+        cluster.run_until_idle()
+        # role 0's corruption fails the rebuild's check of k+delta splits,
+        # and correcting it needs k+2*delta+1, more than are healthy
+        cluster.corrupt_slab(arange.refs[0].slab_id, 0, b"\xff")
+        dead = arange.refs[2].machine_id
+        cluster.fail_machine(dead)
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert ("regenerate", "r0:role2", "aborted") in [row[1:] for row in cluster.event_log]
+        assert arange.refs[2].state in LOST and not mgr.regeneration_requests
+        return cluster, mgr, mon, arange, dead
+
+    def test_rebuild_aborted_on_an_unverifiable_read_retries_after_a_rewrite(self):
+        cluster, mgr, mon, arange, _ = self.unverifiable_abort()
+        fresh = page_of(2, size=64)
+        assert mgr.remote_write(0, 0, fresh).outcome == "degraded"
+        cluster.run_until_idle()
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        check_invariants(mgr)
+        assert arange.refs[2].state is SlabState.AVAILABLE
+        assert mgr.remote_read(0, 0) == fresh
+
+    def test_write_asks_no_rebuild_of_a_slot_rebuilt_since_its_abort(self):
+        cluster, mgr, mon, arange, dead = self.unverifiable_abort()
+        # the same mask undoes the corruption, and a recovery asks again
+        cluster.corrupt_slab(arange.refs[0].slab_id, 0, b"\xff")
+        cluster.recover_machine(dead)
+        mon.drain_regeneration()
+        cluster.run_until_idle()
+        assert arange.refs[2].state is SlabState.AVAILABLE
+        assert mgr.remote_write(0, 0, page_of(2, size=64)).outcome == "durable"
+        cluster.run_until_idle()
+        assert not mgr.regeneration_requests
+
+    def test_failed_write_asks_no_rebuild(self):
+        cluster, mgr, mon, arange, _ = self.unverifiable_abort()
+        for role in (1, 3):
+            cluster.fail_machine(arange.refs[role].machine_id)
+        assert mgr.remote_write(0, 0, page_of(2, size=64)).outcome == "write-failed"
+        assert (0, 2) not in mgr.regeneration_requests
+
 
 class TestStatsAndTicks:
     def test_tick_drains_regeneration_requests(self):

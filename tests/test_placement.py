@@ -112,6 +112,72 @@ class TestSelectMembers:
         )
 
 
+def placed_one_by_one(plan, count, params):
+    """Per-machine loads of ranges 0 .. count-1 placed by select_members in turn."""
+    loads = [0] * plan.shape.machines
+    for gid in plan.group_ids(count):
+        for m in placement.select_members(plan.groups[gid], loads, params):
+            loads[m] += 1
+    return loads
+
+
+class TestCodingSetsLoads:
+    @pytest.mark.parametrize(
+        "n,k,r,l,count",
+        [
+            (1, 1, 0, 0, 5),  # one machine, one split per range
+            (7, 1, 0, 0, 3),  # k=1, r=0, l=0: each range takes one member
+            (11, 2, 1, 1, 2),  # fewer ranges than groups, the last folded
+            (11, 2, 1, 1, 0),
+            (10, 3, 2, 0, 40),  # every member of a group takes every range
+            (23, 4, 2, 2, 500),
+        ],
+    )
+    def test_edge_shapes_match_placing_one_by_one(self, n, k, r, l, count):
+        params = CodecParams(k=k, r=r)
+        plan = placement.build_codingsets(shape(n), params, l=l, seed=n + count)
+        got = placement.codingsets_loads(plan, count, params)
+        assert got.tolist() == placed_one_by_one(plan, count, params)
+
+    def test_random_shapes_match_placing_one_by_one(self):
+        rng = np.random.default_rng(18)
+        seen = set()
+        for trial in range(240):
+            k, r, l = (int(v) for v in rng.integers((1, 0, 0), (5, 4, 5)))
+            width = k + r + l
+            n = int(rng.integers(width, 8 * width))
+            groups = n // width
+            count = int(rng.integers(0, 2 * groups)) if trial % 3 == 0 else int(rng.integers(0, 6 * n))
+            params = CodecParams(k=k, r=r)
+            plan = placement.build_codingsets(shape(n), params, l=l, seed=trial)
+            got = placement.codingsets_loads(plan, count, params)
+            assert got.tolist() == placed_one_by_one(plan, count, params), (n, k, r, l, count)
+            seen.update(
+                name
+                for name, hit in [
+                    ("k=1", k == 1),
+                    ("r=0", r == 0),
+                    ("l=0", l == 0),
+                    ("folded", n % width and groups > 1),
+                    ("fewer ranges than groups", count < groups),
+                ]
+                if hit
+            )
+        assert len(seen) == 5, seen
+
+    def test_loads_within_a_group_differ_by_at_most_one(self):
+        rng = np.random.default_rng(19)
+        for trial in range(50):
+            k, r, l = (int(v) for v in rng.integers((1, 0, 0), (9, 4, 4)))
+            params = CodecParams(k=k, r=r)
+            n = int(rng.integers(k + r + l, 400))
+            plan = placement.build_codingsets(shape(n), params, l=l, seed=trial)
+            loads = placement.codingsets_loads(plan, int(rng.integers(0, 3 * n)), params)
+            for group in plan.groups:
+                held = loads[list(group.members)]
+                assert held.max() - held.min() <= 1, (trial, group.index)
+
+
 class TestCopysets:
     def test_single_group_8_2(self):
         plan = placement.build_codingsets(shape(10), CodecParams(k=8, r=2), l=0, seed=0)
