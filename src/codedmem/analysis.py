@@ -26,6 +26,7 @@ from .placement import (
     CODINGSETS,
     ECCACHE,
     ClusterShape,
+    _incidence_table,
     build_codingsets,
     build_eccache,
     codingsets_loads,
@@ -339,10 +340,7 @@ def exhaustive_loss(plan, shape, params):
     size = params.r + 1
     if failures < size:
         return Fraction(0)
-    groups_of = [[] for _ in range(n)]
-    for group in plan.groups:
-        for m in group.members:
-            groups_of[m].append(group.index)
+    groups_of = [[g for g in row if g >= 0] for row in _incidence_table(plan, n).tolist()]
     losses = 0
     for combo in itertools.combinations(range(n), failures):
         counts = {}
@@ -422,7 +420,7 @@ def run_loss_curves(cfg):
                     "" if value is None else repr(value),
                     name,
                     str(l),
-                    str(len(plan.groups)),
+                    str(plan.group_count),
                     str(count_copysets(plan, params)),
                     str(failures),
                     repr(float(analytic)),

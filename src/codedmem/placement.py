@@ -7,13 +7,16 @@ copysets (machine subsets whose simultaneous failure loses data).
 ``eccache`` draws an independent random (k+r)-subset per range, which
 scatters copysets across the whole cluster. A range's group is a function
 of its id (a seeded uniform draw for codingsets, the id modulo the group
-count for eccache), so a plan keeps no per-range record. Loss analysis
-counts all of a group's extended members as its copyset universe.
+count for eccache), so a plan keeps no per-range record. A plan holds its
+groups as one flat member array and G+1 offsets; the ExtendedGroup list is
+built only when a caller reads ``plan.groups``. Loss analysis counts all of
+a group's extended members as its copyset universe.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +39,13 @@ class ClusterShape:
     failure_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("machines", "slabs_per_machine"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
+        value = self.failure_fraction
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParams(f"failure_fraction must be a real number, got {value!r}")
         if self.machines < 1:
             raise InvalidParams(f"machines must be >= 1, got {self.machines}")
         if self.slabs_per_machine < 1:
@@ -56,22 +66,51 @@ class ExtendedGroup(NamedTuple):
     l: int
 
 
-@dataclass
 class PlacementPlan:
-    scheme: str
-    shape: ClusterShape
-    params: object
-    l: int
-    seed: int
-    groups: list
-    _uniform_cache: np.ndarray = field(default=None, repr=False)
+    """A scheme's extended groups, held as arrays.
+
+    ``members`` is an int64 array of machine ids, group after group, and
+    group g is ``members[bounds[g]:bounds[g + 1]]``. ``groups`` builds the
+    ExtendedGroup list from them on first read and keeps it. A plan given a
+    ``groups`` list instead flattens it into the arrays, group i at index i.
+    """
+
+    def __init__(self, scheme, shape, params, l, seed, groups=None, members=None, bounds=None):
+        if groups is not None:
+            members = [m for g in groups for m in g.members]
+            bounds = np.cumsum([0] + [len(g.members) for g in groups])
+        self.scheme = scheme
+        self.shape = shape
+        self.params = params
+        self.l = l
+        self.seed = seed
+        self.members = np.asarray(members, dtype=np.int64)
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self._groups = None
+        self._uniform_cache = None
+
+    @property
+    def group_count(self):
+        return len(self.bounds) - 1
+
+    @property
+    def groups(self):
+        """The ExtendedGroup list, built from the arrays on first read."""
+        if self._groups is None:
+            ids = self.members.tolist()
+            cuts = self.bounds.tolist()
+            self._groups = [
+                ExtendedGroup(i, tuple(ids[lo:hi]), self.l)
+                for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+            ]
+        return self._groups
 
     def _uniform_assignment(self, count):
         cached = self._uniform_cache
         if cached is None or len(cached) < count:
             size = max(2 * count, 1024)
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x5EED)))
-            self._uniform_cache = rng.integers(0, len(self.groups), size=size)
+            self._uniform_cache = rng.integers(0, self.group_count, size=size)
         return self._uniform_cache
 
     def group_for_range(self, range_id):
@@ -81,13 +120,13 @@ class PlacementPlan:
         if range_id < 0:
             raise InvalidParams(f"range id must be >= 0, got {range_id}")
         if self.scheme == ECCACHE:
-            return int(range_id) % len(self.groups)
+            return int(range_id) % self.group_count
         return int(self._uniform_assignment(range_id + 1)[range_id])
 
     def group_ids(self, count):
         """Group indices of ranges 0 .. count-1, as group_for_range gives them."""
         if self.scheme == ECCACHE:
-            return [rid % len(self.groups) for rid in range(count)]
+            return [rid % self.group_count for rid in range(count)]
         return self._uniform_assignment(count)[:count].tolist()
 
 
@@ -103,14 +142,13 @@ def build_codingsets(shape, params, l, seed):
     n = shape.machines
     if n < width:
         raise InvalidParams(f"need at least k+r+l = {width} machines, got {n}")
-    perm = np.random.default_rng(seed).permutation(n).tolist()
-    count = n // width
-    groups = []
-    for i in range(count):
-        # the last group folds in the remainder
-        members = perm[i * width : (i + 1) * width if i < count - 1 else n]
-        groups.append(ExtendedGroup(i, tuple(sorted(members)), l))
-    return PlacementPlan(CODINGSETS, shape, params, l, seed, groups)
+    perm = np.random.default_rng(seed).permutation(n)
+    # the last group folds in the remainder
+    full = (n // width - 1) * width
+    rows = np.sort(perm[:full].reshape(-1, width), axis=1)
+    members = np.concatenate((rows.ravel(), np.sort(perm[full:])))
+    bounds = np.append(np.arange(0, full + 1, width), n)
+    return PlacementPlan(CODINGSETS, shape, params, l, seed, members=members, bounds=bounds)
 
 
 def _distinct_rows(rng, rows, width, n):
@@ -140,8 +178,8 @@ def build_eccache(shape, params, seed):
     N*S/(k+r) groups.
     """
     rows = eccache_members(shape, params, seed)
-    groups = [ExtendedGroup(i, members, 0) for i, members in enumerate(map(tuple, rows.tolist()))]
-    return PlacementPlan(ECCACHE, shape, params, 0, seed, groups)
+    bounds = np.arange(0, rows.size + 1, rows.shape[1])
+    return PlacementPlan(ECCACHE, shape, params, 0, seed, members=rows.ravel(), bounds=bounds)
 
 
 def eccache_members(shape, params, seed):
@@ -178,29 +216,27 @@ def codingsets_loads(plan, count, params):
     of them. A group holding t ranges thus leaves position p at
     floor(t*w/g) + [p < t*w mod g].
     """
-    sizes = np.array([len(g.members) for g in plan.groups])
+    sizes = np.diff(plan.bounds)
     held = np.bincount(plan.group_ids(count), minlength=len(sizes))
     base, extra = np.divmod(held * (params.k + params.r), sizes)
-    members = np.fromiter(
-        itertools.chain.from_iterable(g.members for g in plan.groups), np.int64, int(sizes.sum())
-    )
     group = np.repeat(np.arange(len(sizes)), sizes)
-    position = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    position = np.arange(len(plan.members)) - plan.bounds[group]
     loads = np.zeros(plan.shape.machines, dtype=np.int64)
-    loads[members] = base[group] + (position < extra[group])
+    loads[plan.members] = base[group] + (position < extra[group])
     return loads
 
 
 def count_copysets(plan, params):
     """Number of distinct (r+1)-machine subsets whose loss can destroy data."""
     size = params.r + 1
+    cuts = plan.bounds.tolist()
     if plan.scheme == CODINGSETS:
         # groups are disjoint, so per-group counts never overlap
-        return sum(math.comb(len(g.members), size) for g in plan.groups)
+        return sum(math.comb(hi - lo, size) for lo, hi in zip(cuts, cuts[1:]))
+    ids = plan.members.tolist()
     seen = set()
-    for g in plan.groups:
-        for combo in itertools.combinations(sorted(g.members), size):
-            seen.add(combo)
+    for lo, hi in zip(cuts, cuts[1:]):
+        seen.update(itertools.combinations(sorted(ids[lo:hi]), size))
     return len(seen)
 
 
@@ -239,15 +275,15 @@ def _incidence_table(plan, n):
     The ids take the narrowest signed type that holds the group count,
     int16 up to 32,767 groups, so the per-trial sort moves fewer bytes.
     """
-    lists = [[] for _ in range(n)]
-    for g in plan.groups:
-        for m in g.members:
-            lists[m].append(g.index)
-    width = max(1, max(len(v) for v in lists))
-    dtype = np.int16 if len(plan.groups) <= np.iinfo(np.int16).max else np.int32
-    table = np.full((n, width), -1, dtype=dtype)
-    for m, v in enumerate(lists):
-        table[m, : len(v)] = v
+    members = plan.members
+    # a stable sort by machine keeps each machine's groups in group order
+    order = np.argsort(members, kind="stable")
+    machine = members[order]
+    counts = np.bincount(members, minlength=n)
+    dtype = np.int16 if plan.group_count <= np.iinfo(np.int16).max else np.int32
+    table = np.full((n, max(1, int(counts.max()))), -1, dtype=dtype)
+    column = np.arange(len(order)) - (np.cumsum(counts) - counts)[machine]
+    table[machine, column] = np.repeat(np.arange(plan.group_count), np.diff(plan.bounds))[order]
     return table
 
 

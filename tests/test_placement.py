@@ -72,6 +72,150 @@ class TestEcCachePlan:
         assert all(sorted(g.members) == [0, 1, 2, 3] for g in plan.groups)
 
 
+class TestClusterShape:
+    @pytest.mark.parametrize("field, value", [
+        ("machines", 1000.5),
+        ("machines", 100.0),
+        ("machines", True),
+        ("machines", "100"),
+        ("slabs_per_machine", 1.5),
+        ("slabs_per_machine", True),
+        ("failure_fraction", True),
+        ("failure_fraction", "0.1"),
+        ("failure_fraction", None),
+    ])
+    def test_bad_field_types_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match=f"{field} must be"):
+            placement.ClusterShape(**{"machines": 10, field: value})
+
+    def test_numpy_numbers_accepted(self):
+        sh = placement.ClusterShape(np.int64(12), np.int32(2), np.float64(0.25))
+        plan = placement.build_codingsets(sh, CodecParams(k=2, r=1), l=1, seed=0)
+        assert plan.group_count == 3
+
+
+def reference_codingsets_groups(sh, params, l, seed):
+    """build_codingsets' groups as tuples, one sorted slice of the permutation each."""
+    width = params.k + params.r + l
+    n = sh.machines
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    count = n // width
+    return [
+        tuple(sorted(perm[i * width : (i + 1) * width if i < count - 1 else n]))
+        for i in range(count)
+    ]
+
+
+def reference_eccache_groups(sh, params, seed):
+    """build_eccache's groups as tuples, one row of eccache_members each."""
+    return list(map(tuple, placement.eccache_members(sh, params, seed).tolist()))
+
+
+def reference_incidence(plan, n, dtype):
+    """machine -> row of group ids in group order, -1 pads, one member at a time."""
+    lists = [[] for _ in range(n)]
+    for g in plan.groups:
+        for m in g.members:
+            lists[m].append(g.index)
+    table = np.full((n, max(1, max(map(len, lists)))), -1, dtype=dtype)
+    for m, v in enumerate(lists):
+        table[m, : len(v)] = v
+    return table
+
+
+PLAN_SHAPES = [
+    # scheme, shape, params, l
+    ("codingsets", shape(1000), CodecParams(k=8, r=2), 2),  # 83 groups, the last folded
+    ("codingsets", shape(12), CodecParams(k=8, r=2), 2),  # n = k+r+l: one group
+    ("codingsets", shape(50), CodecParams(k=4, r=2), 1),
+    ("codingsets", shape(10000), CodecParams(k=8, r=2), 2),
+    ("eccache", shape(1000, s=16), CodecParams(k=8, r=2), 0),
+    ("eccache", shape(30, s=2), CodecParams(k=2, r=7), 0),  # rows are permutation heads
+    ("eccache", shape(2000, s=100), CodecParams(k=4, r=2), 0),  # 33,333 groups
+]
+
+
+def random_plan_shapes(count, seed):
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        k, r, l = (int(v) for v in rng.integers((1, 0, 0), (7, 4, 4)))
+        width = k + r + l
+        n = int(rng.integers(width, 8 * width + 5))
+        s = int(rng.integers(1, 6))
+        yield ("codingsets" if trial % 2 else "eccache"), shape(n, s=s), CodecParams(k=k, r=r), l
+
+
+def build(scheme, sh, params, l, seed):
+    if scheme == "eccache":
+        return placement.build_eccache(sh, params, seed)
+    return placement.build_codingsets(sh, params, l, seed)
+
+
+class TestPlanArrays:
+    """A plan holds flat member arrays; its group list is derived on demand."""
+
+    def test_groups_match_tuple_construction(self):
+        shapes = PLAN_SHAPES + list(random_plan_shapes(120, seed=19))
+        for seed, (scheme, sh, params, l) in enumerate(shapes):
+            plan = build(scheme, sh, params, l, seed)
+            if scheme == "eccache":
+                rows, l = reference_eccache_groups(sh, params, seed), 0
+            else:
+                rows = reference_codingsets_groups(sh, params, l, seed)
+            expect = [(i, members, l) for i, members in enumerate(rows)]
+            assert [tuple(g) for g in plan.groups] == expect, (scheme, sh, params, l)
+            assert plan.group_count == len(plan.groups)
+            assert plan.groups is plan.groups  # built once, then kept
+
+    @pytest.mark.parametrize("scheme, sh, params, l", PLAN_SHAPES)
+    def test_incidence_table_matches_member_loop(self, scheme, sh, params, l):
+        plan = build(scheme, sh, params, l, seed=4)
+        dtype = np.int16 if len(plan.groups) <= np.iinfo(np.int16).max else np.int32
+        got = placement._incidence_table(plan, sh.machines)
+        expect = reference_incidence(plan, sh.machines, dtype)
+        assert got.dtype == expect.dtype
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    def test_incidence_table_of_a_group_list(self):
+        plan = placement.PlacementPlan(
+            scheme="eccache", shape=shape(5), params=CodecParams(k=2, r=1), l=0, seed=0,
+            groups=[
+                placement.ExtendedGroup(0, (3, 1, 2), l=0),
+                placement.ExtendedGroup(1, (1, 4, 3), l=0),
+            ],
+        )
+        assert placement._incidence_table(plan, 5).tolist() == [
+            [-1, -1], [0, 1], [0, -1], [0, 1], [1, -1],
+        ]
+
+    def test_loss_and_balance_build_no_group_list(self, monkeypatch):
+        made = []
+        new = placement.ExtendedGroup.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(placement.ExtendedGroup, "__new__", staticmethod(counting))
+        sh = shape(200, s=4, f=0.05)
+        params = CodecParams(k=4, r=2)
+        for scheme in ("eccache", "codingsets"):
+            plan = build(scheme, sh, params, 2, seed=1)
+            placement.loss_probability_montecarlo(plan, sh, params, trials=200, seed=2)
+        analysis.run_load_balance({
+            "schema_version": 1,
+            "scenario": "balance",
+            "seeds": [1],
+            "cluster": {"machines": 200, "slabs_per_machine": 4},
+            "code": {"k": 4, "r": 2},
+            "policies": [{"name": "eccache"}, {"name": "codingsets", "l": 2}],
+        })
+        assert made == []
+        placement.build_codingsets(sh, params, 2, 1).groups
+        assert len(made) == 200 // 8  # the counter sees a group list when one is read
+
+
 class TestSelectMembers:
     def test_least_loaded_win(self):
         group = placement.ExtendedGroup(0, (0, 1, 2, 3), l=2)
@@ -382,13 +526,7 @@ def reference_montecarlo(plan, sh, params, trials, seed):
     per chunk, and failure sets drawn one id at a time."""
     n = sh.machines
     failures = math.floor(n * sh.failure_fraction)
-    lists = [[] for _ in range(n)]
-    for g in plan.groups:
-        for m in g.members:
-            lists[m].append(g.index)
-    table = np.full((n, max(map(len, lists))), -1, dtype=np.int64)
-    for m, v in enumerate(lists):
-        table[m, : len(v)] = v
+    table = reference_incidence(plan, n, np.int64)
     run = params.r
     losses = 0
     for ci, ss in enumerate(np.random.SeedSequence(seed).spawn(-(-trials // placement.MC_CHUNK_TRIALS))):
