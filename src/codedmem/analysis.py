@@ -155,8 +155,8 @@ def validate_config(cfg):
     _known_keys(cfg, _TOP_KEYS[scenario], f"{scenario} config: ")
     seeds = cfg.get("seeds")
     _require(
-        isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
-        "seeds must be a non-empty list of integers",
+        isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds),
+        "seeds must be a non-empty list of non-negative integers",
     )
     cluster = cfg.get("cluster")
     _require(isinstance(cluster, dict), "cluster section is required")
@@ -540,36 +540,97 @@ def run_load_balance(cfg):
 # -- data path ----------------------------------------------------------------
 
 
+_RAW_BLOCK = 1024  # raw 64-bit words gen_workload pulls from its PCG64 at a time
+
+
+def _raw_words(bits):
+    """The bit generator's raw 64-bit words as Python ints, drawn in blocks."""
+    while True:
+        yield from bits.random_raw(_RAW_BLOCK).tolist()
+
+
 def gen_workload(wcfg, capacity, seed):
     """Seeded (op, range_id, page_index, payload_seed) tuples.
 
     Reads carry payload_seed None; writes carry the seed their page
     contents derive from, so the op list alone reproduces every byte.
+
+    Each op is what ``integers(0, ranges)``, ``integers(0, capacity)``,
+    ``random() < read_fraction`` and, for a write, ``integers(0, 2**32)``
+    of ``default_rng(SeedSequence((seed, 0x301C)))`` return, made here
+    from raw PCG64 words without a numpy call per draw. A 32-bit draw is
+    the low half of a fresh word, or the high half that the previous one
+    left (PCG64's ``has_uint32`` cache); ``random()`` takes a whole word
+    and leaves that half pending. A bounded draw is Lemire's method, as
+    in numpy: a bound of 1 draws nothing, and one above 2**32 draws whole
+    words.
     """
     count = int(wcfg["operations"])
     ranges = int(wcfg["ranges"])
     read_fraction = float(wcfg.get("read_fraction", 0.5))
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x301C)))
+    word = _raw_words(np.random.PCG64(np.random.SeedSequence((int(seed), 0x301C)))).__next__
+    half = None  # the high half of the word whose low half was the last 32-bit draw
+
+    def uint32():
+        nonlocal half
+        if half is None:
+            w = word()
+            half = w >> 32
+            return w & 0xFFFFFFFF
+        low, half = half, None
+        return low
+
+    def below(n):
+        if not 1 <= n <= 2**63:
+            raise ValueError(f"a draw bound must be in [1, 2**63], got {n}")
+        if n == 1:
+            return lambda: 0
+        bits, draw = (32, uint32) if n <= 2**32 else (64, word)
+        mask = (1 << bits) - 1
+        threshold = ((1 << bits) - n) % n
+
+        def lemire():
+            m = draw() * n
+            while m & mask < threshold:
+                m = draw() * n
+            return m >> bits
+
+        return lemire
+
+    range_of = below(ranges)
+    page_of = below(int(capacity))
     ops = []
     for _ in range(count):
-        rid = int(rng.integers(0, ranges))
-        page = int(rng.integers(0, capacity))
-        if rng.random() < read_fraction:
+        rid = range_of()
+        page = page_of()
+        if (word() >> 11) * 2.0**-53 < read_fraction:
             ops.append(("R", rid, page, None))
         else:
-            ops.append(("W", rid, page, int(rng.integers(0, 2**32))))
+            ops.append(("W", rid, page, uint32()))
     return ops
 
 
 def page_payload(payload_seed, page_size):
     """The page contents a write's payload_seed denotes.
 
-    These are the bytes of ``default_rng(seed).bytes(page_size)``: a fresh
-    PCG64 serves each 64-bit word as its low then its high 32-bit half, so
-    the raw words in little-endian order are the same stream.
+    These are the bytes of ``default_rng((seed, 0xFA6E)).bytes(page_size)``:
+    a fresh PCG64 serves each 64-bit word as its low then its high 32-bit
+    half, so the raw words in little-endian order are the same stream. The
+    seed sequence is built from the entropy numpy assembles from that
+    tuple, the seed's 32-bit words from the lowest followed by 0xFA6E,
+    which skips its per-element conversion.
     """
-    bits = np.random.PCG64(np.random.SeedSequence((int(payload_seed), 0xFA6E)))
-    return bits.random_raw(-(-page_size // 8)).astype("<u8").tobytes()[:page_size]
+    seed = int(payload_seed)
+    if seed < 0:
+        raise ValueError(f"payload seed must be non-negative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    words.append(0xFA6E)
+    bits = np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32)))
+    raw = bits.random_raw(-(-page_size // 8))
+    return raw.astype("<u8", copy=False).tobytes()[:page_size]
 
 
 class _OpStats:

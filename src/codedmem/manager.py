@@ -335,11 +335,13 @@ class _WriteOp(_PageOp):
 
 
 class _ReadOp(_PageOp):
-    """Also carries `page`, `corrected` and `decode_ns` once delivered."""
+    """Also carries `page`, `corrected`, `verified` and `decode_ns` once
+    delivered. `verified` is true only for an `ok` read whose splits passed
+    a guarded check; a read short of k + delta splits decodes unchecked."""
 
     __slots__ = (
-        "force_correction", "page", "corrected", "decode_ns", "targets", "need", "guarded",
-        "escalated", "arrivals",
+        "force_correction", "page", "corrected", "verified", "decode_ns", "targets", "need",
+        "guarded", "escalated", "arrivals",
     )
 
     def __init__(self, mgr, arange, page_index, on_done, force_correction=False):
@@ -347,6 +349,7 @@ class _ReadOp(_PageOp):
         self.force_correction = force_correction
         self.page = None
         self.corrected = False
+        self.verified = False
         self.decode_ns = 0
         self.targets = ()
         self.need = 0
@@ -443,7 +446,7 @@ class _ReadOp(_PageOp):
                 return
             for s in splits:
                 mgr._record_health(self.arange, s.index, ok=s.index not in bad)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad))
+            self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad), verified=True)
             return
         # one reconstruction verifies and decodes; short of k+delta, none is checked
         checkable = len(splits) >= k + delta
@@ -454,7 +457,7 @@ class _ReadOp(_PageOp):
             if checkable:
                 for s in splits:
                     mgr._record_health(self.arange, s.index, ok=True)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns)
+            self._deliver("ok", page, extra_ns=mgr.decode_ns, verified=checkable)
             return
         if not self.escalated:
             self.escalated = True
@@ -463,11 +466,12 @@ class _ReadOp(_PageOp):
                 return
         self._deliver("corrupt-unrecoverable", None)
 
-    def _deliver(self, outcome, page, extra_ns=0, corrected=False):
+    def _deliver(self, outcome, page, extra_ns=0, corrected=False, verified=False):
         mgr = self.mgr
         self.outcome = outcome
         self.page = page
         self.corrected = corrected
+        self.verified = verified
         self.decode_ns = extra_ns
         if outcome == "ok":
             self.completed_ns = mgr.cluster.now + extra_ns + mgr.ctx_ns

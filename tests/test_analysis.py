@@ -450,6 +450,24 @@ class TestPinnedDatapathRows:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GUARDED_FAULTED_DIGEST
 
 
+def scalar_workload(wcfg, capacity, seed):
+    """The op list from one numpy scalar call per draw: the reference the
+    raw-word `gen_workload` must equal op for op."""
+    count = int(wcfg["operations"])
+    ranges = int(wcfg["ranges"])
+    read_fraction = float(wcfg.get("read_fraction", 0.5))
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x301C)))
+    ops = []
+    for _ in range(count):
+        rid = int(rng.integers(0, ranges))
+        page = int(rng.integers(0, capacity))
+        if rng.random() < read_fraction:
+            ops.append(("R", rid, page, None))
+        else:
+            ops.append(("W", rid, page, int(rng.integers(0, 2**32))))
+    return ops
+
+
 class TestWorkload:
     def test_generation_is_seeded(self):
         ops_a = analysis.gen_workload(DATAPATH_CFG["workload"], capacity=32, seed=5)
@@ -464,13 +482,71 @@ class TestWorkload:
             assert 0 <= page < 32
             assert (pseed is None) == (op == "R")
 
+    @pytest.mark.parametrize(
+        "operations, ranges, capacity, read_fraction",
+        [
+            (3000, 1000, 4, 0.3),  # write_fault_soak's shape
+            (3000, 8, 128, 0.9),  # read_mostly's shape
+            (400, 1, 1, 0.5),  # a bound of 1 draws nothing
+            (400, 7, 3, 0.0),
+            (400, 7, 3, 1.0),
+            (400, 2**31 + 5, 9, 0.5),  # half of all 32-bit draws are rejected
+            (400, 3, 2**32 - 3, 0.5),
+            (400, 2**32, 2**40 + 7, 0.5),  # one whole 32-bit draw; whole words
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_scalar_draws(self, operations, ranges, capacity, read_fraction, seed):
+        wcfg = {"operations": operations, "ranges": ranges, "read_fraction": read_fraction}
+        ops = analysis.gen_workload(wcfg, capacity, seed)
+        assert ops == scalar_workload(wcfg, capacity, seed)
+
+    @pytest.mark.parametrize("ranges, capacity", [(0, 4), (4, 0), (2**63 + 1, 4)])
+    def test_out_of_range_bounds_raise(self, ranges, capacity):
+        wcfg = {"operations": 10, "ranges": ranges}
+        for generate in (analysis.gen_workload, scalar_workload):
+            with pytest.raises(ValueError):
+                generate(wcfg, capacity, 0)
+
+    def test_draws_only_raw_word_blocks(self, monkeypatch):
+        # the host cost of the draws as a count: the numpy generator calls one
+        # 3,000-op workload makes, each a block of raw words; at least three
+        # per op when each draw was a scalar numpy call. numpy's generator
+        # methods are compiled, so no profiler event sees them: counting
+        # subclasses stand in for the generator and its bit generator
+        operations = 3000
+        calls = []
+
+        class CountedBits(np.random.PCG64):
+            def random_raw(self, *args, **kwargs):
+                calls.append("random_raw")
+                return super().random_raw(*args, **kwargs)
+
+        class CountedGenerator(np.random.Generator):
+            def __getattribute__(self, name):
+                calls.append(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(np.random, "PCG64", CountedBits)
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CountedGenerator(CountedBits(seed))
+        )
+        wcfg = {"operations": operations, "ranges": 1000, "read_fraction": 0.3}
+        analysis.gen_workload(wcfg, 4, 1)
+        assert set(calls) == {"random_raw"}
+        assert len(calls) <= -(-4 * operations // analysis._RAW_BLOCK) + 1
+
 
 class TestPagePayload:
     @pytest.mark.parametrize("size", [1, 63, 64, 4096, 4097])
-    @pytest.mark.parametrize("seed", [0, 1, 0xFA6E, 2**32 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 0xFA6E, 2**32 - 1, 2**32, 2**70 + 3])
     def test_equals_generator_bytes(self, seed, size):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFA6E)))
         assert analysis.page_payload(seed, size) == rng.bytes(size)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            analysis.page_payload(-1, 64)
 
 
 class TestEmit:

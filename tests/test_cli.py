@@ -89,6 +89,9 @@ class TestValidate:
             (LOSS_CFG, "code", {"k": 2, "r": 2, "delta": 1.5}, "delta must be an integer"),
             (DATAPATH_CFG, "baselines", None, "baselines must be a list"),
             (DATAPATH_CFG, "baselines", 5, "baselines must be a list"),
+            (LOSS_CFG, "seeds", [-1], "non-negative integers"),
+            (BALANCE_CFG, "seeds", [1, -1], "non-negative integers"),
+            (DATAPATH_CFG, "seeds", [-1], "non-negative integers"),
         ],
     )
     def test_bad_field_types_exit_2(self, tmp_path, capsys, base, key, value, message):
@@ -268,6 +271,13 @@ class TestOverrides:
         assert rc == 0
         _, rows = read_rows(next(out_dir.glob("balance_*.csv")))
         assert {r[0] for r in rows} == {"3", "4"}
+
+    @pytest.mark.parametrize("base", [LOSS_CFG, BALANCE_CFG, DATAPATH_CFG])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, base):
+        argv = [base["scenario"], "--config", dump(tmp_path, base), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-negative integers" in err
 
     def test_trials_override(self, tmp_path):
         out_dir = tmp_path / "out"

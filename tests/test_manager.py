@@ -408,7 +408,48 @@ class TestCorruption:
         else:
             pytest.fail("corrupted split never sampled")
         assert op.completion.fanout == 5  # escalated to k + 2*delta + 1
+        assert op.completion.verified
         assert sum(mgr.health[bad_ref.machine_id].window) >= 1
+
+    def spare_range(self, guard):
+        # k=2, r=2, delta=1 on 5 machines with one spare
+        params = CodecParams(k=2, r=2, delta=1)
+        cluster, mgr = build(5, params, l=1, config=ManagerConfig(corruption_guard=guard))
+        arange = mgr.map_range(0)
+        page = page_of(7)
+        assert mgr.remote_write(0, 0, page).outcome == "durable"
+        return cluster, mgr, arange, page
+
+    @pytest.mark.parametrize("guard", [True, False])
+    def test_read_of_k_plus_delta_splits_is_verified_only_under_the_guard(self, guard):
+        cluster, mgr, arange, page = self.spare_range(guard)
+        op = mgr.drive(mgr.submit_read(0, 0))
+        assert op.outcome == "ok" and op.page == page
+        assert op.verified is guard
+
+    def test_read_of_k_healthy_splits_delivers_ok_unverified(self):
+        # role 0's split corrupted, roles 2 and 3 failed: the read decodes
+        # the k healthy splits unchecked and returns a wrong page as `ok`
+        cluster, mgr, arange, page = self.spare_range(True)
+        cluster.corrupt_slab(arange.refs[0].slab_id, 0, bytes.fromhex("ff"))
+        for role in (2, 3):
+            cluster.fail_machine(arange.refs[role].machine_id)
+        cluster.run_until_idle()
+        op = mgr.drive(mgr.submit_read(0, 0))
+        assert op.outcome == "ok" and not op.guarded and not op.verified
+        assert op.page != page
+
+    def test_guarded_read_that_loses_a_split_in_flight_is_not_verified(self):
+        cluster, mgr, arange, page = self.spare_range(True)
+        cluster.fail_machine(arange.refs[3].machine_id)
+        cluster.run_until_idle()
+        op = mgr.submit_read(0, 0)
+        assert op.guarded and len(op.targets) == 3
+        # a split is cut off and no healthy slab is left to ask instead
+        cluster.fail_machine(arange.refs[op.targets[0]].machine_id)
+        mgr.drive(op)
+        assert op.outcome == "ok" and op.page == page
+        assert op.guarded and not op.verified
 
     def test_escalation_reconstructs_the_full_set_once(self, monkeypatch):
         cluster, mgr, rng, page = self.corrupted_setup()
