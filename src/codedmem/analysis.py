@@ -439,6 +439,18 @@ _P2C_BLOCK = 4096  # candidate ids drawn per refill; even, so a pair never spans
 _P2C_ATTEMPTS = 256  # candidate pairs tried per pick before the dense fallback
 
 
+def _distinct_reach(ids):
+    """For each position p of the int array ``ids``, the end e of the longest
+    run ``ids[p:e]`` of pairwise distinct ids."""
+    size = len(ids)
+    # unique keys sort equal ids by position, so neighbours are next occurrences
+    value, index = np.divmod(np.sort(ids * size + np.arange(size)), size)
+    repeat = value[1:] == value[:-1]
+    nxt = np.full(size, size)  # position of the next equal id, else the end
+    nxt[index[:-1][repeat]] = index[1:][repeat]
+    return np.minimum.accumulate(nxt[::-1])[::-1]
+
+
 def _two_choice_loads(n, width, ranges, rng):
     """Per-machine slab counts after two-choice placement of ``ranges`` ranges.
 
@@ -450,11 +462,34 @@ def _two_choice_loads(n, width, ranges, rng):
     same values as one scalar draw per candidate; before the fallback draws
     again, the generator is rewound to just after the candidates consumed,
     so every pick matches a loop of scalar draws.
+
+    A run of ranges whose candidates lie in the current block and are
+    pairwise distinct (``_distinct_reach``, once per block) cannot have a
+    pair rejected, so it is placed by load comparisons alone; any other
+    range takes the pick-by-pick loop. Both give the same loads and draws.
     """
     loads = [0] * n
-    block, pos, end, saved = [], 0, 0, None
+    block, reach, pos, end, saved = [], None, 0, 0, None
     attempts = _P2C_ATTEMPTS
-    for _ in range(ranges):
+    span = 2 * width
+    left = ranges
+    while left:
+        run = min(left, (int(reach[pos]) - pos) // span) if pos < end else 0
+        if run:
+            # a != b, and a range's `used` would hold only earlier ids of the run
+            stop = pos + run * span
+            pairs = iter(block[pos:stop])
+            pos = stop
+            left -= run
+            for a, b in zip(pairs, pairs):
+                la = loads[a]
+                lb = loads[b]
+                if la < lb or (la == lb and a < b):
+                    loads[a] = la + 1
+                else:
+                    loads[b] = lb + 1
+            continue
+        left -= 1
         used = set()
         add = used.add
         for _ in range(width):
@@ -462,7 +497,8 @@ def _two_choice_loads(n, width, ranges, rng):
             while tries:
                 if pos == end:
                     saved = rng.bit_generator.state
-                    block, pos, end = rng.integers(0, n, size=_P2C_BLOCK).tolist(), 0, _P2C_BLOCK
+                    ids = rng.integers(0, n, size=_P2C_BLOCK)
+                    block, reach, pos, end = ids.tolist(), _distinct_reach(ids), 0, _P2C_BLOCK
                 a = block[pos]
                 b = block[pos + 1]
                 pos += 2

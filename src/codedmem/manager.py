@@ -45,7 +45,8 @@ rebuilds in the order a scan of every range would.
 
 Under the corruption guard with delta > 0, a guarded rebuild fills only
 from verified reads. A read that could not be verified (fewer than
-k + delta healthy splits) aborts the rebuild like a failed one: filling
+k + delta healthy splits, or a split cut off in flight with no spare left
+to ask) aborts the rebuild like a failed one: filling
 from an unchecked decode would turn a corrupted split into a consistent
 wrong codeword that no later guarded read could detect. The slot asks
 for its rebuild again once a write to its range completes durable or
@@ -551,7 +552,7 @@ class _Rebuild:
     def _on_read(self, read):
         mgr = self.mgr
         guard = mgr.config.corruption_guard and mgr.codec.params.delta > 0
-        if read.outcome != "ok" or (guard and not read.guarded):
+        if read.outcome != "ok" or (guard and not read.verified):
             self._page_done(advance=False)
             self._abort(retry=False)
             # asked again once a write to the range may have mended the page

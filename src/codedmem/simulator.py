@@ -210,9 +210,13 @@ class Cluster:
     # -- environment ------------------------------------------------------
 
     def background_level(self):
+        """The highest level of the windows open now; drops closed windows,
+        which cannot reopen since the clock never moves back."""
+        now = self.now
+        self._background = [w for w in self._background if w.end_ns > now]
         level = 1.0
         for w in self._background:
-            if w.start_ns <= self.now < w.end_ns:
+            if w.start_ns <= now:
                 level = max(level, w.level)
         return level
 
@@ -479,7 +483,15 @@ class FaultScript:
 
 
 def inject(cluster, script):
-    """Schedule a fault script onto the cluster's event queue."""
+    """Schedule a fault script onto the cluster's event queue.
+
+    Virtual time only moves forward, so a row dated before `cluster.now`
+    is refused before any row is scheduled; a row at `now` is valid.
+    """
+    for e in script.events:
+        t = round(e.time_us * US)
+        if t < cluster.now:
+            raise ValueError(f"fault dated {t} ns is before the clock at {cluster.now} ns: {e}")
     for e in script.events:
         t = round(e.time_us * US)
         if e.type == "fail":

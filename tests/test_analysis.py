@@ -250,12 +250,19 @@ class TestTwoChoice:
     """Block-drawn two-choice placement against the scalar reference loop."""
 
     # the fallback fires on every last pick when n == width; fewer attempts
-    # make it fire with two or more machines left, where it draws again
-    @pytest.mark.parametrize("block", [analysis._P2C_BLOCK, 6])
+    # make it fire with two or more machines left, where it draws again.
+    # Runs of ranges with pairwise distinct candidates skip the pick loop:
+    # 3,001 ranges leave an odd last range, blocks of 50 make a range's 20
+    # candidates straddle a refill, n = 200 repeats candidates often, and at
+    # n = 25 no run holds two ranges (40 ids)
+    @pytest.mark.parametrize("block", [analysis._P2C_BLOCK, 50, 6])
     @pytest.mark.parametrize(
         "n, width, ranges, attempts, dense",
         [
             (10_000, 10, 400, 256, False),
+            (10_000, 10, 3_001, 256, False),
+            (200, 10, 300, 256, False),
+            (25, 10, 100, 256, False),
             (10, 10, 20, 256, True),
             (12, 12, 20, 256, True),
             (3, 3, 20, 256, True),
@@ -275,6 +282,18 @@ class TestTwoChoice:
         assert bool(fallbacks) == dense
         if attempts < 256:
             assert min(fallbacks) <= n - 2  # some fallbacks chose among 2+ machines
+
+    @pytest.mark.parametrize("n, size", [(1, 5), (3, 50), (40, 200), (10_000, 4096)])
+    def test_distinct_reach_ends_the_longest_distinct_run(self, n, size):
+        ids = np.random.default_rng(n).integers(0, n, size=size)
+        values = ids.tolist()
+        expect = []
+        for p in range(size):
+            e = p
+            while e < size and values[e] not in values[p:e]:
+                e += 1
+            expect.append(e)
+        assert analysis._distinct_reach(ids).tolist() == expect
 
     @pytest.mark.parametrize("n", [12, 10_000, 2**33])
     def test_block_draws_are_scalar_draws(self, n):

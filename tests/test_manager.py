@@ -550,7 +550,9 @@ class TestOrderingAndEviction:
         victim = rng.refs[2]
         simulator.inject(
             cluster,
-            FaultScript.from_events([{"type": "evict", "time_us": 1.0, "slab": victim.slab_id}]),
+            FaultScript.from_events(
+                [{"type": "evict", "time_us": cluster.now / simulator.US, "slab": victim.slab_id}]
+            ),
         )
         cluster.run_until_idle()
         assert rng.refs[2].state in simulator.LOST

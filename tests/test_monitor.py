@@ -298,6 +298,24 @@ class TestRegeneration:
         # nothing can verify a rebuild at k healthy splits, so the range stays degraded
         assert len(arange.healthy_refs()) == params.k
 
+    def test_guarded_rebuild_aborts_when_its_read_loses_a_split_in_flight(self):
+        # one group of five machines: range 0 on four, one spare
+        params = CodecParams(k=2, r=2, delta=1)
+        config = ManagerConfig(corruption_guard=True)
+        cluster, mgr, mon = build(5, params, l=1, config=config)
+        arange = mgr.map_range(0)
+        assert mgr.remote_write(0, 0, page_of(7)).outcome == "durable"
+        cluster.fail_machine(arange.refs[3].machine_id)
+        mon.drain_regeneration()
+        assert arange.refs[3].state is SlabState.REGENERATING
+        # the rebuild's guarded read of roles 0-2 is in flight; cutting one
+        # off leaves no spare to ask, so it decodes k splits unchecked
+        cluster.fail_machine(arange.refs[0].machine_id)
+        cluster.run_until_idle()
+        assert ("regenerate", "r0:role3", "aborted") in [row[1:] for row in cluster.event_log]
+        assert arange.refs[3].state in LOST
+        assert 3 in mgr._unverified[0]
+
     @pytest.mark.parametrize("loss", ["fail", "evict"])
     def test_slab_lost_mid_rebuild_is_rebuilt_elsewhere(self, loss):
         params = CodecParams(k=2, r=1)

@@ -378,6 +378,44 @@ class TestFaultScript:
         c.run_until_idle()
         assert results[0].time_ns - 2000 == 3000
 
+    def test_background_window_is_dropped_once_closed(self):
+        c = new_cluster()
+        script = FaultScript.from_events(
+            [{"type": "background_load", "time_us": 1.0, "until_us": 4.0, "level": 2.0}]
+        )
+        simulator.inject(c, script)
+        slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=4)
+        results, cb = collect(c)
+        c.schedule_at(2000, lambda: c.read_split(0, slab.slab_id, 0, cb))
+        c.run_until_idle()
+        assert len(c._background) == 1
+        # the first split submitted after the window closes drops it
+        c.schedule_at(6000, lambda: c.read_split(0, slab.slab_id, 0, cb))
+        c.run_until_idle()
+        assert c._background == []
+        assert [r.time_ns for r in results] == [5000, 7500]
+
+    def test_row_dated_before_the_clock_is_refused(self):
+        c = new_cluster()
+        c.schedule_at(5000, lambda: None)
+        c.run_until_idle()
+        script = FaultScript.from_events(
+            [
+                {"type": "fail", "time_us": 1.0, "machine": 0},
+                {"type": "fail", "time_us": 9.0, "machine": 1},
+            ]
+        )
+        with pytest.raises(ValueError, match="1000 ns is before the clock at 5000 ns"):
+            simulator.inject(c, script)
+        # no row of the script was scheduled
+        assert c._heap == []
+        assert all(m.state == simulator.MachineState.UP for m in c.machines)
+        # a row at the clock is valid
+        simulator.inject(c, FaultScript.from_events([{"type": "fail", "time_us": 5.0, "machine": 0}]))
+        c.run_until_idle()
+        assert c.now == 5000
+        assert c.machines[0].state == simulator.MachineState.FAILED
+
 
 class TestDeterminism:
     def run_once(self, seed):
@@ -415,7 +453,10 @@ def test_byte_conservation():
     written = sum(1 for r in results if r.outcome == "ok") * 16
     c.fail_machine(0)
     simulator.inject(
-        c, FaultScript.from_events([{"type": "evict", "time_us": 1.0, "slab": slabs[1].slab_id}])
+        c,
+        FaultScript.from_events(
+            [{"type": "evict", "time_us": c.now / simulator.US, "slab": slabs[1].slab_id}]
+        ),
     )
     c.run_until_idle()
     lost = 4 * 16  # failed machine still holds bytes; evicted slab dropped them
