@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .coding import CodecParams
+from .coding import CodecParams, make_codec
 from .errors import ConfigError, InvalidParams, MonotonicityViolation
 from .manager import ManagerConfig, ResilienceManager
 from .placement import (
@@ -847,8 +847,7 @@ def run_datapath(cfg):
     chash = config_hash(cfg)
     params = CodecParams(**cfg["code"])
     mconfig = ManagerConfig(**cfg.get("manager", {}))
-    split = -(-mconfig.page_size // params.k)
-    capacity = mconfig.slab_size // split
+    capacity = mconfig.slab_size // make_codec(params, mconfig.page_size).split_size
     rows = []
     for seed in cfg["seeds"]:
         seed = int(seed)

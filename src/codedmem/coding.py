@@ -80,10 +80,6 @@ class Codec:
     def k(self):
         return self.params.k
 
-    @property
-    def r(self):
-        return self.params.r
-
 
 def make_codec(params, page_size=PAGE_SIZE):
     if page_size < 1:

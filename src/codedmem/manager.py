@@ -34,25 +34,32 @@ that `relocate` placed. It takes each page's queue like a foreground op,
 so a page is never read for a rebuild while a write to it is in flight;
 foreground writes keep flowing, backfill the new slab directly, and the
 rebuild skips the pages that already landed. A rebuild whose slab is
-lost before it is whole aborts and asks for its rebuild again. A slot
-that found no spare asks again when a member of its group recovers or
-frees room: an eviction, or an aborted rebuild that frees its slab.
+lost before it is whole aborts and asks for its rebuild again.
 `promote` logs a rebuild's `complete` row; every other outcome (aborted,
 no_quorum, no_target) is a `regenerate` row of `Cluster.event_log` too.
-The fault handlers find a machine's ranges in a per-machine list of the
-ranges whose group holds it, kept in mapping order, so they request
-rebuilds in the order a scan of every range would.
+
+A lost slot, or one being rebuilt, has one status in its range's
+`rebuild_status`, written only by `_request_regen` and a rebuild's end.
+A disconnect or eviction that loses a slot's slab queues its rebuild;
+the status of a slot that waits says what queues it again:
+
+    queued      a rebuild is asked for or running
+    no_target   no spare in the group: an eviction or recovery there, or
+                room that an aborted rebuild frees there
+    unverified  a page could not be read or verified: a write to the
+                range that completes durable or degraded, or an eviction
+                or recovery in the group
+    no_quorum   fewer than k healthy splits: an eviction or recovery in
+                the group
 
 Under the corruption guard with delta > 0, a guarded rebuild fills only
 from verified reads. A read that could not be verified (fewer than
 k + delta healthy splits, or a split cut off in flight with no spare left
 to ask) aborts the rebuild like a failed one: filling
 from an unchecked decode would turn a corrupted split into a consistent
-wrong codeword that no later guarded read could detect. The slot asks
-for its rebuild again once a write to its range completes durable or
-degraded, which may have mended the page that failed; until then the
-range stays degraded, since a recovering machine's slabs are stale and
-freed.
+wrong codeword that no later guarded read could detect. The slot waits
+`unverified` for a write that may mend the page; until then the range
+stays degraded, since a recovering machine's slabs are stale and freed.
 
 A page op hands its bound `_on_split` to every split I/O it issues, with
 no closure per split. A read takes a split's role from the slab that
@@ -95,6 +102,7 @@ class AddressRange:
     refs: list  # the slab that holds each split, indexed by role
     page_capacity: int
     written_pages: set = field(default_factory=set)
+    rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
 
     def healthy_refs(self):
         return [slab for slab in self.refs if slab.state is AVAILABLE]
@@ -212,31 +220,22 @@ class _WriteOp(_PageOp):
     def start(self):
         mgr = self.mgr
         self.started_ns = mgr.cluster.now
-        self.splits = coding.split_page(self.page, mgr.codec.params.k)
         k = mgr.codec.params.k
+        self.splits = coding.split_page(self.page, k)
         healthy = self.arange.healthy_refs()
         if len(healthy) < k:
             self._finish("write-failed")
             return
-        data_refs = [s for s in healthy if s.role < k]
-        parity_refs = [s for s in healthy if s.role >= k]
+        # refs are in role order, so the first k healthy ones are the data
+        # splits with parity standing in for the missing ones
+        wave = healthy[:k] if mgr.config.async_parity else healthy
+        self.wave1_roles = [s.role for s in wave]
         delay = 0 if mgr.config.in_place_coding else mgr.copy_ns
-        if mgr.config.async_parity and len(data_refs) == k:
-            self.wave1_roles = [s.role for s in data_refs]
-        else:
+        if wave[-1].role >= k or not mgr.config.async_parity:
             # parity enters the ack path, so the encode cost does too
             self._encode()
             delay += mgr.encode_ns
             self.encode_ack_ns = mgr.encode_ns
-            if mgr.config.async_parity:
-                need = k - len(data_refs)
-                wave = data_refs + parity_refs[:need]
-            else:
-                wave = healthy
-            self.wave1_roles = [s.role for s in wave]
-        if len(self.wave1_roles) < k:
-            self._finish("write-failed")
-            return
         for role in self.wave1_roles:
             self._issue(role, delay)
 
@@ -327,8 +326,9 @@ class _WriteOp(_PageOp):
         # a done write is kept as its completion and needs no buffers or issue state
         self.page = self.splits = self.parity = self.wave1_roles = self.roles = None
         self.done = True
-        if mgr._unverified and outcome != "write-failed":
-            for role in sorted(mgr._unverified.pop(range_id, ())):
+        waiting = self.arange.rebuild_status
+        if waiting and outcome != "write-failed":
+            for role in sorted(r for r, status in waiting.items() if status == "unverified"):
                 mgr._request_regen(range_id, role)
         if self.on_done:
             self.on_done(self)
@@ -515,11 +515,10 @@ class _Rebuild:
         if self.slab.state is AVAILABLE:
             self._finish(True)
         elif len(self.arange.healthy_refs()) < mgr.codec.params.k:
-            self._abort(retry=False, outcome="no_quorum")
+            self._abort("no_quorum", outcome="no_quorum")
         elif mgr.relocate(self.arange, self.role) is None:
-            mgr._parked.add((self.arange.range_id, self.role))
             self._log("no_target")
-            self._finish(False)
+            self._finish(False, "no_target")
         else:
             self._next_page()
 
@@ -539,7 +538,7 @@ class _Rebuild:
         if slab.state is AVAILABLE:
             self._finish(True)
         else:
-            self._abort(retry=True)
+            self._abort()
 
     def start(self):
         """Read the page once the rebuild heads its queue."""
@@ -554,9 +553,7 @@ class _Rebuild:
         guard = mgr.config.corruption_guard and mgr.codec.params.delta > 0
         if read.outcome != "ok" or (guard and not read.verified):
             self._page_done(advance=False)
-            self._abort(retry=False)
-            # asked again once a write to the range may have mended the page
-            mgr._unverified.setdefault(self.arange.range_id, set()).add(self.role)
+            self._abort("unverified")
             return
         payload = coding._page_split(mgr.codec, read.page, self.role)
         delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
@@ -575,36 +572,48 @@ class _Rebuild:
         ok = completion.outcome == "ok"
         self._page_done(advance=ok)
         if not ok:
-            self._abort(retry=True)
+            self._abort()
 
     def _page_done(self, advance):
         self.mgr._release(self.arange.range_id, self.page, self)
         if advance:
             self._next_page()
 
-    def _abort(self, retry, outcome="aborted"):
-        """Free the unfinished slab, so the slot reads as lost, and log why."""
+    def _abort(self, reason=None, outcome="aborted"):
+        """Free the unfinished slab, so the slot reads as lost, log why, and
+        leave the slot waiting for `reason`, or queued again without one."""
         mgr = self.mgr
         slab = self.slab
         freed = slab.state is REGENERATING
         if freed or slab.state is SlabState.FAILED:
             mgr.cluster.free_slab(slab.slab_id)
         self._log(outcome)
-        self._finish(False)
-        if retry:
+        self._finish(False, reason)
+        if reason is None:
             mgr._request_regen(self.arange.range_id, self.role)
         if freed:
-            # only slots parked for want of a spare: one whose read failed
-            # would abort again and free the same room, without end
-            mgr._retry_parked(slab.machine_id, parked_only=True)
+            # only slots that found no spare: one whose read failed would
+            # abort again and free the same room, without end
+            mgr._ask_again(slab.machine_id, _without_target)
 
     def _log(self, outcome):
         self.mgr.cluster.log("regenerate", f"r{self.arange.range_id}:role{self.role}", outcome)
 
-    def _finish(self, ok):
+    def _finish(self, ok, reason=None):
         self.done = True
         self.succeeded = ok
-        self.mgr._regen_requested.discard((self.arange.range_id, self.role))
+        if reason is None:
+            del self.arange.rebuild_status[self.role]
+        else:
+            self.arange.rebuild_status[self.role] = reason
+
+
+def _lost(slab, status):
+    return slab.state in LOST
+
+
+def _without_target(slab, status):
+    return status == "no_target" and slab.state in LOST
 
 
 class ResilienceManager:
@@ -621,9 +630,6 @@ class ResilienceManager:
         self.ranges = {}
         self.health = defaultdict(MachineHealth)
         self.regeneration_requests = []
-        self._regen_requested = set()
-        self._parked = set()  # (range, role) slots whose last rebuild found no spare
-        self._unverified = {}  # range -> roles whose last rebuild could not read a page
         self._locks = {}
         self._group_ranges = defaultdict(list)  # machine -> ranges whose group holds it
         m = cluster.latency
@@ -758,19 +764,17 @@ class ResilienceManager:
     # -- fault handling -----------------------------------------------------
 
     def handle_disconnect(self, machine_id):
-        # the disconnect failed every slab that was live on the machine; a
-        # slab sits on a member of its range's group, and the ranges come in
-        # mapping order
-        for arange in self._group_ranges.get(machine_id, ()):
-            for slab in arange.refs:
-                if slab.machine_id == machine_id and slab.state is SlabState.FAILED:
-                    self._request_regen(arange.range_id, slab.role)
+        # the disconnect failed every slab that was live on the machine
+        self._ask_again(
+            machine_id,
+            lambda slab, status: slab.machine_id == machine_id and slab.state is SlabState.FAILED,
+        )
 
     def _on_eviction(self, slab):
         arange = self.ranges.get(slab.owner)
         if arange is not None and arange.refs[slab.role] is slab:
             self._request_regen(arange.range_id, slab.role)
-        self._retry_parked(slab.machine_id)
+        self._ask_again(slab.machine_id, _lost)
 
     def _on_recover(self, machine_id):
         # every slab on the machine was failed at disconnect and has missed
@@ -779,17 +783,17 @@ class ResilienceManager:
         for slab in list(machine.slabs.values()):
             if slab.owner is not None and slab.state is not SlabState.EVICTED:
                 self.cluster.free_slab(slab.slab_id)
-        self._retry_parked(machine_id)
+        self._ask_again(machine_id, _lost)
 
-    def _retry_parked(self, machine_id, parked_only=False):
-        """Request again the rebuild of each lost slot whose group holds
-        `machine_id`, which may be a spare with room now; with
-        `parked_only`, only of the slots whose last rebuild found no spare."""
+    def _ask_again(self, machine_id, wants):
+        """Request the rebuild of each slot for which `wants(slab, status)`
+        holds, over the ranges whose group holds `machine_id`: every range
+        with a slab on it or that it may serve as a spare. They are kept in
+        mapping order, the order in which a scan of every range asks."""
         for arange in self._group_ranges.get(machine_id, ()):
             for slab in arange.refs:
-                key = (arange.range_id, slab.role)
-                if slab.state in LOST and (not parked_only or key in self._parked):
-                    self._request_regen(*key)
+                if wants(slab, arange.rebuild_status.get(slab.role)):
+                    self._request_regen(arange.range_id, slab.role)
 
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
@@ -841,13 +845,11 @@ class ResilienceManager:
         return slab.state is AVAILABLE
 
     def _request_regen(self, range_id, role):
-        key = (range_id, role)
-        if key in self._regen_requested:
+        waiting = self.ranges[range_id].rebuild_status
+        if waiting.get(role) == "queued":
             return
-        self._parked.discard(key)
-        self._unverified.get(range_id, set()).discard(role)
-        self._regen_requested.add(key)
-        self.regeneration_requests.append(key)
+        waiting[role] = "queued"
+        self.regeneration_requests.append((range_id, role))
 
     def drain_regeneration(self):
         """Start a rebuild for every queued request, in order; the records."""

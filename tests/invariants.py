@@ -4,6 +4,9 @@ from collections import Counter
 
 from codedmem.simulator import LOST, MachineState, SlabState
 
+# the rebuild statuses a lost slot may have: queued, or the reason it waits
+WAITING = ("queued", "no_target", "unverified", "no_quorum")
+
 
 def check_invariants(manager):
     """Assert that capacity, slab ownership and placement are consistent.
@@ -18,6 +21,8 @@ def check_invariants(manager):
     - each range's live refs sit on distinct machines
     - every ref's machine is a member of its range's group
     - no op holds a page's queue once the cluster is idle
+    - every lost ref's slot has its rebuild queued, or a recorded reason
+      to wait (``AddressRange.rebuild_status``)
     - with no rebuild request queued, no ref is lost while its range could
       be rebuilt: while the range has k healthy splits (k + delta under the
       guard) and its group an up spare with room for the slab
@@ -41,7 +46,10 @@ def check_invariants(manager):
         for role, slab in enumerate(arange.refs):
             assert slab.role == role, (arange.range_id, role)
             assert slab.machine_id in arange.group_members, (arange.range_id, role)
-            if slab.state not in LOST:
+            if slab.state in LOST:
+                status = arange.rebuild_status.get(role)
+                assert status in WAITING, f"range {arange.range_id} role {role} lost, {status}"
+            else:
                 assert cluster.slabs.get(slab.slab_id) is slab, (arange.range_id, role)
                 machine_slabs = cluster.machines[slab.machine_id].slabs
                 assert machine_slabs.get(slab.slab_id) is slab, (arange.range_id, role)

@@ -403,6 +403,42 @@ class TestDatapath:
                 assert row["wrong"] == "0"
                 assert row["unrecoverable"] == "0"
 
+    @pytest.mark.parametrize(
+        "overrides, counters",
+        [
+            # unguarded, so a read that decodes the corrupted split is wrong;
+            # two pages per range make the page a frequent read
+            (
+                {
+                    "manager": {"slab_size": 4096},
+                    "faults": [
+                        {"type": "corrupt", "time_us": 150, "slab": 1, "page_index": 0, "mask": "ff"}
+                    ],
+                },
+                [("R", "wrong")],
+            ),
+            # r + 1 of the range's slabs fail together; the recovery after the
+            # last op leaves a request for the settle loop to drain
+            (
+                {
+                    "faults": [
+                        {"type": "fail", "time_us": 40, "machine": 0},
+                        {"type": "fail", "time_us": 40, "machine": 1},
+                        {"type": "recover", "time_us": 10000, "machine": 0},
+                    ]
+                },
+                [("R", "unrecoverable"), ("W", "unrecoverable")],
+            ),
+        ],
+    )
+    def test_failure_counters(self, overrides, counters):
+        workload = {"ranges": 1, "operations": 60, "read_fraction": 0.5}
+        cfg = cfg_of(DATAPATH_CFG, workload=workload, **overrides)
+        header, rows = analysis.run_datapath(cfg)
+        table = {(r[header.index("system")], r[header.index("op")]): dict(zip(header, r)) for r in rows}
+        for op, column in counters:
+            assert int(table[("coded", op)][column]) >= 1, (op, column)
+
     def test_deterministic_rows(self):
         assert analysis.run_datapath(DATAPATH_CFG) == analysis.run_datapath(DATAPATH_CFG)
 

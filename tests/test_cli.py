@@ -92,6 +92,7 @@ class TestValidate:
             (LOSS_CFG, "seeds", [-1], "non-negative integers"),
             (BALANCE_CFG, "seeds", [1, -1], "non-negative integers"),
             (DATAPATH_CFG, "seeds", [-1], "non-negative integers"),
+            (BALANCE_CFG, "ranges", 0, "ranges must be a positive integer"),
         ],
     )
     def test_bad_field_types_exit_2(self, tmp_path, capsys, base, key, value, message):

@@ -574,7 +574,7 @@ def scanned_requests(mgr, machine_id, handler):
                 hit = (
                     machine_id in arange.group_members
                     and state in simulator.LOST
-                    and (handler == "retry" or key in mgr._parked)
+                    and (handler == "retry" or arange.rebuild_status.get(slab.role) == "no_target")
                 )
             if hit:
                 keys.append(key)
@@ -584,8 +584,8 @@ def scanned_requests(mgr, machine_id, handler):
 class TestFaultHandlerIndex:
     HANDLERS = {
         "disconnect": lambda mgr, m: mgr.handle_disconnect(m),
-        "retry": lambda mgr, m: mgr._retry_parked(m),
-        "parked": lambda mgr, m: mgr._retry_parked(m, parked_only=True),
+        "retry": lambda mgr, m: mgr._ask_again(m, manager._lost),
+        "parked": lambda mgr, m: mgr._ask_again(m, manager._without_target),
     }
 
     def handler_requests(self, mgr, machine_id, handler, monkeypatch):

@@ -54,7 +54,7 @@ class TestEviction:
         mon.drain_regeneration()
         # the eviction requested the rebuild, and the drain started it
         assert rng.refs[1].state is SlabState.REGENERATING
-        assert (0, victim.role) in mgr._regen_requested
+        assert rng.rebuild_status[victim.role] == "queued"
         cluster.run_until_idle()
         assert rng.refs[1].state is SlabState.AVAILABLE
 
@@ -168,7 +168,7 @@ class TestRegeneration:
         ]
         assert len(complete) == 1
         assert mgr._locks == {}
-        assert not mgr._regen_requested
+        assert not arange.rebuild_status
 
     def test_regen_aborts_without_quorum(self):
         cluster, mgr, mon, payloads = self.settled()
@@ -314,7 +314,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         assert ("regenerate", "r0:role3", "aborted") in [row[1:] for row in cluster.event_log]
         assert arange.refs[3].state in LOST
-        assert 3 in mgr._unverified[0]
+        assert arange.rebuild_status[3] == "unverified"
 
     @pytest.mark.parametrize("loss", ["fail", "evict"])
     def test_slab_lost_mid_rebuild_is_rebuilt_elsewhere(self, loss):
