@@ -39,34 +39,10 @@ from .placement import (
 from .simulator import Cluster, FaultScript, LatencyModel, SplitLatencies, inject
 
 SCHEMA_VERSION = 1
-SCENARIOS = ("loss", "balance", "datapath")
-BALANCE_POLICIES = ("eccache", "codingsets", "power_of_two")
-BASELINES = ("replication", "ssd_backup")
 DEFAULT_EXACT_THRESHOLD = 50_000
 
 # sweeps over these leaf keys must never decrease the analytic loss
 MONOTONE_SWEEPS = ("failure_fraction", "slabs_per_machine")
-
-# the keys each scenario reads; any other key would pass and change nothing
-_COMMON_KEYS = {"schema_version", "scenario", "seeds", "cluster", "code", "output_dir"}
-_TOP_KEYS = {
-    "loss": _COMMON_KEYS | {"schemes", "trials", "failure_fraction", "exact_threshold", "sweep"},
-    "balance": _COMMON_KEYS | {"policies", "ranges"},
-    "datapath": _COMMON_KEYS | {"workload", "baselines", "faults", "manager", "placement"},
-}
-_CLUSTER_KEYS = {
-    "loss": {"machines", "slabs_per_machine"},
-    "balance": {"machines", "slabs_per_machine"},
-    "datapath": {"machines", "machine_bytes", "latency"},
-}
-# per scheme, policy or baseline name; only codingsets reads an l
-_ENTRY_KEYS = {
-    CODINGSETS: {"name", "l"},
-    ECCACHE: {"name"},
-    "power_of_two": {"name"},
-    "replication": {"name", "copies"},
-    "ssd_backup": {"name"},
-}
 
 LOSS_HEADER = [
     "seed", "confighash", "sweep_path", "sweep_value", "scheme", "l",
@@ -139,12 +115,160 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, float)
 
 
-def _known_keys(section, keys, where):
-    unknown = sorted(str(key) for key in section if key not in keys)
-    _require(not unknown, f"{where}unknown key {', '.join(unknown)}")
+# -- config schema ----------------------------------------------------------
+#
+# One rule table per scenario names every key the scenario reads; any other
+# key would pass and change nothing, so the walk rejects it. A key ending in
+# "?" is optional. A rule is one of:
+#   (test, phrase)  a leaf: the value passes ``test``, or "<key> must be <phrase>"
+#   {key: rule}     a nested section, walked like the config itself
+#   a class         a named check: the section must construct it
+#   a function      a named check, called as ``check(value, where, cfg)``
+#   [rule, ...]     each rule in turn
+#   None            checked elsewhere, or free
+
+
+def _walk(section, rules, cfg, prefix, label):
+    """Reject a key the table does not name, then check every required key
+    and each optional key that is present, in table order."""
+    _require(isinstance(section, dict), f"{label} must be a mapping")
+    names = {key.rstrip("?") for key in rules}
+    unknown = sorted(str(key) for key in section if key not in names)
+    _require(not unknown, f"{label}: unknown key {', '.join(unknown)}")
+    for key, rule in rules.items():
+        name = key.rstrip("?")
+        if name == key or name in section:
+            _check(section.get(name), rule, prefix + name, cfg)
+
+
+def _check(value, rule, where, cfg):
+    if isinstance(rule, tuple):
+        test, phrase = rule
+        _require(test(value), f"{where} must be {phrase}")
+    elif isinstance(rule, dict):
+        _walk(value, rule, cfg, f"{where}.", where)
+    elif isinstance(rule, list):
+        for part in rule:
+            _check(value, part, where, cfg)
+    elif isinstance(rule, type):
+        try:
+            rule(**value)
+        except (InvalidParams, TypeError) as err:
+            raise ConfigError(f"{where}: {err}") from err
+    elif rule is not None:
+        rule(value, where, cfg)
+
+
+def _entries(kind, rules, may_be_empty=False):
+    """Named check for a list of entries, each walked by the rules its
+    ``name`` picks; one rule serves schemes, policies and baselines."""
+
+    def check(entries, where, cfg):
+        _require(
+            isinstance(entries, list) and (may_be_empty or entries),
+            f"{where} must be a {'' if may_be_empty else 'non-empty '}list",
+        )
+        for entry in entries:
+            _require(isinstance(entry, dict), f"each {kind} must be a mapping")
+            name = entry.get("name")
+            _require(isinstance(name, str) and name in rules, f"unknown {kind} {name!r}")
+            _walk(entry, {"name": None, **rules[name]}, cfg, f"{kind} ", f"{kind} {name}")
+
+    return check
+
+
+def _codec(code, where, cfg):
+    _require(isinstance(code, dict) and "k" in code, "code.k is required")
+    _check(code, CodecParams, where, cfg)
+
+
+def _faults(rows, where, cfg):
+    try:
+        script = FaultScript.from_events(rows)
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+    machines = cfg["cluster"]["machines"]
+    for event in script.events:
+        _require(
+            event.machine is None or event.machine < machines,
+            f"{where}: machine {event.machine} is outside the {machines}-machine cluster",
+        )
+
+
+def _sweep(sweep, where, cfg):
+    """The swept path must exist, and every point must be a valid config."""
+    path = sweep["path"]
+    try:
+        get_path(cfg, path)
+    except KeyError:
+        raise ConfigError(f"sweep.path {path!r} not found in config") from None
+    for value in sweep["values"]:
+        try:
+            validate_config(_at_sweep_value(cfg, path, value))
+        except ConfigError as err:
+            raise ConfigError(f"sweep {path}={value!r}: {err}") from None
+
+
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_FRACTION = (lambda v: _is_number(v) and 0.0 <= v <= 1.0, "in [0, 1]")
+_COMMON = {
+    "schema_version": None,  # both checked before the scenario picks its table
+    "scenario": None,
+    "seeds": (
+        lambda v: isinstance(v, list) and v and all(_is_int(s) and s >= 0 for s in v),
+        "a non-empty list of non-negative integers",
+    ),
+    "output_dir?": None,
+}
+_SLAB_CLUSTER = {"machines": _POSITIVE, "slabs_per_machine?": _POSITIVE}
+_CODE = {"k": None, "r?": None}  # CodecParams checks the values
+_GROUPED = {CODINGSETS: {"l?": _NON_NEGATIVE}, ECCACHE: {}}  # only codingsets reads an l
+_SCHEMAS = {
+    "loss": {
+        **_COMMON,
+        "cluster": _SLAB_CLUSTER,
+        "code": [_codec, _CODE],
+        "sweep?": [
+            {
+                "path": (lambda v: isinstance(v, str) and v, "a non-empty string"),
+                "values": (
+                    lambda v: isinstance(v, list) and v and all(_is_number(x) for x in v),
+                    "a non-empty list of numbers",
+                ),
+            },
+            _sweep,
+        ],
+        "schemes": _entries("scheme", _GROUPED),
+        "trials": _POSITIVE,
+        "failure_fraction?": _FRACTION,
+        "exact_threshold?": _NON_NEGATIVE,
+    },
+    "balance": {
+        **_COMMON,
+        "cluster": _SLAB_CLUSTER,
+        "code": [_codec, _CODE],
+        "policies": _entries("policy", {**_GROUPED, "power_of_two": {}}),
+        "ranges?": _POSITIVE,
+    },
+    "datapath": {
+        **_COMMON,
+        "cluster": {"machines": _POSITIVE, "machine_bytes?": _POSITIVE, "latency?": LatencyModel},
+        "code": [_codec, {**_CODE, "delta?": None}],  # only the data path reads delta
+        "workload": {"operations": _POSITIVE, "ranges": _POSITIVE, "read_fraction?": _FRACTION},
+        "baselines?": _entries(
+            "baseline", {"replication": {"copies?": _POSITIVE}, "ssd_backup": {}}, may_be_empty=True
+        ),
+        "faults?": _faults,
+        "manager?": ManagerConfig,
+        "placement?": {"l?": _NON_NEGATIVE},
+    },
+}
+SCENARIOS = tuple(_SCHEMAS)
 
 
 def validate_config(cfg):
+    """Check a config against its scenario's rule table; returns it unchanged."""
     _require(isinstance(cfg, dict), "config must be a mapping")
     _require(
         cfg.get("schema_version") == SCHEMA_VERSION,
@@ -152,162 +276,8 @@ def validate_config(cfg):
     )
     scenario = cfg.get("scenario")
     _require(scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    _known_keys(cfg, _TOP_KEYS[scenario], f"{scenario} config: ")
-    seeds = cfg.get("seeds")
-    _require(
-        isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds),
-        "seeds must be a non-empty list of non-negative integers",
-    )
-    cluster = cfg.get("cluster")
-    _require(isinstance(cluster, dict), "cluster section is required")
-    _known_keys(cluster, _CLUSTER_KEYS[scenario], "cluster: ")
-    _require(
-        _is_int(cluster.get("machines")) and cluster["machines"] >= 1,
-        "cluster.machines must be a positive integer",
-    )
-    if "slabs_per_machine" in cluster:
-        _require(
-            _is_int(cluster["slabs_per_machine"]) and cluster["slabs_per_machine"] >= 1,
-            "cluster.slabs_per_machine must be a positive integer",
-        )
-    if "machine_bytes" in cluster:
-        _require(
-            _is_int(cluster["machine_bytes"]) and cluster["machine_bytes"] >= 1,
-            "cluster.machine_bytes must be a positive integer",
-        )
-    if "latency" in cluster:
-        try:
-            LatencyModel(**cluster["latency"])
-        except (InvalidParams, TypeError) as err:
-            raise ConfigError(f"cluster.latency: {err}") from err
-    code = cfg.get("code")
-    _require(isinstance(code, dict) and "k" in code, "code.k is required")
-    try:
-        CodecParams(**code)
-    except (InvalidParams, TypeError) as err:
-        raise ConfigError(f"code: {err}") from err
-    if "sweep" in cfg:
-        sweep = cfg["sweep"]
-        _require(isinstance(sweep, dict), "sweep must be a mapping")
-        _known_keys(sweep, {"path", "values"}, "sweep: ")
-        path = sweep.get("path")
-        _require(isinstance(path, str) and path, "sweep.path must be a non-empty string")
-        values = sweep.get("values")
-        _require(
-            isinstance(values, list) and values and all(_is_number(v) for v in values),
-            "sweep.values must be a non-empty list of numbers",
-        )
-        try:
-            get_path(cfg, path)
-        except KeyError:
-            raise ConfigError(f"sweep.path {path!r} not found in config") from None
-        for value in values:
-            try:
-                validate_config(_at_sweep_value(cfg, path, value))
-            except ConfigError as err:
-                raise ConfigError(f"sweep {path}={value!r}: {err}") from None
-    if scenario == "loss":
-        _validate_loss(cfg)
-    elif scenario == "balance":
-        _validate_balance(cfg)
-    else:
-        _validate_datapath(cfg)
+    _walk(cfg, _SCHEMAS[scenario], cfg, "", f"{scenario} config")
     return cfg
-
-
-def _validate_loss(cfg):
-    schemes = cfg.get("schemes")
-    _require(isinstance(schemes, list) and schemes, "schemes must be a non-empty list")
-    for sc in schemes:
-        _require(isinstance(sc, dict), "each scheme must be a mapping")
-        name = sc.get("name")
-        _require(name in (CODINGSETS, ECCACHE), f"unknown scheme {name!r}")
-        _known_keys(sc, _ENTRY_KEYS[name], f"scheme {name}: ")
-        if "l" in sc:
-            _require(_is_int(sc["l"]) and sc["l"] >= 0, "scheme l must be a non-negative integer")
-    _require(
-        _is_int(cfg.get("trials")) and cfg["trials"] >= 1,
-        "trials must be a positive integer",
-    )
-    if "failure_fraction" in cfg:
-        _require(
-            _is_number(cfg["failure_fraction"]) and 0.0 <= cfg["failure_fraction"] <= 1.0,
-            "failure_fraction must be in [0, 1]",
-        )
-    if "exact_threshold" in cfg:
-        _require(
-            _is_int(cfg["exact_threshold"]) and cfg["exact_threshold"] >= 0,
-            "exact_threshold must be a non-negative integer",
-        )
-
-
-def _validate_balance(cfg):
-    policies = cfg.get("policies")
-    _require(isinstance(policies, list) and policies, "policies must be a non-empty list")
-    for pol in policies:
-        _require(isinstance(pol, dict), "each policy must be a mapping")
-        name = pol.get("name")
-        _require(name in BALANCE_POLICIES, f"unknown policy {name!r}")
-        _known_keys(pol, _ENTRY_KEYS[name], f"policy {name}: ")
-        if "l" in pol:
-            _require(_is_int(pol["l"]) and pol["l"] >= 0, "policy l must be a non-negative integer")
-    if "ranges" in cfg:
-        _require(
-            _is_int(cfg["ranges"]) and cfg["ranges"] >= 1,
-            "ranges must be a positive integer",
-        )
-
-
-def _validate_datapath(cfg):
-    wl = cfg.get("workload")
-    _require(isinstance(wl, dict), "workload section is required")
-    _known_keys(wl, {"operations", "ranges", "read_fraction"}, "workload: ")
-    _require(
-        _is_int(wl.get("operations")) and wl["operations"] >= 1,
-        "workload.operations must be a positive integer",
-    )
-    _require(
-        _is_int(wl.get("ranges")) and wl["ranges"] >= 1,
-        "workload.ranges must be a positive integer",
-    )
-    if "read_fraction" in wl:
-        _require(
-            _is_number(wl["read_fraction"]) and 0.0 <= wl["read_fraction"] <= 1.0,
-            "workload.read_fraction must be in [0, 1]",
-        )
-    baselines = cfg.get("baselines", [])
-    _require(isinstance(baselines, list), "baselines must be a list")
-    for base in baselines:
-        _require(isinstance(base, dict), "each baseline must be a mapping")
-        name = base.get("name")
-        _require(name in BASELINES, f"unknown baseline {name!r}")
-        _known_keys(base, _ENTRY_KEYS[name], f"baseline {name}: ")
-        if name == "replication" and "copies" in base:
-            _require(
-                _is_int(base["copies"]) and base["copies"] >= 1,
-                "replication copies must be a positive integer",
-            )
-    if "faults" in cfg:
-        try:
-            script = FaultScript.from_events(cfg["faults"])
-        except (ValueError, TypeError, AttributeError) as err:
-            raise ConfigError(f"faults: {err}") from err
-        machines = cfg["cluster"]["machines"]
-        for event in script.events:
-            _require(
-                event.machine is None or event.machine < machines,
-                f"faults: machine {event.machine} is outside the {machines}-machine cluster",
-            )
-    if "manager" in cfg:
-        try:
-            ManagerConfig(**cfg["manager"])
-        except (InvalidParams, TypeError) as err:
-            raise ConfigError(f"manager: {err}") from err
-    if "placement" in cfg:
-        _require(isinstance(cfg["placement"], dict), "placement must be a mapping")
-        _known_keys(cfg["placement"], {"l"}, "placement: ")
-        l = cfg["placement"].get("l", 0)
-        _require(_is_int(l) and l >= 0, "placement.l must be a non-negative integer")
 
 
 # -- durability curves -------------------------------------------------------

@@ -92,7 +92,6 @@ def main(argv=None):
                 f"config scenario is {cfg['scenario']!r}, not {args.command!r}"
             )
         _apply_overrides(cfg, args)
-        analysis.validate_config(cfg)
         header, rows = analysis.run_scenario(cfg)
         out_dir = args.out or cfg.get("output_dir", ".")
         path = analysis.emit_report(

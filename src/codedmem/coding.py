@@ -76,10 +76,6 @@ class Codec:
     parity_matrix: list
     _decode_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def k(self):
-        return self.params.k
-
 
 def make_codec(params, page_size=PAGE_SIZE):
     if page_size < 1:
@@ -113,7 +109,7 @@ def _rows(codec, data, indices):
 
 def _page_split(codec, page, index):
     """Split ``index`` of a page, computing only its own codeword row."""
-    return _rows(codec, [s.data for s in split_page(page, codec.k)], [index])[0]
+    return _rows(codec, [s.data for s in split_page(page, codec.params.k)], [index])[0]
 
 
 def encode(codec, data_splits):
@@ -129,7 +125,7 @@ def encode(codec, data_splits):
 
 
 def _generator_row(codec, index):
-    k = codec.k
+    k = codec.params.k
     if index < k:
         return [1 if j == index else 0 for j in range(k)]
     return codec.parity_matrix[index - k]
@@ -183,7 +179,7 @@ def _reconstruct_data(codec, use):
     return [arrived[i] if i in arrived else next(rebuilt) for i in range(k)]
 
 
-def _verified_decode(codec, splits, page_size=None):
+def _verified_decode(codec, splits):
     """The page rebuilt once from the first k distinct splits by arrival, or
     None when another split disagrees with its own codeword row.
 
@@ -195,14 +191,14 @@ def _verified_decode(codec, splits, page_size=None):
     rows = _rows(codec, data, [s.index for s in others])
     if any(s.data != row for s, row in zip(others, rows)):
         return None
-    return b"".join(data)[: codec.page_size if page_size is None else page_size]
+    return b"".join(data)[: codec.page_size]
 
 
-def decode(codec, available, page_size=None):
+def decode(codec, available):
     """Rebuild the page from the first k distinct splits by arrival order;
     the later splits are not compared."""
     data = _reconstruct_data(codec, _first_k(codec, available)[0])
-    return b"".join(data)[: codec.page_size if page_size is None else page_size]
+    return b"".join(data)[: codec.page_size]
 
 
 def detect_corruption(codec, splits, delta):
@@ -214,10 +210,9 @@ def detect_corruption(codec, splits, delta):
     cannot masquerade as a different valid codeword.
     """
     splits = list(splits)
-    if len(splits) < codec.k + delta:
-        raise InsufficientSplits(
-            f"detection needs {codec.k + delta} splits, got {len(splits)}"
-        )
+    floor = codec.params.k + delta
+    if len(splits) < floor:
+        raise InsufficientSplits(f"detection needs {floor} splits, got {len(splits)}")
     return _verified_decode(codec, splits) is None
 
 
@@ -231,7 +226,7 @@ def correct_corruption(codec, splits, delta):
     Returns (page bytes, set of corrupted split indices).
     """
     splits = list(splits)
-    threshold = codec.k + 2 * delta + 1
+    threshold = codec.params.k + 2 * delta + 1
     if len(splits) < threshold:
         raise InsufficientSplits(
             f"correction needs {threshold} splits, got {len(splits)}"

@@ -433,7 +433,7 @@ class _ReadOp(_PageOp):
             self._deliver("unrecoverable", None)
             return
         if not self.guarded:
-            page = coding.decode(mgr.codec, splits, mgr.config.page_size)
+            page = coding.decode(mgr.codec, splits)
             # splits order by index first: the highest one used says if parity was
             cost = mgr.decode_ns if max(splits[:k]).index >= k else 0
             self._deliver("ok", page, extra_ns=cost)
@@ -451,9 +451,7 @@ class _ReadOp(_PageOp):
             return
         # one reconstruction verifies and decodes; short of k+delta, none is checked
         checkable = len(splits) >= k + delta
-        page = coding._verified_decode(
-            mgr.codec, splits if checkable else splits[:k], mgr.config.page_size
-        )
+        page = coding._verified_decode(mgr.codec, splits if checkable else splits[:k])
         if page is not None:
             if checkable:
                 for s in splits:

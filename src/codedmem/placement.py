@@ -71,14 +71,10 @@ class PlacementPlan:
 
     ``members`` is an int64 array of machine ids, group after group, and
     group g is ``members[bounds[g]:bounds[g + 1]]``. ``groups`` builds the
-    ExtendedGroup list from them on first read and keeps it. A plan given a
-    ``groups`` list instead flattens it into the arrays, group i at index i.
+    ExtendedGroup list from them on first read and keeps it.
     """
 
-    def __init__(self, scheme, shape, params, l, seed, groups=None, members=None, bounds=None):
-        if groups is not None:
-            members = [m for g in groups for m in g.members]
-            bounds = np.cumsum([0] + [len(g.members) for g in groups])
+    def __init__(self, scheme, shape, params, l, seed, members, bounds):
         self.scheme = scheme
         self.shape = shape
         self.params = params

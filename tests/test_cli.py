@@ -93,6 +93,19 @@ class TestValidate:
             (BALANCE_CFG, "seeds", [1, -1], "non-negative integers"),
             (DATAPATH_CFG, "seeds", [-1], "non-negative integers"),
             (BALANCE_CFG, "ranges", 0, "ranges must be a positive integer"),
+            (LOSS_CFG, "failure_fraction", 2, "failure_fraction must be in [0, 1]"),
+            (LOSS_CFG, "exact_threshold", -1, "exact_threshold must be a non-negative integer"),
+            (LOSS_CFG, "schemes", [], "schemes must be a non-empty list"),
+            (BALANCE_CFG, "policies", [{"name": "random"}], "unknown policy 'random'"),
+            (DATAPATH_CFG, "placement", 5, "placement must be a mapping"),
+            (DATAPATH_CFG, "workload", {"ranges": 2}, "workload.operations must be a positive integer"),
+            (
+                DATAPATH_CFG,
+                "baselines",
+                [{"name": "replication", "copies": 0}],
+                "baseline copies must be a positive integer",
+            ),
+            (LOSS_CFG, "cluster", {"machines": 0}, "cluster.machines must be a positive integer"),
         ],
     )
     def test_bad_field_types_exit_2(self, tmp_path, capsys, base, key, value, message):
@@ -178,6 +191,8 @@ class TestFaultRows:
             (dict(LOSS_CFG, sweep={"path": "failure_fraction", "values": [0.1]}), "sweep.step"),
             (BALANCE_CFG, "failure_fraction"),
             (BALANCE_CFG, "policies.0.l"),  # power_of_two reads no l
+            (LOSS_CFG, "code.delta"),  # only the data path reads delta
+            (BALANCE_CFG, "code.delta"),
         ],
     )
     def test_unread_keys_fail_before_the_run(self, tmp_path, capsys, base, path):

@@ -343,10 +343,10 @@ def test_random_roundtrip_property():
     for _ in range(40):
         k = int(rng.integers(1, 10))
         r = int(rng.integers(0, 5))
-        codec = coding.make_codec(coding.CodecParams(k=k, r=r))
         page = random_page(rng, size=int(rng.integers(1, 2048)))
+        codec = coding.make_codec(coding.CodecParams(k=k, r=r), len(page))
         data = coding.split_page(page, k)
         splits = data + coding.encode(codec, data)
         pick = rng.permutation(k + r)[:k]
         subset = [splits[i] for i in pick]
-        assert coding.decode(codec, subset, page_size=len(page)) == page
+        assert coding.decode(codec, subset) == page

@@ -457,9 +457,9 @@ class TestCorruption:
         real = coding._verified_decode
         sizes = []
 
-        def counted(codec, splits, page_size=None):
+        def counted(codec, splits):
             sizes.append(len(splits))
-            return real(codec, splits, page_size)
+            return real(codec, splits)
 
         monkeypatch.setattr(coding, "_verified_decode", counted)
         for _ in range(10):

@@ -180,10 +180,8 @@ class TestPlanArrays:
     def test_incidence_table_of_a_group_list(self):
         plan = placement.PlacementPlan(
             scheme="eccache", shape=shape(5), params=CodecParams(k=2, r=1), l=0, seed=0,
-            groups=[
-                placement.ExtendedGroup(0, (3, 1, 2), l=0),
-                placement.ExtendedGroup(1, (1, 4, 3), l=0),
-            ],
+            members=[3, 1, 2, 1, 4, 3],  # group 0 is (3, 1, 2), group 1 is (1, 4, 3)
+            bounds=[0, 3, 6],
         )
         assert placement._incidence_table(plan, 5).tolist() == [
             [-1, -1], [0, 1], [0, -1], [0, 1], [1, -1],
@@ -344,10 +342,8 @@ class TestCopysets:
             params=CodecParams(k=2, r=1),
             l=0,
             seed=0,
-            groups=[
-                placement.ExtendedGroup(0, (0, 1, 2), l=0),
-                placement.ExtendedGroup(1, (1, 2, 3), l=0),
-            ],
+            members=[0, 1, 2, 1, 2, 3],  # group 0 is (0, 1, 2), group 1 is (1, 2, 3)
+            bounds=[0, 3, 6],
         )
         # 3 pairs per group, pair (1,2) shared -> 5 distinct
         assert placement.count_copysets(plan, CodecParams(k=2, r=1)) == 5
