@@ -184,15 +184,9 @@ def _codec(code, where, cfg):
 
 def _faults(rows, where, cfg):
     try:
-        script = FaultScript.from_events(rows)
-    except (ValueError, TypeError, AttributeError) as err:
+        FaultScript.from_events(rows).check_machines(cfg["cluster"]["machines"])
+    except (ValueError, TypeError) as err:
         raise ConfigError(f"{where}: {err}") from err
-    machines = cfg["cluster"]["machines"]
-    for event in script.events:
-        _require(
-            event.machine is None or event.machine < machines,
-            f"{where}: machine {event.machine} is outside the {machines}-machine cluster",
-        )
 
 
 def _sweep(sweep, where, cfg):

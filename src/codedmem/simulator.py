@@ -17,11 +17,12 @@ evictions, corruptions, and load windows at scripted times.
 
 import heapq
 import itertools
-import math
 import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -154,13 +155,6 @@ class Machine:
         return slab
 
 
-@dataclass
-class _Window:
-    start_ns: int
-    end_ns: int
-    level: float
-
-
 class Cluster:
     """Event loop plus machines. All randomness is split latency, drawn from
     one seeded `SplitLatencies`."""
@@ -179,7 +173,7 @@ class Cluster:
         self._heap = []  # [time_ns, seq, fn] entries; seq breaks time ties
         self._seq = itertools.count()
         self._slab_ids = itertools.count()
-        self._background = []
+        self._background = []  # (start_ns, end_ns, level) load windows
 
     # -- event loop -------------------------------------------------------
 
@@ -213,12 +207,8 @@ class Cluster:
         """The highest level of the windows open now; drops closed windows,
         which cannot reopen since the clock never moves back."""
         now = self.now
-        self._background = [w for w in self._background if w.end_ns > now]
-        level = 1.0
-        for w in self._background:
-            if w.start_ns <= now:
-                level = max(level, w.level)
-        return level
+        self._background = [w for w in self._background if w[1] > now]
+        return max([1.0] + [level for start, _, level in self._background if start <= now])
 
     def log(self, op, entity, outcome):
         self.event_log.append((self.now, op, entity, outcome))
@@ -404,13 +394,60 @@ class _InflightIo:
 
 # -- fault scripts ---------------------------------------------------------
 
-# the fields each fault type needs besides time_us
-FAULT_FIELDS = {
-    "fail": ("machine",),
-    "recover": ("machine",),
-    "evict": ("slab",),
-    "corrupt": ("slab", "page_index", "mask"),
-    "background_load": ("until_us",),
+
+def _real(test):
+    """A key check for a finite int or float, not a bool or a string, that
+    passes ``test(number, row so far)``; the row records it as a float."""
+
+    def check(value, row):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = real and abs(value) <= sys.float_info.max and test(float(value), row)
+        return float(value) if ok else None
+
+    return check
+
+
+def _id(value, row):
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return value if is_int and value >= 0 else None
+
+
+def _mask(value, row):
+    try:
+        return value if isinstance(value, bytes) else bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _at(method):
+    """Applies a row by calling the cluster's `method` at the row's time."""
+    return lambda c, t, *args: c.schedule_at(t, partial(getattr(c, method), *args))
+
+
+def _open_window(cluster, t, until_us, level):
+    """Applies a load window at inject time: scheduling it would add a heap
+    entry and shift `seq` ties."""
+    level = level or cluster.latency.background_multiplier
+    cluster._background.append((t, round(until_us * US), level))
+
+
+# A key's rule is (phrase, check): ``check(value, row so far)`` returns what
+# the row records, or None to refuse the row as "<key> must be <phrase>".
+_ID = ("a non-negative integer", _id)
+_TIME = ("a finite int or float >= 0", _real(lambda t, row: t >= 0))
+_UNTIL = ("a finite int or float after time_us", _real(lambda end, row: end > row["time_us"]))
+_LEVEL = ("a finite int or float >= 1", _real(lambda level, row: level >= 1))
+_MASK = ("hex or bytes", _mask)
+
+# For each fault type: the keys its row may carry besides `type` and `time_us`
+# ("?" marks an optional key), and how `inject` applies a row, given the
+# cluster, its time in ns and its keys in table order, None for one absent.
+FAULT_TYPES = {
+    "fail": ({"machine": _ID}, _at("fail_machine")),
+    "recover": ({"machine": _ID}, _at("recover_machine")),
+    "evict": ({"slab": _ID}, _at("evict_slab")),
+    "corrupt": ({"slab": _ID, "page_index": _ID, "mask": _MASK}, _at("corrupt_slab")),
+    "background_load": ({"until_us": _UNTIL, "level?": _LEVEL}, _open_window),
 }
 
 
@@ -418,12 +455,7 @@ FAULT_FIELDS = {
 class FaultEvent:
     type: str
     time_us: float
-    machine: int = None
-    slab: int = None
-    page_index: int = None
-    mask: bytes = None
-    level: float = None
-    until_us: float = None
+    args: dict  # the type's other keys in table order, as recorded
 
 
 @dataclass
@@ -434,77 +466,48 @@ class FaultScript:
 
     @classmethod
     def from_events(cls, rows):
+        """Check each row against its type's entry in `FAULT_TYPES`; a row
+        that breaks it raises ValueError naming the row."""
         events = []
         for row in rows:
-            kind = row.get("type")
-            if kind not in FAULT_FIELDS:
-                raise ValueError(f"unknown fault type {kind!r}")
-            for name in ("time_us",) + FAULT_FIELDS[kind]:
-                if row.get(name) is None:
-                    raise ValueError(f"{kind} fault needs {name}: {row}")
-            for name in ("machine", "slab", "page_index"):
+            kind = row.get("type") if isinstance(row, dict) else None
+            if not isinstance(kind, str) or kind not in FAULT_TYPES:
+                raise ValueError(f"a fault row must be a mapping of a known type: {row!r}")
+            args = {}
+            for key, (phrase, check) in {"time_us": _TIME, **FAULT_TYPES[kind][0]}.items():
+                name = key.rstrip("?")
                 value = row.get(name)
-                if value is not None and (
-                    isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
-                ):
-                    raise ValueError(f"fault {name} must be a non-negative integer: {row}")
-            time_us = float(row["time_us"])
-            if not 0 <= time_us < math.inf:
-                raise ValueError(f"fault time_us must be a finite number >= 0: {row}")
-            until_us = row.get("until_us")
-            if until_us is not None:
-                until_us = float(until_us)
-                if not time_us < until_us < math.inf:
-                    raise ValueError(f"fault until_us must be finite and after time_us: {row}")
-            level = row.get("level")
-            if level is not None:
-                level = float(level)
-                if not 1 <= level < math.inf:
-                    raise ValueError(f"fault level must be a finite number >= 1: {row}")
-            mask = row.get("mask")
-            if isinstance(mask, str):
-                mask = bytes.fromhex(mask)
-            if mask is not None and not isinstance(mask, bytes):
-                raise ValueError(f"fault mask must be hex or bytes: {row}")
-            events.append(
-                FaultEvent(
-                    type=kind,
-                    time_us=time_us,
-                    machine=row.get("machine"),
-                    slab=row.get("slab"),
-                    page_index=row.get("page_index"),
-                    mask=mask,
-                    level=level,
-                    until_us=until_us,
-                )
-            )
+                if value is None and name == key:
+                    raise ValueError(f"{kind} fault needs {name}: {row}")
+                args[name] = None if value is None else check(value, args)
+                if value is not None and args[name] is None:
+                    raise ValueError(f"fault {name} must be {phrase}: {row}")
+            unknown = [str(key) for key in row if key != "type" and key not in args]
+            if unknown:
+                raise ValueError(f"{kind} fault takes no key {', '.join(unknown)}: {row}")
+            events.append(FaultEvent(kind, args.pop("time_us"), args))
         events.sort(key=lambda e: e.time_us)
         return cls(events)
 
+    def check_machines(self, n):
+        """Refuse a row naming a machine outside an n-machine cluster."""
+        for e in self.events:
+            machine = e.args.get("machine", 0)
+            if machine >= n:
+                raise ValueError(f"machine {machine} is outside the {n}-machine cluster: {e}")
+
 
 def inject(cluster, script):
-    """Schedule a fault script onto the cluster's event queue.
+    """Apply a fault script to the cluster through `FAULT_TYPES`.
 
-    Virtual time only moves forward, so a row dated before `cluster.now`
-    is refused before any row is scheduled; a row at `now` is valid.
+    Virtual time only moves forward and the machines are fixed, so a row
+    dated before `cluster.now` (a row at `now` is valid) or naming a
+    `machine` outside the cluster is refused before any row is applied.
     """
+    script.check_machines(len(cluster.machines))
     for e in script.events:
         t = round(e.time_us * US)
         if t < cluster.now:
             raise ValueError(f"fault dated {t} ns is before the clock at {cluster.now} ns: {e}")
     for e in script.events:
-        t = round(e.time_us * US)
-        if e.type == "fail":
-            cluster.schedule_at(t, lambda e=e: cluster.fail_machine(e.machine))
-        elif e.type == "recover":
-            cluster.schedule_at(t, lambda e=e: cluster.recover_machine(e.machine))
-        elif e.type == "evict":
-            cluster.schedule_at(t, lambda e=e: cluster.evict_slab(e.slab))
-        elif e.type == "corrupt":
-            cluster.schedule_at(
-                t, lambda e=e: cluster.corrupt_slab(e.slab, e.page_index, e.mask)
-            )
-        elif e.type == "background_load":
-            cluster._background.append(
-                _Window(t, round(e.until_us * US), e.level or cluster.latency.background_multiplier)
-            )
+        FAULT_TYPES[e.type][1](cluster, round(e.time_us * US), *e.args.values())

@@ -141,6 +141,11 @@ class TestFaultRows:
             ({"type": "background_load", "time_us": 1, "until_us": 5, "level": 0.5}, "level must be"),
             ({"type": "background_load", "time_us": 1, "until_us": 5, "level": math.nan}, "level must be"),
             ({"type": "background_load", "time_us": 1, "until_us": 5, "level": math.inf}, "level must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 5, "levle": 4}, "no key levle"),
+            ({"type": "fail", "time_us": 1, "machine": 0, 3: 4}, "no key 3"),
+            ({"type": "fail", "time_us": True, "machine": 0}, "time_us must be"),
+            ({"type": "fail", "time_us": "5", "machine": 0}, "time_us must be"),
+            ({"type": "evict", "time_us": 1, "slab": 0, "machine": 9}, "evict fault takes no key machine"),
         ],
     )
     def test_bad_rows_fail_before_the_run(self, tmp_path, capsys, fault, message):

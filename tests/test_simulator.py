@@ -416,6 +416,107 @@ class TestFaultScript:
         assert c.now == 5000
         assert c.machines[0].state == simulator.MachineState.FAILED
 
+    @pytest.mark.parametrize("kind", ["fail", "recover"])
+    def test_machine_outside_the_cluster_is_refused_before_any_row(self, kind):
+        c = Cluster(3)
+        script = FaultScript.from_events(
+            [
+                {"type": "fail", "time_us": 1.0, "machine": 0},
+                {"type": kind, "time_us": 2.0, "machine": 7},
+            ]
+        )
+        with pytest.raises(ValueError, match="machine 7 is outside the 3-machine cluster"):
+            simulator.inject(c, script)
+        assert c._heap == []
+        c.run_until_idle()
+        assert all(m.state == simulator.MachineState.UP for m in c.machines)
+
+
+# one valid row per fault type, dated 5 us, with what applying it does to the
+# cluster of `faulted_cluster`: machine 1 down, slab 0 holding b"\x01\x02" at
+# page 0, and the clock at 1.5 us
+VALID_ROWS = {
+    "fail": (
+        {"type": "fail", "time_us": 5, "machine": 2},
+        lambda c, slab: c.machines[2].state == simulator.MachineState.FAILED,
+    ),
+    "recover": (
+        {"type": "recover", "time_us": 5, "machine": 1},
+        lambda c, slab: c.machines[1].state == simulator.MachineState.UP,
+    ),
+    "evict": (
+        {"type": "evict", "time_us": 5, "slab": 0},
+        lambda c, slab: slab.state == simulator.SlabState.EVICTED and slab.store == {},
+    ),
+    "corrupt": (
+        {"type": "corrupt", "time_us": 5, "slab": 0, "page_index": 0, "mask": "ff"},
+        lambda c, slab: slab.store[0] == b"\xfe\x02",
+    ),
+    "background_load": (
+        {"type": "background_load", "time_us": 5, "until_us": 50, "level": 3},
+        # the window is open at 5 us and scales split latency by 3
+        lambda c, slab: (c.now, c.background_level()) == (5000, 3.0),
+    ),
+}
+
+
+def faulted_cluster():
+    c = new_cluster()
+    slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=2)
+    c.write_split(0, slab.slab_id, 0, b"\x01\x02", lambda r: None)
+    c.fail_machine(1)
+    c.run_until_idle()
+    return c, slab
+
+
+def test_valid_rows_cover_every_fault_type():
+    assert set(VALID_ROWS) == set(simulator.FAULT_TYPES)
+
+
+@pytest.mark.parametrize("kind", sorted(simulator.FAULT_TYPES))
+def test_valid_row_applies_and_a_foreign_key_is_refused(kind):
+    row, applied = VALID_ROWS[kind]
+    c, slab = faulted_cluster()
+    script = FaultScript.from_events([row])
+    assert [e.type for e in script.events] == [kind]
+    assert not applied(c, slab)
+    simulator.inject(c, script)
+    if kind == "background_load":
+        c.schedule_at(5000, lambda: None)
+    c.run_until_idle()
+    assert applied(c, slab)
+    # the same row plus one key that only another type takes
+    own = {key.rstrip("?") for key in simulator.FAULT_TYPES[kind][0]}
+    for other, (other_row, _) in VALID_ROWS.items():
+        foreign = sorted(set(other_row) - own - {"type", "time_us"})
+        if other != kind and foreign:
+            with pytest.raises(ValueError, match=f"{kind} fault takes no key {foreign[0]}"):
+                FaultScript.from_events([{**row, foreign[0]: other_row[foreign[0]]}])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"type": "background_load", "time_us": 1, "until_us": 5, "levle": 4}, "no key levle"),
+        ({"type": "fail", "time_us": 1, "machine": 0, 3: 4}, "no key 3"),
+        ({"type": "fail", "time_us": True, "machine": 0}, "time_us must be"),
+        ({"type": "fail", "time_us": "5", "machine": 0}, "time_us must be"),
+        ({"type": "fail", "time_us": 10**400, "machine": 0}, "time_us must be"),
+        ({"type": "background_load", "time_us": 1, "until_us": False}, "until_us must be"),
+        ({"type": "background_load", "time_us": 1, "until_us": 5, "level": True}, "level must be"),
+        ({"type": "fail", "time_us": 1, "machine": True}, "machine must be"),
+        ({"type": "fail", "time_us": 1, "machine": 1.0}, "machine must be"),
+        ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": "zz"}, "mask"),
+        ({"type": ["fail"], "time_us": 1}, "of a known type"),
+        ({"type": "warp", "time_us": 1}, "of a known type"),
+        (["fail", 1, 0], "must be a mapping"),
+    ],
+)
+def test_bad_row_is_refused_naming_it(row, message):
+    with pytest.raises(ValueError, match=message) as err:
+        FaultScript.from_events([{"type": "fail", "time_us": 0, "machine": 0}, row])
+    assert str(row) in str(err.value) or repr(row) in str(err.value)
+
 
 class TestDeterminism:
     def run_once(self, seed):
