@@ -8,6 +8,13 @@ corruptions and k+2*delta+1 locate and repair them.
 
 A split's payload is ``bytes`` throughout: the codec hands lists of split
 payloads to ``gf256.apply_matrix`` and joins the k data rows into a page.
+The codec reads a split by position, as an (index, data) pair, so a
+``Split`` and a plain tuple serve alike.
+
+A decode keeps the data rows that arrived and rebuilds only the missing
+ones, from a plan cached per sorted index set. When the all-ones parity
+row is among the k splits, the last missing row is the xor of that parity
+and the other k-1 data rows, so it costs no GF multiply.
 """
 
 import itertools
@@ -51,8 +58,8 @@ class CodecParams:
 class Split(NamedTuple):
     """One coded fragment of a page. Indices 0..k-1 are data, k..k+r-1 parity.
 
-    A named tuple, since a read builds one per split that reaches it: it is
-    as immutable as a frozen dataclass and takes about half as long to make.
+    The codec reads it by position, so a plain (index, data) tuple, which
+    is cheaper to make, serves as well.
     """
 
     index: int
@@ -117,10 +124,10 @@ def encode(codec, data_splits):
     k, r = codec.params.k, codec.params.r
     if len(data_splits) != k:
         raise InsufficientSplits(f"encode needs exactly {k} data splits, got {len(data_splits)}")
-    if len({len(s.data) for s in data_splits}) > 1:
+    if len({len(s[1]) for s in data_splits}) > 1:
         raise LengthMismatch("data splits differ in length")
-    ordered = sorted(data_splits, key=lambda s: s.index)
-    parity = _rows(codec, [s.data for s in ordered], range(k, k + r))
+    ordered = sorted(data_splits, key=lambda s: s[0])
+    parity = _rows(codec, [s[1] for s in ordered], range(k, k + r))
     return [Split(k + i, row) for i, row in enumerate(parity)]
 
 
@@ -131,15 +138,36 @@ def _generator_row(codec, index):
     return codec.parity_matrix[index - k]
 
 
-def _decode_matrix(codec, indices):
-    # inverted generator submatrix for this index set (sorted), cached per
-    # codec; at most C(k+r, k) sets exist
-    inv = codec._decode_cache.get(indices)
-    if inv is None:
-        rows = [_generator_row(codec, i) for i in indices]
-        inv = gf256.mat_inv(rows)
-        codec._decode_cache[indices] = inv
-    return inv
+class _DecodePlan(NamedTuple):
+    """How the k data rows come back from the splits of one sorted index set.
+
+    `matrix` holds the inverse rows of the missing data rows rebuilt by GF
+    multiplies. When the all-ones parity row k arrived, the last missing
+    row is instead the xor of the sources at `xor`: that parity and the
+    other k-1 data rows. `order` gives each data row's position among the
+    arrived splits followed by the rebuilt rows.
+    """
+
+    matrix: list
+    xor: tuple
+    order: tuple
+
+
+def _decode_plan(codec, indices):
+    # cached per codec and sorted index set; at most C(k+r, k) sets exist
+    plan = codec._decode_cache.get(indices)
+    if plan is not None:
+        return plan
+    k = codec.params.k
+    inv = gf256.mat_inv([_generator_row(codec, i) for i in indices])
+    missing = [i for i in range(k) if i not in indices]
+    position = {i: pos for pos, i in enumerate([*indices, *missing])}
+    # the solution is unique, so the xor gives the same row as its inverse row
+    xor = tuple(position[i] for i in range(k + 1) if i != missing[-1]) if k in indices else ()
+    by_multiply = missing[:-1] if xor else missing
+    plan = _DecodePlan([inv[i] for i in by_multiply], xor, tuple(position[i] for i in range(k)))
+    codec._decode_cache[indices] = plan
+    return plan
 
 
 def _first_k(codec, splits):
@@ -149,7 +177,7 @@ def _first_k(codec, splits):
     seen = set()
     use, others = [], []
     for s in splits:
-        index = s.index
+        index = s[0]
         if not 0 <= index < width:
             raise InvalidParams(f"split index {index} out of range")
         if len(use) < k and index not in seen:
@@ -163,20 +191,22 @@ def _first_k(codec, splits):
 
 
 def _reconstruct_data(codec, use):
-    # the indices in `use` are distinct, so the tuples sort by index alone
+    # the indices in `use` are distinct, so the pairs sort by index alone
     indices, rows = zip(*sorted(use))
     if len(set(map(len, rows))) > 1:
         raise LengthMismatch("splits differ in length")
-    k = codec.params.k
-    if indices[-1] < k:  # k distinct indices below k: all data splits
+    if indices[-1] < codec.params.k:  # k distinct indices below k: all data splits
         return list(rows)
     # erasure-only decode: keep the data rows that arrived and rebuild just
-    # the missing ones from their rows of the inverse
-    arrived = dict(zip(indices, rows))
-    missing = [i for i in range(k) if i not in arrived]
-    inv = _decode_matrix(codec, indices)
-    rebuilt = iter(gf256.apply_matrix([inv[i] for i in missing], list(rows)))
-    return [arrived[i] if i in arrived else next(rebuilt) for i in range(k)]
+    # the missing ones
+    plan = _decode_plan(codec, indices)
+    sources = [*rows, *gf256.apply_matrix(plan.matrix, rows)] if plan.matrix else list(rows)
+    if plan.xor:
+        acc = 0
+        for pos in plan.xor:
+            acc ^= int.from_bytes(sources[pos], "little")
+        sources.append(acc.to_bytes(len(rows[0]), "little"))
+    return [sources[pos] for pos in plan.order]
 
 
 def _verified_decode(codec, splits):
@@ -188,8 +218,8 @@ def _verified_decode(codec, splits):
     """
     use, others = _first_k(codec, splits)
     data = _reconstruct_data(codec, use)
-    rows = _rows(codec, data, [s.index for s in others])
-    if any(s.data != row for s, row in zip(others, rows)):
+    rows = _rows(codec, data, [s[0] for s in others])
+    if any(s[1] != row for s, row in zip(others, rows)):
         return None
     return b"".join(data)[: codec.page_size]
 
@@ -241,7 +271,7 @@ def correct_corruption(codec, splits, delta):
         except InsufficientSplits:
             continue
         if page is not None:
-            return page, {splits[pos].index for pos in excluded}
+            return page, {splits[pos][0] for pos in excluded}
     raise UncorrectableCorruption(
         f"no codeword within {delta} corruptions of the supplied splits"
     )

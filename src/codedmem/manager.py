@@ -64,8 +64,8 @@ stays degraded, since a recovering machine's slabs are stale and freed.
 A page op hands its bound `_on_split` to every split I/O it issues, with
 no closure per split. A read takes a split's role from the slab that
 served it; a write keeps a slab id -> role map, since a refused split has
-no slab to ask. The splits a read decodes are `coding.Split` named tuples
-of (index, data).
+no slab to ask. The splits a read decodes are plain (index, data) pairs
+sliced from its arrival records.
 
 A page read or write is its own completion: once `done`, its caller
 reads the outcome and the timeline from the op, and `on_done` receives
@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding
-from .coding import Split, make_codec
+from .coding import make_codec
 from .errors import (
     CapacityExhausted,
     InvalidParams,
@@ -428,14 +428,14 @@ class _ReadOp(_PageOp):
         mgr = self.mgr
         params = mgr.codec.params
         k, delta = params.k, params.delta
-        splits = [Split(role, data) for _, role, data in sorted(self.arrivals)]
+        splits = [arrival[1:] for arrival in sorted(self.arrivals)]  # (role, data)
         if len(splits) < k:
             self._deliver("unrecoverable", None)
             return
         if not self.guarded:
             page = coding.decode(mgr.codec, splits)
             # splits order by index first: the highest one used says if parity was
-            cost = mgr.decode_ns if max(splits[:k]).index >= k else 0
+            cost = mgr.decode_ns if max(splits[:k])[0] >= k else 0
             self._deliver("ok", page, extra_ns=cost)
             return
         if len(splits) >= k + 2 * delta + 1:
@@ -445,8 +445,8 @@ class _ReadOp(_PageOp):
             except UncorrectableCorruption:
                 self._deliver("corrupt-unrecoverable", None)
                 return
-            for s in splits:
-                mgr._record_health(self.arange, s.index, ok=s.index not in bad)
+            for role, _ in splits:
+                mgr._record_health(self.arange, role, ok=role not in bad)
             self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad), verified=True)
             return
         # one reconstruction verifies and decodes; short of k+delta, none is checked
@@ -454,8 +454,8 @@ class _ReadOp(_PageOp):
         page = coding._verified_decode(mgr.codec, splits if checkable else splits[:k])
         if page is not None:
             if checkable:
-                for s in splits:
-                    mgr._record_health(self.arange, s.index, ok=True)
+                for role, _ in splits:
+                    mgr._record_health(self.arange, role, ok=True)
             self._deliver("ok", page, extra_ns=mgr.decode_ns, verified=checkable)
             return
         if not self.escalated:

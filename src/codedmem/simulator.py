@@ -17,6 +17,7 @@ evictions, corruptions, and load windows at scripted times.
 
 import heapq
 import itertools
+import math
 import numbers
 import sys
 from collections import Counter
@@ -76,6 +77,11 @@ class LatencyModel:
             raise InvalidParams("median_us must be positive, got 0")
         if self.straggler_prob > 1:
             raise InvalidParams(f"straggler_prob must be in [0, 1], got {self.straggler_prob}")
+        # a window's level is never below 1, as `background_level` reads it
+        if self.background_multiplier < 1:
+            raise InvalidParams(
+                f"background_multiplier must be >= 1, got {self.background_multiplier}"
+            )
 
 
 LATENCY_BLOCK = 1024  # split latencies drawn per refill of a SplitLatencies
@@ -166,7 +172,9 @@ class Cluster:
         self.machines = [Machine(i, machine_bytes, self) for i in range(n_machines)]
         self.slabs = {}
         self.event_log = []  # (time_ns, op, entity, outcome): faults and rebuilds
-        self.split_outcomes = Counter()  # (op, outcome) -> split I/Os concluded
+        self._ok_reads = 0  # split reads concluded ok
+        self._ok_writes = 0  # split writes concluded ok
+        self._not_ok = Counter()  # (op, outcome) -> refused, cut-off or lost splits
         self.on_disconnect = []  # callbacks(machine_id)
         self.on_eviction = []  # callbacks(slab)
         self.on_recover = []  # callbacks(machine_id)
@@ -174,6 +182,15 @@ class Cluster:
         self._seq = itertools.count()
         self._slab_ids = itertools.count()
         self._background = []  # (start_ns, end_ns, level) load windows
+
+    @property
+    def split_outcomes(self):
+        """A snapshot: (op, outcome) -> split I/Os concluded so far."""
+        counts = Counter(self._not_ok)
+        for op, ok in (("read_split", self._ok_reads), ("write_split", self._ok_writes)):
+            if ok:
+                counts[op, "ok"] = ok
+        return counts
 
     # -- event loop -------------------------------------------------------
 
@@ -382,13 +399,16 @@ class _InflightIo:
             elif self.op == "write_split":
                 slab.store[self.page_index] = self.data
                 outcome = "ok"
+                cluster._ok_writes += 1
             else:
                 data = slab.store.get(self.page_index)
                 self.data = bytes(slab.split_size) if data is None else data
                 outcome = "ok"
+                cluster._ok_reads += 1
             self.outcome = outcome
+        if outcome != "ok":
+            cluster._not_ok[self.op, outcome] += 1
         self.time_ns = cluster.now
-        cluster.split_outcomes[self.op, outcome] += 1
         self.on_done(self)
 
 
@@ -405,6 +425,11 @@ def _real(test):
         return float(value) if ok else None
 
     return check
+
+
+def _finite_ns(us):
+    """True when a time in us still converts to a finite count of ns."""
+    return math.isfinite(us * US)
 
 
 def _id(value, row):
@@ -434,8 +459,14 @@ def _open_window(cluster, t, until_us, level):
 # A key's rule is (phrase, check): ``check(value, row so far)`` returns what
 # the row records, or None to refuse the row as "<key> must be <phrase>".
 _ID = ("a non-negative integer", _id)
-_TIME = ("a finite int or float >= 0", _real(lambda t, row: t >= 0))
-_UNTIL = ("a finite int or float after time_us", _real(lambda end, row: end > row["time_us"]))
+_TIME = (
+    "a finite int or float >= 0, finite in ns",
+    _real(lambda t, row: t >= 0 and _finite_ns(t)),
+)
+_UNTIL = (
+    "a finite int or float after time_us, finite in ns",
+    _real(lambda end, row: end > row["time_us"] and _finite_ns(end)),
+)
 _LEVEL = ("a finite int or float >= 1", _real(lambda level, row: level >= 1))
 _MASK = ("hex or bytes", _mask)
 

@@ -146,6 +146,8 @@ class TestFaultRows:
             ({"type": "fail", "time_us": True, "machine": 0}, "time_us must be"),
             ({"type": "fail", "time_us": "5", "machine": 0}, "time_us must be"),
             ({"type": "evict", "time_us": 1, "slab": 0, "machine": 9}, "evict fault takes no key machine"),
+            ({"type": "fail", "time_us": 1e308, "machine": 0}, "time_us must be"),
+            ({"type": "background_load", "time_us": 1, "until_us": 1e308}, "until_us must be"),
         ],
     )
     def test_bad_rows_fail_before_the_run(self, tmp_path, capsys, fault, message):
@@ -162,6 +164,7 @@ class TestFaultRows:
         [
             ("cluster.machine_bytes", "1G"),
             ("cluster.latency.median_us", "x"),
+            ("cluster.latency.background_multiplier", 0.5),
             ("manager.slab_size", "x"),
             ("manager.page_size", 0),
             ("manager.corruption_guard", "yes"),

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from codedmem import coding
+from codedmem import coding, gf256
 from codedmem.errors import (
     InsufficientSplits,
     InvalidParams,
@@ -166,8 +166,8 @@ class TestDecode:
             coding.decode(codec, data[:3])
 
     def test_every_arrival_order_decodes_from_a_bounded_cache(self):
-        # the inverse is keyed on the index set, not the arrival order, and
-        # the all-data set takes the systematic path without one
+        # the decode plan is keyed on the index set, not the arrival order,
+        # and the all-data set takes the systematic path without one
         codec = coding.make_codec(coding.CodecParams(k=4, r=2))
         page = random_page(np.random.default_rng(17))
         data = coding.split_page(page, 4)
@@ -184,6 +184,52 @@ class TestDecode:
         parity = coding.encode(codec, data)
         for s in data + parity:
             assert coding.decode(codec, [s]) == page
+
+
+# products from the scalar gf_mul, not the kernel's translate tables
+_PRODUCT = np.array([[gf256.gf_mul(a, b) for b in range(256)] for a in range(256)], np.uint8)
+
+
+def reference_decode(codec, splits):
+    """The page solved from the first k splits alone: the inverse of their
+    generator submatrix, applied one data row at a time."""
+    k = codec.params.k
+    used = sorted(splits[:k], key=lambda s: s[0])
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    generator = [identity[i] if i < k else codec.parity_matrix[i - k] for i, _ in used]
+    rows = [np.frombuffer(data, np.uint8) for _, data in used]
+    page = b""
+    for coefs in gf256.mat_inv(generator):
+        row = np.zeros_like(rows[0])
+        for c, split in zip(coefs, rows):
+            row ^= _PRODUCT[c][split]
+        page += row.tobytes()
+    return page[: codec.page_size]
+
+
+class TestDecodeOracle:
+    @pytest.mark.parametrize("k, r", [(8, 2), (4, 3), (3, 1)])
+    def test_every_index_set_matches_the_reference_solve(self, k, r):
+        # the plan rebuilds the last erasure by xor when parity row k is
+        # used; the solution is unique, so even a corrupted split among the
+        # k gives the reference solve's bytes
+        codec = coding.make_codec(coding.CodecParams(k=k, r=r))
+        rng = np.random.default_rng(100 * k + r)
+        page = random_page(rng)
+        data = coding.split_page(page, k)
+        splits = data + coding.encode(codec, data)
+        for subset in itertools.combinations(range(k + r), k):
+            arrival = [splits[i] for i in rng.permutation(list(subset))]
+            later = [splits[i] for i in range(k + r) if i not in subset]
+            victim = int(rng.integers(k))
+            bad = corrupt_split(arrival[victim], int(rng.integers(codec.split_size)), 0x5A)
+            tampered = arrival[:victim] + [bad] + arrival[victim + 1 :]
+            for used, clean in ((arrival, True), (tampered, False)):
+                expected = reference_decode(codec, used)
+                assert (expected == page) is clean
+                for given in (used + later, [tuple(s) for s in used + later]):
+                    assert coding.decode(codec, given) == expected
+        assert len(codec._decode_cache) == comb(k + r, k) - 1
 
 
 class TestDetect:

@@ -13,7 +13,7 @@ from invariants import check_invariants
 
 from codedmem import placement, simulator
 from codedmem.coding import CodecParams
-from codedmem.errors import CapacityExhausted
+from codedmem.errors import CapacityExhausted, InvalidParams
 from codedmem.manager import ResilienceManager
 from codedmem.monitor import MonitorService
 from codedmem.simulator import Cluster, FaultScript, LatencyModel
@@ -107,6 +107,13 @@ class TestLatencyModel:
     def test_every_draw_straggles_at_probability_one(self):
         draws = latencies(flat_model(straggler_prob=1.0, straggler_multiplier=10.0), 5)
         assert {draws.draw() for _ in range(3000)} == {15000}
+
+    @pytest.mark.parametrize("multiplier", [0, 0.5, 0.999])
+    def test_background_multiplier_below_one_is_refused(self, multiplier):
+        # a window's level never drops below 1, so such a default would do nothing
+        with pytest.raises(InvalidParams, match="background_multiplier must be >= 1"):
+            LatencyModel(background_multiplier=multiplier)
+        assert LatencyModel(background_multiplier=1).background_multiplier == 1
 
     def test_background_window_multiplies(self):
         draws = latencies(flat_model(), 4)
@@ -304,6 +311,21 @@ class TestFailures:
         assert c.event_log == logged  # only the fail and evict rows
         assert [row[1] for row in logged] == ["fail", "evict"]
 
+    def test_split_outcomes_is_a_read_only_snapshot(self):
+        c = new_cluster()
+        slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=4)
+        results, cb = collect(c)
+        c.write_split(0, slab.slab_id, 0, b"abcd", cb)
+        c.read_split(0, 999, 0, cb)
+        c.run_until_idle()
+        snapshot = c.split_outcomes
+        assert snapshot == {("write_split", "ok"): 1, ("read_split", "unavailable"): 1}
+        snapshot["write_split", "ok"] += 5
+        snapshot["read_split", "unavailable"] += 5
+        assert c.split_outcomes == {("write_split", "ok"): 1, ("read_split", "unavailable"): 1}
+        with pytest.raises(AttributeError):
+            c.split_outcomes = {}
+
     def test_disconnect_callbacks_fire(self):
         c = new_cluster()
         seen = []
@@ -394,6 +416,35 @@ class TestFaultScript:
         c.run_until_idle()
         assert c._background == []
         assert [r.time_ns for r in results] == [5000, 7500]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"type": "fail", "time_us": 1e308, "machine": 0},
+            {"type": "fail", "time_us": 2e305, "machine": 0},
+            {"type": "fail", "time_us": 10**306, "machine": 0},
+            {"type": "background_load", "time_us": 1, "until_us": 1e308},
+        ],
+    )
+    def test_times_that_overflow_in_ns_are_refused(self, row):
+        with pytest.raises(ValueError, match="finite in ns"):
+            FaultScript.from_events([row])
+
+    def test_largest_time_finite_in_ns_is_applied(self):
+        c = new_cluster()
+        late = 1.7e305
+        simulator.inject(
+            c,
+            FaultScript.from_events(
+                [
+                    {"type": "fail", "time_us": late, "machine": 0},
+                    {"type": "background_load", "time_us": 1.0, "until_us": late},
+                ]
+            ),
+        )
+        c.run_until_idle()
+        assert c.now == round(late * simulator.US)
+        assert c.machines[0].state == simulator.MachineState.FAILED
 
     def test_row_dated_before_the_clock_is_refused(self):
         c = new_cluster()
