@@ -182,6 +182,16 @@ def _codec(code, where, cfg):
     _check(code, CodecParams, where, cfg)
 
 
+def _slab_holds_a_split(section, where, cfg):
+    """A slab smaller than one split would give every range no pages."""
+    mconfig = ManagerConfig(**section)
+    split = make_codec(CodecParams(**cfg["code"]), mconfig.page_size).split_size
+    _require(
+        mconfig.slab_size >= split,
+        f"{where}.slab_size {mconfig.slab_size} is smaller than one split ({split} bytes)",
+    )
+
+
 def _faults(rows, where, cfg):
     try:
         FaultScript.from_events(rows).check_machines(cfg["cluster"]["machines"])
@@ -254,7 +264,7 @@ _SCHEMAS = {
             "baseline", {"replication": {"copies?": _POSITIVE}, "ssd_backup": {}}, may_be_empty=True
         ),
         "faults?": _faults,
-        "manager?": ManagerConfig,
+        "manager?": [ManagerConfig, _slab_holds_a_split],
         "placement?": {"l?": _NON_NEGATIVE},
     },
 }

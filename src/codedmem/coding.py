@@ -15,6 +15,11 @@ A decode keeps the data rows that arrived and rebuilds only the missing
 ones, from a plan cached per sorted index set. When the all-ones parity
 row is among the k splits, the last missing row is the xor of that parity
 and the other k-1 data rows, so it costs no GF multiply.
+
+The manager calls none of this for a read whose splits all equal the
+page's last-written codeword: the code is MDS, so any k splits of one
+codeword decode to its page and every extra split checks against it, and
+the codeword's own data splits are the page.
 """
 
 import itertools

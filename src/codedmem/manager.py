@@ -6,6 +6,16 @@ splits are durable and finish the parity in the background. Reads
 fan out to k+delta slabs and complete with the first k arrivals, so
 a straggler or failed machine never sits on the critical path.
 
+A range's `codewords` holds, for each written page, the k+r splits its
+last k-acked write produced, indexed by role (None for parity the write
+never encoded); its keys are the written pages. A read first compares the
+splits that arrived with that codeword, or with all-zero splits for a page
+never written. When all are equal the read is `clean`: it delivers the
+codeword's page and takes the branch the codec would, since any k splits of
+one codeword decode to its page and every extra split checks against it,
+and a rebuild fills with the codeword's own split. Any mismatch runs the
+codec.
+
 A read decides once, when `need` splits have arrived or none is left in
 flight. With the corruption guard enabled it waits for all k+delta
 splits it asked and checks them in the reconstruction that decodes
@@ -28,8 +38,9 @@ it holds every written page, whether a rebuild or a foreground write
 filled the last one.
 
 `ResilienceManager.drain_regeneration` starts one rebuild per queued
-request. A rebuild decodes each written page from k healthy slabs,
-computes only the lost split's row, and backfills it onto the fresh slab
+request. A rebuild reads each written page from k healthy slabs, takes the
+lost split from the codeword when the read is clean or else computes only
+its row from the decoded page, and backfills it onto the fresh slab
 that `relocate` placed. It takes each page's queue like a foreground op,
 so a page is never read for a rebuild while a write to it is in flight;
 foreground writes keep flowing, backfill the new slab directly, and the
@@ -101,7 +112,9 @@ class AddressRange:
     group_members: tuple
     refs: list  # the slab that holds each split, indexed by role
     page_capacity: int
-    written_pages: set = field(default_factory=set)
+    # written page -> the k+r splits its last k-acked write produced, by
+    # role; a parity split the write never encoded is None
+    codewords: dict = field(default_factory=dict)
     rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
 
     def healthy_refs(self):
@@ -285,13 +298,17 @@ class _WriteOp(_PageOp):
         mgr = self.mgr
         k = mgr.codec.params.k
         # splits conclude at cluster.now: the k-th ack and, if durable, the last are now
-        if self.data_acked_ns is None and self.acks >= k:
+        acked = self.data_acked_ns is None and self.acks >= k
+        if acked:
             self.data_acked_ns = mgr.cluster.now + mgr.ctx_ns
-            self.arange.written_pages.add(self.page_index)
         # wave two follows the k-ack point, or brings parity in to reach k
         # acks once wave one concluded short of them
         if not self.wave2_issued and (self.data_acked_ns is not None or self.outstanding == 0):
             self._issue_wave2()
+        if acked:
+            # recorded once wave two has encoded; its I/O concludes later
+            parity = self.parity or [None] * mgr.codec.params.r
+            self.arange.codewords[self.page_index] = (*[s.data for s in self.splits], *parity)
         if self.outstanding == 0:
             if self.acks == len(self.arange.refs):
                 self.durable_ns = mgr.cluster.now
@@ -336,13 +353,15 @@ class _WriteOp(_PageOp):
 
 
 class _ReadOp(_PageOp):
-    """Also carries `page`, `corrected`, `verified` and `decode_ns` once
-    delivered. `verified` is true only for an `ok` read whose splits passed
-    a guarded check; a read short of k + delta splits decodes unchecked."""
+    """Also carries `page`, `corrected`, `verified`, `decode_ns` and `clean`
+    once delivered. `verified` is true only for an `ok` read whose splits
+    passed a guarded check; a read short of k + delta splits decodes
+    unchecked. `clean` is true when every split that arrived equals the
+    page's last-written codeword, so the page came without the codec."""
 
     __slots__ = (
         "force_correction", "page", "corrected", "verified", "decode_ns", "targets", "need",
-        "guarded", "escalated", "arrivals",
+        "guarded", "escalated", "arrivals", "clean",
     )
 
     def __init__(self, mgr, arange, page_index, on_done, force_correction=False):
@@ -357,6 +376,7 @@ class _ReadOp(_PageOp):
         self.guarded = False
         self.escalated = False
         self.arrivals = []  # (time_ns, role, data) until delivery
+        self.clean = False
 
     def start(self):
         mgr = self.mgr
@@ -432,26 +452,40 @@ class _ReadOp(_PageOp):
         if len(splits) < k:
             self._deliver("unrecoverable", None)
             return
+        # splits that all equal one codeword decode to its page and pass
+        # every check, so they take the branch the codec would, without it
+        codeword = self.arange.codewords.get(self.page_index, mgr.zero_codeword)
+        for role, data in splits:
+            if data != codeword[role]:
+                page = None
+                break
+        else:
+            page = b"".join(codeword[:k])[: mgr.codec.page_size]
+        self.clean = page is not None
         if not self.guarded:
-            page = coding.decode(mgr.codec, splits)
+            if page is None:
+                page = coding.decode(mgr.codec, splits)
             # splits order by index first: the highest one used says if parity was
             cost = mgr.decode_ns if max(splits[:k])[0] >= k else 0
             self._deliver("ok", page, extra_ns=cost)
             return
         if len(splits) >= k + 2 * delta + 1:
-            # the empty exclusion set comes first, so a clean set is one check
-            try:
-                page, bad = coding.correct_corruption(mgr.codec, splits, delta)
-            except UncorrectableCorruption:
-                self._deliver("corrupt-unrecoverable", None)
-                return
+            bad = ()
+            if page is None:
+                # the empty exclusion set comes first, so a clean set is one check
+                try:
+                    page, bad = coding.correct_corruption(mgr.codec, splits, delta)
+                except UncorrectableCorruption:
+                    self._deliver("corrupt-unrecoverable", None)
+                    return
             for role, _ in splits:
                 mgr._record_health(self.arange, role, ok=role not in bad)
             self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad), verified=True)
             return
         # one reconstruction verifies and decodes; short of k+delta, none is checked
         checkable = len(splits) >= k + delta
-        page = coding._verified_decode(mgr.codec, splits if checkable else splits[:k])
+        if page is None:
+            page = coding._verified_decode(mgr.codec, splits if checkable else splits[:k])
         if page is not None:
             if checkable:
                 for role, _ in splits:
@@ -526,7 +560,7 @@ class _Rebuild:
             if not self.pages:
                 if self.mgr.promote(self.arange, self.role):
                     break
-                self.pages = sorted(self.arange.written_pages - set(slab.store))
+                self.pages = sorted(self.arange.codewords.keys() - slab.store.keys())
             page = self.pages.pop(0)
             if page not in slab.store:
                 self.page = page
@@ -553,7 +587,11 @@ class _Rebuild:
             self._page_done(advance=False)
             self._abort("unverified")
             return
-        payload = coding._page_split(mgr.codec, read.page, self.role)
+        # a clean read fills with the codeword's own split; the page is
+        # held by the rebuild, so no write changed the codeword since
+        payload = self.arange.codewords[self.page][self.role] if read.clean else None
+        if payload is None:  # a decoded read, or parity the write never encoded
+            payload = coding._page_split(mgr.codec, read.page, self.role)
         delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
         mgr.cluster.schedule(delay, lambda: self._fill(payload))
 
@@ -624,6 +662,8 @@ class ResilienceManager:
         self.codec = make_codec(params, self.config.page_size)
         if self.config.slab_size < self.codec.split_size:
             raise InvalidParams("slab size smaller than one split")
+        # what a slab reads for a page never written: zeros encode to zeros
+        self.zero_codeword = (bytes(self.codec.split_size),) * (params.k + params.r)
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
         self.ranges = {}
         self.health = defaultdict(MachineHealth)
@@ -837,7 +877,7 @@ class ResilienceManager:
         `complete` row.
         """
         slab = arange.refs[role]
-        if slab.state is REGENERATING and arange.written_pages.issubset(slab.store):
+        if slab.state is REGENERATING and arange.codewords.keys() <= slab.store.keys():
             slab.state = AVAILABLE
             self.cluster.log("regenerate", f"r{arange.range_id}:role{role}", "complete")
         return slab.state is AVAILABLE

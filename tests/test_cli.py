@@ -185,6 +185,28 @@ class TestFaultRows:
             assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize(
+        "manager, fits",
+        [
+            ({"slab_size": 100}, False),  # a split of 4096 / 8 is 512 bytes
+            ({"slab_size": 511}, False),
+            ({"page_size": 1 << 20}, False),  # 128 KiB splits, 64 KiB default slab
+            ({"slab_size": 512}, True),  # one page per range
+        ],
+    )
+    def test_a_slab_must_hold_one_split(self, tmp_path, capsys, manager, fits):
+        cfg = dict(DATAPATH_CFG, code={"k": 8, "r": 2}, manager=manager)
+        cfg["cluster"] = {"machines": 12, "latency": {"sigma": 0.2}}
+        cfg["workload"] = dict(cfg["workload"], operations=10)
+        config = dump(tmp_path, cfg)
+        for argv in (["validate-config"], ["datapath", "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", config]) == (0 if fits else 2)
+            out, err = capsys.readouterr()
+            if fits:
+                assert err == "" and out
+            else:
+                assert err.startswith("error:") and "smaller than one split" in err
+
+    @pytest.mark.parametrize(
         "base, path",
         [
             (DATAPATH_CFG, "trails"),
