@@ -9,15 +9,15 @@ corruptions and k+2*delta+1 locate and repair them.
 A split's payload is ``bytes`` throughout: the codec hands lists of split
 payloads to ``gf256.apply_matrix`` and joins the k data rows into a page.
 The codec reads a split by position, as an (index, data) pair, so a
-``Split`` and a plain tuple serve alike.
+``Split`` and a plain tuple serve alike. ``codeword`` is the one place a
+page becomes its k+r payloads, indexed by role.
 
-A decode keeps the data rows that arrived and rebuilds only the missing
-ones, from a plan cached per sorted index set. When the all-ones parity
-row is among the k splits, the last missing row is the xor of that parity
-and the other k-1 data rows, so it costs no GF multiply.
+A decode inverts the generator rows of the k splits it uses, keeps the
+data rows that arrived and rebuilds only the missing ones, from their
+inverse rows cached per sorted index set.
 
-The manager calls none of this for a read whose splits all equal the
-page's last-written codeword: the code is MDS, so any k splits of one
+The manager decodes no read whose splits all equal the page's
+last-written codeword: the code is MDS, so any k splits of one
 codeword decode to its page and every extra split checks against it, and
 the codeword's own data splits are the page.
 """
@@ -86,6 +86,7 @@ class Codec:
     page_size: int
     split_size: int
     parity_matrix: list
+    # sorted index set -> inverse rows of the data rows it lacks
     _decode_cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -119,11 +120,6 @@ def _rows(codec, data, indices):
     return [data[i] if i < k else next(computed) for i in indices]
 
 
-def _page_split(codec, page, index):
-    """Split ``index`` of a page, computing only its own codeword row."""
-    return _rows(codec, [s.data for s in split_page(page, codec.params.k)], [index])[0]
-
-
 def encode(codec, data_splits):
     """Produce the r parity splits for k data splits."""
     k, r = codec.params.k, codec.params.r
@@ -136,43 +132,17 @@ def encode(codec, data_splits):
     return [Split(k + i, row) for i, row in enumerate(parity)]
 
 
+def codeword(codec, page):
+    """The k+r split payloads of a page, indexed by role."""
+    data = split_page(page, codec.params.k)
+    return tuple(s.data for s in data + encode(codec, data))
+
+
 def _generator_row(codec, index):
     k = codec.params.k
     if index < k:
         return [1 if j == index else 0 for j in range(k)]
     return codec.parity_matrix[index - k]
-
-
-class _DecodePlan(NamedTuple):
-    """How the k data rows come back from the splits of one sorted index set.
-
-    `matrix` holds the inverse rows of the missing data rows rebuilt by GF
-    multiplies. When the all-ones parity row k arrived, the last missing
-    row is instead the xor of the sources at `xor`: that parity and the
-    other k-1 data rows. `order` gives each data row's position among the
-    arrived splits followed by the rebuilt rows.
-    """
-
-    matrix: list
-    xor: tuple
-    order: tuple
-
-
-def _decode_plan(codec, indices):
-    # cached per codec and sorted index set; at most C(k+r, k) sets exist
-    plan = codec._decode_cache.get(indices)
-    if plan is not None:
-        return plan
-    k = codec.params.k
-    inv = gf256.mat_inv([_generator_row(codec, i) for i in indices])
-    missing = [i for i in range(k) if i not in indices]
-    position = {i: pos for pos, i in enumerate([*indices, *missing])}
-    # the solution is unique, so the xor gives the same row as its inverse row
-    xor = tuple(position[i] for i in range(k + 1) if i != missing[-1]) if k in indices else ()
-    by_multiply = missing[:-1] if xor else missing
-    plan = _DecodePlan([inv[i] for i in by_multiply], xor, tuple(position[i] for i in range(k)))
-    codec._decode_cache[indices] = plan
-    return plan
 
 
 def _first_k(codec, splits):
@@ -196,22 +166,22 @@ def _first_k(codec, splits):
 
 
 def _reconstruct_data(codec, use):
+    k = codec.params.k
     # the indices in `use` are distinct, so the pairs sort by index alone
     indices, rows = zip(*sorted(use))
     if len(set(map(len, rows))) > 1:
         raise LengthMismatch("splits differ in length")
-    if indices[-1] < codec.params.k:  # k distinct indices below k: all data splits
+    if indices[-1] < k:  # k distinct indices below k: all data splits
         return list(rows)
-    # erasure-only decode: keep the data rows that arrived and rebuild just
-    # the missing ones
-    plan = _decode_plan(codec, indices)
-    sources = [*rows, *gf256.apply_matrix(plan.matrix, rows)] if plan.matrix else list(rows)
-    if plan.xor:
-        acc = 0
-        for pos in plan.xor:
-            acc ^= int.from_bytes(sources[pos], "little")
-        sources.append(acc.to_bytes(len(rows[0]), "little"))
-    return [sources[pos] for pos in plan.order]
+    # keep the data rows that arrived and rebuild the missing ones from their
+    # inverse rows, cached per sorted index set; at most C(k+r, k) sets exist
+    inverse = codec._decode_cache.get(indices)
+    if inverse is None:
+        inv = gf256.mat_inv([_generator_row(codec, i) for i in indices])
+        inverse = codec._decode_cache[indices] = [inv[i] for i in range(k) if i not in indices]
+    arrived = dict(zip(indices, rows))
+    rebuilt = iter(gf256.apply_matrix(inverse, rows))
+    return [arrived[i] if i in arrived else next(rebuilt) for i in range(k)]
 
 
 def _verified_decode(codec, splits):

@@ -6,15 +6,16 @@ splits are durable and finish the parity in the background. Reads
 fan out to k+delta slabs and complete with the first k arrivals, so
 a straggler or failed machine never sits on the critical path.
 
-A range's `codewords` holds, for each written page, the k+r splits its
-last k-acked write produced, indexed by role (None for parity the write
-never encoded); its keys are the written pages. A read first compares the
-splits that arrived with that codeword, or with all-zero splits for a page
-never written. When all are equal the read is `clean`: it delivers the
-codeword's page and takes the branch the codec would, since any k splits of
-one codeword decode to its page and every extra split checks against it,
-and a rebuild fills with the codeword's own split. Any mismatch runs the
-codec.
+A write builds its page's codeword, the k+r splits by role, once with
+`coding.codeword` when it starts; it sends each slab its split and records
+the same tuple in its range's `codewords` at the k-ack. The keys of
+`codewords` are the written pages. A read first compares the splits that
+arrived with that codeword, or with `zero_codeword`, the codeword of an
+all-zero page, for a page never written. When all are equal the read is
+`clean`: it delivers the codeword's page and takes the branch the codec
+would, since any k splits of one codeword decode to its page and every
+extra split checks against it, and a rebuild fills with the codeword's own
+split. Any mismatch runs the codec.
 
 A read decides once, when `need` splits have arrived or none is left in
 flight. With the corruption guard enabled it waits for all k+delta
@@ -39,8 +40,8 @@ filled the last one.
 
 `ResilienceManager.drain_regeneration` starts one rebuild per queued
 request. A rebuild reads each written page from k healthy slabs, takes the
-lost split from the codeword when the read is clean or else computes only
-its row from the decoded page, and backfills it onto the fresh slab
+lost split from the recorded codeword when the read is clean or else from
+the decoded page's codeword, and backfills it onto the fresh slab
 that `relocate` placed. It takes each page's queue like a foreground op,
 so a page is never read for a rebuild while a write to it is in flight;
 foreground writes keep flowing, backfill the new slab directly, and the
@@ -112,8 +113,7 @@ class AddressRange:
     group_members: tuple
     refs: list  # the slab that holds each split, indexed by role
     page_capacity: int
-    # written page -> the k+r splits its last k-acked write produced, by
-    # role; a parity split the write never encoded is None
+    # written page -> the k+r splits its last k-acked write produced, by role
     codewords: dict = field(default_factory=dict)
     rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
 
@@ -212,7 +212,7 @@ class _WriteOp(_PageOp):
 
     __slots__ = (
         "page", "data_acked_ns", "durable_ns", "acks", "wave1_roles", "wave2_issued",
-        "encode_ack_ns", "splits", "parity", "roles",
+        "encode_ack_ns", "codeword", "roles",
     )
 
     def __init__(self, mgr, arange, page_index, page, on_done):
@@ -224,8 +224,7 @@ class _WriteOp(_PageOp):
         self.wave1_roles = []
         self.wave2_issued = False
         self.encode_ack_ns = 0
-        self.splits = None
-        self.parity = None  # parity split bytes, held from encode to send
+        self.codeword = None  # the k+r split payloads, by role, once started
         self.roles = {}  # slab id -> the role a split I/O to that slab writes
 
     # -- plumbing ---------------------------------------------------------
@@ -234,11 +233,11 @@ class _WriteOp(_PageOp):
         mgr = self.mgr
         self.started_ns = mgr.cluster.now
         k = mgr.codec.params.k
-        self.splits = coding.split_page(self.page, k)
         healthy = self.arange.healthy_refs()
         if len(healthy) < k:
             self._finish("write-failed")
             return
+        self.codeword = coding.codeword(mgr.codec, self.page)
         # refs are in role order, so the first k healthy ones are the data
         # splits with parity standing in for the missing ones
         wave = healthy[:k] if mgr.config.async_parity else healthy
@@ -246,29 +245,16 @@ class _WriteOp(_PageOp):
         delay = 0 if mgr.config.in_place_coding else mgr.copy_ns
         if wave[-1].role >= k or not mgr.config.async_parity:
             # parity enters the ack path, so the encode cost does too
-            self._encode()
             delay += mgr.encode_ns
             self.encode_ack_ns = mgr.encode_ns
         for role in self.wave1_roles:
             self._issue(role, delay)
 
-    def _encode(self):
-        if self.parity is not None:
-            return
-        self.parity = [s.data for s in coding.encode(self.mgr.codec, self.splits)]
-
-    def _split_bytes(self, role):
-        k = self.mgr.codec.params.k
-        if role < k:
-            return self.splits[role].data
-        self._encode()
-        return self.parity[role - k]
-
     def _issue(self, role, delay=0, fill=False):
         mgr = self.mgr
         self.fanout += 1
         self.outstanding += 1
-        payload = self._split_bytes(role)
+        payload = self.codeword[role]
         if delay:
             mgr.cluster.schedule(delay, lambda: self._submit(role, payload, fill))
         else:
@@ -306,9 +292,7 @@ class _WriteOp(_PageOp):
         if not self.wave2_issued and (self.data_acked_ns is not None or self.outstanding == 0):
             self._issue_wave2()
         if acked:
-            # recorded once wave two has encoded; its I/O concludes later
-            parity = self.parity or [None] * mgr.codec.params.r
-            self.arange.codewords[self.page_index] = (*[s.data for s in self.splits], *parity)
+            self.arange.codewords[self.page_index] = self.codeword
         if self.outstanding == 0:
             if self.acks == len(self.arange.refs):
                 self.durable_ns = mgr.cluster.now
@@ -326,8 +310,8 @@ class _WriteOp(_PageOp):
         ]
         if not rest:
             return
-        delay = 0 if self.parity is not None else mgr.encode_ns
-        self._encode()
+        # the encode cost is paid once: in the ack path or here
+        delay = mgr.encode_ns - self.encode_ack_ns
         for slab in rest:
             # a slab mid-regeneration only takes backfill writes
             self._issue(slab.role, delay, fill=slab.state is REGENERATING)
@@ -341,7 +325,7 @@ class _WriteOp(_PageOp):
         else:
             self.completed_ns = mgr.cluster.now
         # a done write is kept as its completion and needs no buffers or issue state
-        self.page = self.splits = self.parity = self.wave1_roles = self.roles = None
+        self.page = self.codeword = self.wave1_roles = self.roles = None
         self.done = True
         waiting = self.arange.rebuild_status
         if waiting and outcome != "write-failed":
@@ -589,9 +573,10 @@ class _Rebuild:
             return
         # a clean read fills with the codeword's own split; the page is
         # held by the rebuild, so no write changed the codeword since
-        payload = self.arange.codewords[self.page][self.role] if read.clean else None
-        if payload is None:  # a decoded read, or parity the write never encoded
-            payload = coding._page_split(mgr.codec, read.page, self.role)
+        if read.clean:
+            payload = self.arange.codewords[self.page][self.role]
+        else:
+            payload = coding.codeword(mgr.codec, read.page)[self.role]
         delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
         mgr.cluster.schedule(delay, lambda: self._fill(payload))
 
@@ -662,8 +647,8 @@ class ResilienceManager:
         self.codec = make_codec(params, self.config.page_size)
         if self.config.slab_size < self.codec.split_size:
             raise InvalidParams("slab size smaller than one split")
-        # what a slab reads for a page never written: zeros encode to zeros
-        self.zero_codeword = (bytes(self.codec.split_size),) * (params.k + params.r)
+        # what a read compares with for a page never written
+        self.zero_codeword = coding.codeword(self.codec, bytes(self.config.page_size))
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
         self.ranges = {}
         self.health = defaultdict(MachineHealth)

@@ -73,6 +73,11 @@ class LatencyModel:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
                 raise InvalidParams(f"{f.name} must be a non-negative number, got {value!r}")
+            # a cost past this would fail only when the run converts it to ns
+            if f.name.endswith("_us") and not (
+                value <= sys.float_info.max and _finite_ns(float(value))
+            ):
+                raise InvalidParams(f"{f.name} must be finite in ns, got {value!r}")
         if self.median_us == 0:
             raise InvalidParams("median_us must be positive, got 0")
         if self.straggler_prob > 1:

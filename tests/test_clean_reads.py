@@ -204,16 +204,17 @@ def test_a_clean_rebuild_fills_with_the_codewords_own_split(role, gf_calls):
     assert gf_calls == {"apply_matrix": 0, "mat_inv": 0}
 
 
-def test_parity_a_write_never_encoded_is_rebuilt_from_the_page():
+def test_parity_a_write_never_sent_is_rebuilt_from_its_codeword():
     params = CodecParams(k=2, r=1)
     cluster, mgr, arange = build(params, l=1)
     cluster.fail_machine(arange.refs[2].machine_id)
     cluster.run_until_idle()
     page = bytes(range(200)) * 20 + bytes(96)
     assert mgr.remote_write(0, 0, page).outcome == "degraded"
-    assert arange.codewords[0][2] is None
-    mgr.drain_regeneration()
-    cluster.run_until_idle()
+    # the write records its whole codeword, parity too, though no slab took it
     data = coding.split_page(page, 2)
     (parity,) = coding.encode(mgr.codec, data)
-    assert arange.refs[2].store[0] == parity.data
+    assert arange.codewords[0] == (data[0].data, data[1].data, parity.data)
+    mgr.drain_regeneration()
+    cluster.run_until_idle()
+    assert arange.refs[2].store[0] is arange.codewords[0][2]

@@ -185,6 +185,19 @@ class TestFaultRows:
             assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize(
+        "key", ["median_us", "encode_us", "decode_us", "disk_us", "context_switch_us", "copy_us"]
+    )
+    def test_latency_costs_must_stay_finite_in_ns(self, tmp_path, capsys, key):
+        # 1e306 us is 1e309 ns: past a float, so the run could not convert it
+        cfg = copy.deepcopy(DATAPATH_CFG)
+        cfg["cluster"]["latency"][key] = 1e306
+        config = dump(tmp_path, cfg)
+        for argv in (["validate-config"], ["datapath", "--out", str(tmp_path)]):
+            assert cli.main(argv + ["--config", config]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"{key} must be finite in ns" in err
+
+    @pytest.mark.parametrize(
         "manager, fits",
         [
             ({"slab_size": 100}, False),  # a split of 4096 / 8 is 512 bytes

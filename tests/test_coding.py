@@ -126,6 +126,18 @@ class TestEncode:
         assert [len(s.data) for s in parity] == [4096 // k] * r
         assert hashlib.sha256(b"".join(s.data for s in parity)).hexdigest() == digest
 
+    @pytest.mark.parametrize("k, r", [(8, 2), (4, 3), (3, 1), (1, 2)])
+    def test_codeword_is_the_data_splits_then_their_parity(self, k, r, monkeypatch):
+        codec = coding.make_codec(coding.CodecParams(k=k, r=r))
+        page = random_page(np.random.default_rng(10 * k + r))
+        data = coding.split_page(page, k)
+        expect = tuple(s.data for s in data + coding.encode(codec, data))
+        calls = []
+        real = coding.encode
+        monkeypatch.setattr(coding, "encode", lambda *a: calls.append(a) or real(*a))
+        assert coding.codeword(codec, page) == expect
+        assert len(calls) == 1  # through the module's name, where a tracer wraps it
+
     def test_length_mismatch_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=2, r=1))
         bad = [
@@ -166,8 +178,8 @@ class TestDecode:
             coding.decode(codec, data[:3])
 
     def test_every_arrival_order_decodes_from_a_bounded_cache(self):
-        # the decode plan is keyed on the index set, not the arrival order,
-        # and the all-data set takes the systematic path without one
+        # the inverse rows are cached per index set, not per arrival order,
+        # and the all-data set takes the systematic path without any
         codec = coding.make_codec(coding.CodecParams(k=4, r=2))
         page = random_page(np.random.default_rng(17))
         data = coding.split_page(page, 4)
@@ -210,9 +222,9 @@ def reference_decode(codec, splits):
 class TestDecodeOracle:
     @pytest.mark.parametrize("k, r", [(8, 2), (4, 3), (3, 1)])
     def test_every_index_set_matches_the_reference_solve(self, k, r):
-        # the plan rebuilds the last erasure by xor when parity row k is
-        # used; the solution is unique, so even a corrupted split among the
-        # k gives the reference solve's bytes
+        # only the missing data rows are solved, but the solution is unique,
+        # so even a corrupted split among the k gives the reference solve's
+        # bytes
         codec = coding.make_codec(coding.CodecParams(k=k, r=r))
         rng = np.random.default_rng(100 * k + r)
         page = random_page(rng)

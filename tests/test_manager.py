@@ -140,6 +140,41 @@ class TestWritePath:
         # page still readable from the two remaining splits
         assert mgr.remote_read(0, 0) == page_of(6)
 
+    @pytest.mark.parametrize(
+        "async_parity, regenerating",
+        [(True, False), (True, True), (False, True)],
+        ids=["async", "async-data-slab-lost", "sync"],
+    )
+    def test_the_encode_cost_is_paid_once(self, monkeypatch, async_parity, regenerating):
+        # wave one all data: wave two waits encode_ns after the k-ack; wave
+        # one carrying parity paid it already, so wave two goes at the k-ack
+        parity_in_ack = regenerating or not async_parity
+        config = ManagerConfig(async_parity=async_parity)
+        cluster, mgr = build(5, CodecParams(k=2, r=2), l=1, config=config)
+        arange = mgr.map_range(0)
+        if regenerating:
+            cluster.fail_machine(arange.refs[0].machine_id)
+            cluster.run_until_idle()
+            mgr.relocate(arange, 0)  # a fresh slab that takes only wave two's fill
+        issued = {}
+        real = Cluster.write_split
+
+        def recorded(cluster, machine_id, slab_id, page_index, data, on_done, fill=False):
+            issued[cluster.slabs[slab_id].role] = cluster.now
+            return real(cluster, machine_id, slab_id, page_index, data, on_done, fill=fill)
+
+        monkeypatch.setattr(Cluster, "write_split", recorded)
+        op = mgr.submit_write(0, 0, page_of(9))
+        wave1 = set(op.wave1_roles)  # the op starts at once on an idle page
+        cluster.run_until_idle()
+        assert op.outcome == "durable" and len(issued) == 4
+        assert op.encode_ack_ns == (mgr.encode_ns if parity_in_ack else 0)
+        ack = 1500 + op.encode_ack_ns
+        assert op.data_acked_ns == ack
+        wave2_at = ack if parity_in_ack else ack + mgr.encode_ns
+        expect = {role: op.encode_ack_ns if role in wave1 else wave2_at for role in range(4)}
+        assert issued == expect and len(wave1) < 4
+
     def test_write_failed_when_under_k_reachable(self):
         cluster, mgr = build(3, CodecParams(k=2, r=1))
         rng = mgr.map_range(0)
@@ -265,7 +300,7 @@ class TestOpIsItsCompletion:
         read = mgr.submit_read(0, 0)
         cluster.run_until_idle()
         assert write.outcome == "durable"
-        assert (write.page, write.splits, write.parity, write.wave1_roles) == (None,) * 4
+        assert (write.page, write.codeword, write.wave1_roles) == (None,) * 3
         assert read.outcome == "ok"
         assert read.arrivals is None
 

@@ -6,6 +6,7 @@ median 1.5us -> 1500ns per hop.
 """
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestLatencyModel:
         with pytest.raises(InvalidParams, match="background_multiplier must be >= 1"):
             LatencyModel(background_multiplier=multiplier)
         assert LatencyModel(background_multiplier=1).background_multiplier == 1
+
+    @pytest.mark.parametrize("value", [1e306, math.inf, 10**400])
+    def test_a_cost_must_stay_finite_in_ns(self, value):
+        for name in ("median_us", "encode_us", "disk_us"):
+            with pytest.raises(InvalidParams, match=f"{name} must be finite in ns"):
+                LatencyModel(**{name: value})
+        assert LatencyModel(encode_us=1e305).encode_us == 1e305
 
     def test_background_window_multiplies(self):
         draws = latencies(flat_model(), 4)
