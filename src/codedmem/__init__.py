@@ -33,7 +33,6 @@ from .placement import (
 )
 from .simulator import Cluster, FaultScript, LatencyModel, inject
 from .manager import ManagerConfig, ResilienceManager
-from .monitor import MonitorService
 from .analysis import (
     config_hash,
     emit_report,
@@ -71,7 +70,6 @@ __all__ = [
     "inject",
     "ManagerConfig",
     "ResilienceManager",
-    "MonitorService",
     "config_hash",
     "emit_report",
     "load_config",

@@ -746,12 +746,11 @@ def _run_coded(cfg, seed, ops, chash):
                     reads.wrong += 1
                 if c.corrected:
                     reads.corrected += 1
-                copied = 0 if manager.config.in_place_coding else manager.copy_ns
                 reads.latency.append(c.completed_ns - c.submitted_ns)
                 reads.queue.append(c.started_ns - c.submitted_ns)
                 reads.decode.append(c.decode_ns)
                 reads.network.append(
-                    c.completed_ns - c.started_ns - c.decode_ns - ctx - copied
+                    c.completed_ns - c.started_ns - c.decode_ns - ctx - manager.copy_ns
                 )
         if manager.regeneration_requests:
             manager.drain_regeneration()

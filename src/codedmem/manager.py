@@ -4,7 +4,11 @@ Pages are striped into k data splits plus r parity splits and spread
 over k+r slabs on distinct machines. Writes ack the caller once k
 splits are durable and finish the parity in the background. Reads
 fan out to k+delta slabs and complete with the first k arrivals, so
-a straggler or failed machine never sits on the critical path.
+a straggler or failed machine never sits on the critical path. A context
+switch (`LatencyModel.context_switch_us`) adds to every op's completion; a
+copy (`copy_us`) delays a write's first wave and a read's splits, and adds
+again when a read completes. Both are zero in Hydra's run-to-completion,
+in-place design.
 
 A write builds its page's codeword, the k+r splits by role, once with
 `coding.codeword` when it starts; it sends each slab its split and records
@@ -158,15 +162,13 @@ class ManagerConfig:
     slab_size: int = 64 * 1024
     corruption_guard: bool = False
     async_parity: bool = True
-    run_to_completion: bool = True
-    in_place_coding: bool = True
 
     def __post_init__(self):
         for name in ("page_size", "slab_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise InvalidParams(f"{name} must be a positive integer, got {value!r}")
-        for name in ("corruption_guard", "async_parity", "run_to_completion", "in_place_coding"):
+        for name in ("corruption_guard", "async_parity"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise InvalidParams(f"{name} must be true or false, got {value!r}")
@@ -242,7 +244,7 @@ class _WriteOp(_PageOp):
         # splits with parity standing in for the missing ones
         wave = healthy[:k] if mgr.config.async_parity else healthy
         self.wave1_roles = [s.role for s in wave]
-        delay = 0 if mgr.config.in_place_coding else mgr.copy_ns
+        delay = mgr.copy_ns
         if wave[-1].role >= k or not mgr.config.async_parity:
             # parity enters the ack path, so the encode cost does too
             delay += mgr.encode_ns
@@ -391,11 +393,11 @@ class _ReadOp(_PageOp):
         mgr = self.mgr
         self.fanout += 1
         self.outstanding += 1
-        if mgr.config.in_place_coding:
-            mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
-        else:
+        if mgr.copy_ns:
             role = slab.role
             mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(role))
+        else:
+            mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
 
     def _submit(self, role):
         # the slot may have been relocated during the copy delay
@@ -491,9 +493,7 @@ class _ReadOp(_PageOp):
         self.verified = verified
         self.decode_ns = extra_ns
         if outcome == "ok":
-            self.completed_ns = mgr.cluster.now + extra_ns + mgr.ctx_ns
-            if not mgr.config.in_place_coding:
-                self.completed_ns += mgr.copy_ns
+            self.completed_ns = mgr.cluster.now + extra_ns + mgr.ctx_ns + mgr.copy_ns
         # a delivered read is kept as its completion; its splits are not needed
         self.arrivals = None
         self.done = True
@@ -658,7 +658,7 @@ class ResilienceManager:
         m = cluster.latency
         self.encode_ns = int(round(m.encode_us * 1000))
         self.decode_ns = int(round(m.decode_us * 1000))
-        self.ctx_ns = 0 if self.config.run_to_completion else int(round(m.context_switch_us * 1000))
+        self.ctx_ns = int(round(m.context_switch_us * 1000))
         self.copy_ns = int(round(m.copy_us * 1000))
         cluster.on_disconnect.append(self.handle_disconnect)
         cluster.on_eviction.append(self._on_eviction)

@@ -1,16 +1,10 @@
-"""`MonitorService`: a forwarder to `ResilienceManager.drain_regeneration`.
-
-The manager starts every rebuild itself; the service remains only for
-callers that build one and drain through it.
-"""
+"""`MonitorService`: a forwarder to `ResilienceManager.drain_regeneration`,
+kept for the benchmark, which builds one and drains through it."""
 
 
 class MonitorService:
-    """Forwards `drain_regeneration` to its manager.
-
-    `cluster` and `seed` are unused; they remain only because callers
-    build the service with them.
-    """
+    """Forwards `drain_regeneration` to its manager; `cluster` and `seed`
+    are unused."""
 
     def __init__(self, cluster, manager, seed=0):
         self.manager = manager

@@ -55,17 +55,18 @@ REGENERATING = SlabState.REGENERATING
 
 @dataclass
 class LatencyModel:
-    """One-way split latency distribution plus fixed data-path costs (us)."""
+    """One-way split latency distribution plus fixed data-path costs (us).
+    Hydra's run-to-completion, in-place data path has zero context switch
+    and copy costs; a positive one is charged to every op."""
 
     median_us: float = 1.5
     sigma: float = 0.25
     straggler_prob: float = 0.0
     straggler_multiplier: float = 10.0
-    background_multiplier: float = 2.0
     encode_us: float = 0.7
     decode_us: float = 1.5
-    context_switch_us: float = 1.5
-    copy_us: float = 0.85
+    context_switch_us: float = 0.0
+    copy_us: float = 0.0
     disk_us: float = 100.0
 
     def __post_init__(self):
@@ -82,11 +83,6 @@ class LatencyModel:
             raise InvalidParams("median_us must be positive, got 0")
         if self.straggler_prob > 1:
             raise InvalidParams(f"straggler_prob must be in [0, 1], got {self.straggler_prob}")
-        # a window's level is never below 1, as `background_level` reads it
-        if self.background_multiplier < 1:
-            raise InvalidParams(
-                f"background_multiplier must be >= 1, got {self.background_multiplier}"
-            )
 
 
 LATENCY_BLOCK = 1024  # split latencies drawn per refill of a SplitLatencies
@@ -111,8 +107,10 @@ class SplitLatencies:
 
     def _refill(self):
         m = self.model
-        us = m.median_us * np.exp(m.sigma * self._normals.standard_normal(LATENCY_BLOCK))
-        us[self._uniforms.random(LATENCY_BLOCK) < m.straggler_prob] *= m.straggler_multiplier
+        # a latency past a float is refused as it is drawn, not warned about here
+        with np.errstate(over="ignore", invalid="ignore"):
+            us = m.median_us * np.exp(m.sigma * self._normals.standard_normal(LATENCY_BLOCK))
+            us[self._uniforms.random(LATENCY_BLOCK) < m.straggler_prob] *= m.straggler_multiplier
         self._block = us[::-1].tolist()
 
     def draw(self, background=1.0):
@@ -120,7 +118,10 @@ class SplitLatencies:
         if not self._block:
             self._refill()
         us = self._block.pop() * background
-        return max(1, round(us * US))
+        try:
+            return max(1, round(us * US))
+        except (OverflowError, ValueError):
+            raise InvalidParams(f"split latency {us} us left the ns range") from None
 
 
 @dataclass
@@ -457,8 +458,7 @@ def _at(method):
 def _open_window(cluster, t, until_us, level):
     """Applies a load window at inject time: scheduling it would add a heap
     entry and shift `seq` ties."""
-    level = level or cluster.latency.background_multiplier
-    cluster._background.append((t, round(until_us * US), level))
+    cluster._background.append((t, round(until_us * US), level or BACKGROUND_LEVEL))
 
 
 # A key's rule is (phrase, check): ``check(value, row so far)`` returns what
@@ -473,6 +473,7 @@ _UNTIL = (
     _real(lambda end, row: end > row["time_us"] and _finite_ns(end)),
 )
 _LEVEL = ("a finite int or float >= 1", _real(lambda level, row: level >= 1))
+BACKGROUND_LEVEL = 2.0  # the level of a background_load row without one
 _MASK = ("hex or bytes", _mask)
 
 # For each fault type: the keys its row may carry besides `type` and `time_us`

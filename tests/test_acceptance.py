@@ -20,7 +20,6 @@ from invariants import check_invariants
 from codedmem import analysis, coding
 from codedmem.coding import CodecParams, make_codec, min_splits
 from codedmem.manager import ManagerConfig, ResilienceManager
-from codedmem.monitor import MonitorService
 from codedmem.placement import (
     ClusterShape,
     build_codingsets,
@@ -40,11 +39,10 @@ def build_stack(n, params, l, seed, config=None, latency=None, machine_bytes=1 <
     cluster = Cluster(n, latency=latency, machine_bytes=machine_bytes, seed=seed)
     plan = build_codingsets(ClusterShape(machines=n), params, l, seed=seed)
     manager = ResilienceManager(cluster, plan, params, config=config, seed=seed)
-    monitor = MonitorService(cluster, manager)
-    return cluster, manager, monitor
+    return cluster, manager
 
 
-def settle(cluster, manager, monitor, rounds=8):
+def settle(cluster, manager, rounds=8):
     """Run to idle, draining any queued slab regenerations, then check the
     state invariants."""
     cluster.run_until_idle()
@@ -52,7 +50,7 @@ def settle(cluster, manager, monitor, rounds=8):
         if not manager.regeneration_requests:
             check_invariants(manager)
             return
-        monitor.drain_regeneration()
+        manager.drain_regeneration()
         cluster.run_until_idle()
     raise AssertionError("regeneration backlog never settled")
 
@@ -198,8 +196,8 @@ def _read_latencies(delta, targets):
         median_us=1.5, sigma=0.25, straggler_prob=0.05, straggler_multiplier=10.0
     )
     params = CodecParams(k=2, r=2, delta=delta)
-    cluster, manager, _ = build_stack(8, params, 0, seed=11, latency=latency,
-                                      machine_bytes=1 << 24)
+    cluster, manager = build_stack(8, params, 0, seed=11, latency=latency,
+                                   machine_bytes=1 << 24)
     n_ranges, pages = 64, 32
     for rid in range(n_ranges):
         manager.map_range(rid)
@@ -239,7 +237,7 @@ def test_criterion_08_async_parity_hides_encode():
     params = CodecParams(k=8, r=4)
     p50 = {}
     for async_mode in (True, False):
-        cluster, manager, _ = build_stack(
+        cluster, manager = build_stack(
             12, params, 0, seed=21, latency=latency,
             config=ManagerConfig(async_parity=async_mode), machine_bytes=1 << 26,
         )
@@ -263,7 +261,7 @@ def test_criterion_08_async_parity_hides_encode():
 def test_criterion_09_read_your_writes_under_faults():
     # part 1: random evictions and machine failures, at most r at a time
     params = CodecParams(k=8, r=2)
-    cluster, manager, monitor = build_stack(24, params, 2, seed=9)
+    cluster, manager = build_stack(24, params, 2, seed=9)
     n_ranges, pages = 8, 64
     for rid in range(n_ranges):
         manager.map_range(rid)
@@ -274,7 +272,7 @@ def test_criterion_09_read_your_writes_under_faults():
     recover_at = {}
     for i in range(10_000):
         if i % 250 == 249:
-            settle(cluster, manager, monitor)
+            settle(cluster, manager)
             for machine_id in [m for m, due in recover_at.items() if due <= i]:
                 cluster.recover_machine(machine_id)
                 del recover_at[machine_id]
@@ -318,14 +316,14 @@ def test_criterion_09_read_your_writes_under_faults():
             elif op.completion.page != shadow.get((rid, page), ZERO):
                 wrong += 1
         if manager.regeneration_requests:
-            monitor.drain_regeneration()
-    settle(cluster, manager, monitor)
+            manager.drain_regeneration()
+    settle(cluster, manager)
     assert wrong == 0
     assert unrecoverable == 0
 
     # part 2: at most delta corruptions visible per read, guard on
     params = CodecParams(k=8, r=3, delta=1)
-    cluster, manager, monitor = build_stack(
+    cluster, manager = build_stack(
         11, params, 0, seed=29, config=ManagerConfig(corruption_guard=True)
     )
     n_ranges, pages = 4, 64
@@ -368,15 +366,15 @@ def test_criterion_09_read_your_writes_under_faults():
             if op.completion.corrected:
                 corrected += 1
         if manager.regeneration_requests:
-            monitor.drain_regeneration()
-    settle(cluster, manager, monitor)
+            manager.drain_regeneration()
+    settle(cluster, manager)
     assert injected > 0 and corrected > 0
     assert wrong == 0
     assert unrecoverable == 0
 
     # part 3: r+1 simultaneous failures lose exactly the affected range
     params = CodecParams(k=8, r=2)
-    cluster, manager, monitor = build_stack(30, params, 0, seed=31)
+    cluster, manager = build_stack(30, params, 0, seed=31)
     picked = {}
     rid = 0
     while len(picked) < 3:
@@ -396,7 +394,7 @@ def test_criterion_09_read_your_writes_under_faults():
         cluster.fail_machine(machine_id)
     for _ in range(4):
         if manager.regeneration_requests:
-            monitor.drain_regeneration()
+            manager.drain_regeneration()
         cluster.run_until_idle()
     outcomes = {}
     for rid in ranges:
@@ -414,7 +412,7 @@ def test_criterion_10_regeneration_equivalence():
     params = CodecParams(k=4, r=2)
     pages = 16
     for role in range(6):
-        cluster, manager, monitor = build_stack(10, params, 2, seed=40 + role)
+        cluster, manager = build_stack(10, params, 2, seed=40 + role)
         manager.map_range(0)
         payload = {}
         for page in range(pages):
@@ -424,11 +422,11 @@ def test_criterion_10_regeneration_equivalence():
         evicted_slab = manager.ranges[0].refs[role].slab_id  # the slot takes a new slab on rebuild
         cluster.evict_slab(evicted_slab)
         assert manager.regeneration_requests
-        monitor.drain_regeneration()
+        manager.drain_regeneration()
         # reads served while the rebuild is in flight stay correct
         for page in (0, pages // 2, pages - 1):
             assert manager.remote_read(0, page) == payload[page]
-        settle(cluster, manager, monitor)
+        settle(cluster, manager)
         rebuilt = manager.ranges[0].refs[role]
         assert rebuilt.slab_id != evicted_slab
         store = cluster.slabs[rebuilt.slab_id].store
@@ -436,9 +434,9 @@ def test_criterion_10_regeneration_equivalence():
             assert store[page] == expected_split(manager.codec, payload[page], role)
         # the range survives a later fault, proving the rebuild is usable
         cluster.evict_slab(manager.ranges[0].refs[(role + 1) % 6].slab_id)
-        monitor.drain_regeneration()
+        manager.drain_regeneration()
         assert manager.remote_read(0, 1) == payload[1]
-        settle(cluster, manager, monitor)
+        settle(cluster, manager)
 
 
 def test_criterion_11_reruns_are_byte_identical(tmp_path):

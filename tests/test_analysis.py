@@ -8,6 +8,7 @@ out of C(60,3) = 34220 equally likely ones, so the exact loss is
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -16,7 +17,10 @@ import numpy as np
 import pytest
 
 from codedmem import analysis
+from codedmem.coding import CodecParams
 from codedmem.errors import ConfigError, InvalidParams, MonotonicityViolation
+from codedmem.manager import ManagerConfig
+from codedmem.simulator import LatencyModel
 
 LOSS_CFG = {
     "schema_version": 1,
@@ -441,6 +445,56 @@ class TestDatapath:
 
     def test_deterministic_rows(self):
         assert analysis.run_datapath(DATAPATH_CFG) == analysis.run_datapath(DATAPATH_CFG)
+
+
+SETTINGS_CFG = cfg_of(
+    DATAPATH_CFG,
+    cluster={"machines": 6, "latency": {"sigma": 0.25, "straggler_prob": 0.05}},
+    code={"k": 2, "r": 1, "delta": 1},
+    manager={},
+)
+
+# a second valid value for each field of the config classes, by dotted path
+SECOND_VALUES = {
+    "code.k": 3,
+    "code.r": 2,
+    "code.delta": 0,
+    "manager.page_size": 2048,
+    "manager.slab_size": 4096,
+    "manager.corruption_guard": True,
+    "manager.async_parity": False,
+    "cluster.latency.median_us": 2.0,
+    "cluster.latency.sigma": 0.5,
+    "cluster.latency.straggler_prob": 0.2,
+    "cluster.latency.straggler_multiplier": 4.0,
+    "cluster.latency.encode_us": 1.0,
+    "cluster.latency.decode_us": 2.5,
+    "cluster.latency.context_switch_us": 1.5,
+    "cluster.latency.copy_us": 0.85,
+    "cluster.latency.disk_us": 50.0,
+}
+
+
+def setting_paths():
+    sections = (("code", CodecParams), ("manager", ManagerConfig), ("cluster.latency", LatencyModel))
+    return [f"{where}.{f.name}" for where, cls in sections for f in dataclasses.fields(cls)]
+
+
+class TestEverySettingCounts:
+    """No config field passes validation and changes nothing: the fields
+    come from the classes, so a new field needs a second value here."""
+
+    @pytest.fixture(scope="class")
+    def base_rows(self):
+        return analysis.run_datapath(SETTINGS_CFG)[1]
+
+    @pytest.mark.parametrize("path", setting_paths())
+    def test_changing_one_field_changes_a_row(self, base_rows, path):
+        cfg = copy.deepcopy(SETTINGS_CFG)
+        analysis.set_path(cfg, path, SECOND_VALUES[path])
+        rows = analysis.run_datapath(cfg)[1]
+        # every row but its confighash, which any change moves
+        assert [r[:1] + r[2:] for r in rows] != [r[:1] + r[2:] for r in base_rows]
 
 
 GUARDED_FAULTED_CFG = cfg_of(

@@ -164,11 +164,13 @@ class TestFaultRows:
         [
             ("cluster.machine_bytes", "1G"),
             ("cluster.latency.median_us", "x"),
-            ("cluster.latency.background_multiplier", 0.5),
+            ("cluster.latency.background_multiplier", 0.5),  # a constant, not a config field
             ("manager.slab_size", "x"),
             ("manager.page_size", 0),
             ("manager.corruption_guard", "yes"),
             ("manager.health_window", 64),  # a constant, not a config field
+            ("manager.in_place_coding", False),
+            ("manager.run_to_completion", False),
         ],
     )
     def test_bad_fields_fail_before_the_run(self, tmp_path, capsys, path, value):
@@ -268,6 +270,26 @@ class TestFaultRows:
         assert cli.main(["datapath", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "slab 999" in err
+
+    @pytest.mark.parametrize(
+        "latency, faults",
+        [
+            ({"sigma": 1000}, []),
+            ({"straggler_multiplier": 1.0e308, "straggler_prob": 1}, []),
+            ({}, [{"type": "background_load", "time_us": 0, "until_us": 1000, "level": 1.0e306}]),
+        ],
+    )
+    def test_split_latency_past_the_ns_range_is_an_error(self, tmp_path, capsys, latency, faults):
+        # each setting is valid alone; only a drawn latency leaves the ns range
+        cfg = copy.deepcopy(DATAPATH_CFG)
+        cfg["cluster"]["latency"].update(latency)
+        cfg["faults"] = faults
+        path = dump(tmp_path, cfg)
+        assert cli.main(["validate-config", "--config", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["datapath", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "left the ns range" in err
 
 
 class TestDispatch:

@@ -25,8 +25,9 @@ from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.simulator import Cluster, FaultScript, LatencyModel
 
 
-def flat_cluster(n, seed=0, **kw):
-    model = LatencyModel(median_us=1.5, sigma=0.0, straggler_prob=0.0)
+def flat_cluster(n, seed=0, costs=None, **kw):
+    """`costs` are data-path costs of the latency model, in us."""
+    model = LatencyModel(median_us=1.5, sigma=0.0, straggler_prob=0.0, **(costs or {}))
     return Cluster(n, latency=model, seed=seed, **kw)
 
 
@@ -308,11 +309,10 @@ class TestOpIsItsCompletion:
         # lognormal hops and a data split failed mid-flight: the k-th ok
         # conclusion plus the context switch is the data ack, and the last
         # ok conclusion is the durable point
-        model = LatencyModel(median_us=1.5, sigma=0.5, straggler_prob=0.0)
+        model = LatencyModel(median_us=1.5, sigma=0.5, straggler_prob=0.0, context_switch_us=1.5)
         params = CodecParams(k=3, r=2)
         cluster = Cluster(6, latency=model, seed=5)
-        config = ManagerConfig(run_to_completion=False)
-        _, mgr = build(6, params, l=1, seed=5, config=config, cluster=cluster)
+        _, mgr = build(6, params, l=1, seed=5, cluster=cluster)
         arange = mgr.map_range(0)
         concluded = []
         real = Cluster.write_split
@@ -339,10 +339,11 @@ class TestOpIsItsCompletion:
 
 
 class TestDataPathKnobs:
-    """The paper's data-path ablations, on the flat model."""
+    """The paper's data-path ablations, on the flat model: each cost is
+    zero unless the latency model sets it."""
 
-    def latencies(self, **knobs):
-        _, mgr = build(3, CodecParams(k=2, r=1), config=ManagerConfig(**knobs))
+    def latencies(self, **costs):
+        _, mgr = build(3, CodecParams(k=2, r=1), cluster=flat_cluster(3, costs=costs))
         mgr.map_range(0)
         write = mgr.remote_write(0, 0, page_of(30))
         op = mgr.submit_read(0, 0)
@@ -351,15 +352,16 @@ class TestDataPathKnobs:
         return mgr, write.completed_ns - write.submitted_ns, read.completed_ns - read.submitted_ns
 
     def test_context_switch_adds_to_each_op(self):
-        _, write, read = self.latencies()
-        mgr, switched_write, switched_read = self.latencies(run_to_completion=False)
+        base, write, read = self.latencies()
+        assert base.ctx_ns == base.copy_ns == 0
+        mgr, switched_write, switched_read = self.latencies(context_switch_us=1.5)
         assert mgr.ctx_ns == 1500
         assert switched_write == write + mgr.ctx_ns
         assert switched_read == read + mgr.ctx_ns
 
     def test_copy_before_issue_and_again_at_read_completion(self, monkeypatch):
         _, write, read = self.latencies()
-        mgr, copied_write, copied_read = self.latencies(in_place_coding=False)
+        mgr, copied_write, copied_read = self.latencies(copy_us=0.85)
         assert mgr.copy_ns == 850
         assert copied_write == write + mgr.copy_ns
         assert copied_read == read + 2 * mgr.copy_ns
@@ -380,8 +382,8 @@ class TestDataPathKnobs:
     def test_copied_read_goes_to_the_slab_that_took_its_slot(self, monkeypatch):
         # a target's slab is lost and its slot relocated during the copy
         # delay: the split goes to the slab in the slot when it is sent
-        config = ManagerConfig(in_place_coding=False)
-        cluster, mgr = build(4, CodecParams(k=2, r=1), l=1, config=config)
+        cluster = flat_cluster(4, costs={"copy_us": 0.85})
+        cluster, mgr = build(4, CodecParams(k=2, r=1), l=1, cluster=cluster)
         arange = mgr.map_range(0)
         page = page_of(31)
         mgr.remote_write(0, 0, page)

@@ -27,8 +27,7 @@ def build(n, params, l=0, seed=0, config=None, machine_bytes=1 << 30):
     shape = placement.ClusterShape(machines=n)
     plan = placement.build_codingsets(shape, params, l=l, seed=seed)
     mgr = ResilienceManager(cluster, plan, params, config=config, seed=seed)
-    mon = MonitorService(cluster, mgr)
-    return cluster, mgr, mon
+    return cluster, mgr
 
 
 def page_of(rng_seed, size=4096):
@@ -45,13 +44,13 @@ def expected_split(params, page, role):
 
 class TestEviction:
     def test_eviction_of_mapped_slab_degrades_range(self):
-        cluster, mgr, mon = build(4, CodecParams(k=2, r=1), l=1, machine_bytes=3 * SLAB)
+        cluster, mgr = build(4, CodecParams(k=2, r=1), l=1, machine_bytes=3 * SLAB)
         rng = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1))
         cluster.run_until_idle()
         victim = rng.refs[1]
         cluster.evict_slab(victim.slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         # the eviction requested the rebuild, and the drain started it
         assert rng.refs[1].state is SlabState.REGENERATING
         assert rng.rebuild_status[victim.role] == "queued"
@@ -62,22 +61,22 @@ class TestEviction:
 class TestRegeneration:
     def settled(self, seed=0, pages=(0, 1, 2), params=None, n=4, l=1):
         params = params or CodecParams(k=2, r=1)
-        cluster, mgr, mon = build(n, params, l=l, seed=seed)
+        cluster, mgr = build(n, params, l=l, seed=seed)
         mgr.map_range(0)
         payloads = {p: page_of(100 + p) for p in pages}
         for p, payload in payloads.items():
             mgr.remote_write(0, p, payload)
         cluster.run_until_idle()
-        return cluster, mgr, mon, payloads
+        return cluster, mgr, payloads
 
     def test_rebuilt_slab_matches_fresh_encode(self):
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon, payloads = self.settled(params=params)
+        cluster, mgr, payloads = self.settled(params=params)
         arange = mgr.ranges[0]
         victim = arange.refs[2]
         cluster.evict_slab(victim.slab_id)
         assert arange.refs[2].state in LOST
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[2].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[2].slab_id]
@@ -87,12 +86,12 @@ class TestRegeneration:
 
     def test_data_role_regenerates_too(self):
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon, payloads = self.settled(params=params)
+        cluster, mgr, payloads = self.settled(params=params)
         arange = mgr.ranges[0]
         dead = arange.refs[0].machine_id
         cluster.fail_machine(dead)
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[0].slab_id]
@@ -104,10 +103,10 @@ class TestRegeneration:
     def test_every_role_rebuilds_its_own_row(self, role):
         # with r=3 a fill that computed the wrong parity row would differ
         params = CodecParams(k=4, r=3)
-        cluster, mgr, mon, payloads = self.settled(params=params, n=10)
+        cluster, mgr, payloads = self.settled(params=params, n=10)
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[role].slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[role].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[role].slab_id]
@@ -115,21 +114,21 @@ class TestRegeneration:
             assert slab.store[p] == expected_split(params, payload, role)
 
     def test_regen_target_avoids_range_hosts(self):
-        cluster, mgr, mon, payloads = self.settled()
+        cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
         hosts_before = {slab.machine_id for slab in arange.refs}
         cluster.evict_slab(arange.refs[1].slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         others = {slab.machine_id for slab in arange.refs if slab.role != 1}
         assert arange.refs[1].machine_id not in others
         assert len({slab.machine_id for slab in arange.refs}) == 3
 
     def test_reads_stay_correct_during_regen(self):
-        cluster, mgr, mon, payloads = self.settled()
+        cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         # regen is in flight; a foreground read must still see the data
         op = mgr.submit_read(0, 1)
         mgr.drive(op)
@@ -139,10 +138,10 @@ class TestRegeneration:
 
     def test_writes_during_regen_reach_the_new_slab(self):
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon, payloads = self.settled(params=params)
+        cluster, mgr, payloads = self.settled(params=params)
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         fresh = page_of(500)
         mgr.submit_write(0, 7, fresh)
         cluster.run_until_idle()
@@ -155,11 +154,11 @@ class TestRegeneration:
     def test_rebuild_finished_by_a_foreground_write_succeeds(self):
         # the write's backfill lands the last missing page, so the slab is
         # whole before the queued regeneration fill runs
-        cluster, mgr, mon, payloads = self.settled(pages=(0,))
+        cluster, mgr, payloads = self.settled(pages=(0,))
         arange = mgr.ranges[0]
         cluster.fail_machine(arange.refs[2].machine_id)
         mgr.submit_write(0, 0, page_of(501))
-        (task,) = mon.drain_regeneration()
+        (task,) = mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[2].state is SlabState.AVAILABLE
         assert task.done and task.succeeded
@@ -171,25 +170,25 @@ class TestRegeneration:
         assert not arange.rebuild_status
 
     def test_regen_aborts_without_quorum(self):
-        cluster, mgr, mon, payloads = self.settled()
+        cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
         cluster.fail_machine(arange.refs[0].machine_id)
         cluster.fail_machine(arange.refs[1].machine_id)
         cluster.fail_machine(arange.refs[2].machine_id)
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert all(slab.state in LOST for slab in arange.refs)
         assert not any(slab.owner == 0 for slab in cluster.slabs.values())
 
     def test_recover_frees_the_slab_a_ref_left(self):
-        cluster, mgr, mon, payloads = self.settled()
+        cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
         victim = arange.refs[0]
         old, dead = victim.slab_id, victim.machine_id
         cluster.fail_machine(dead)
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         assert old not in cluster.slabs
@@ -199,10 +198,10 @@ class TestRegeneration:
         assert machine.free_bytes == machine.total_bytes - held
 
     def test_aborted_rebuild_frees_its_slab(self):
-        cluster, mgr, mon, payloads = self.settled()
+        cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         target, spare = arange.refs[2].slab_id, arange.refs[2].machine_id
         # the first backfill write is in flight from 2200 to 3700 ns
         cluster.schedule(3000, lambda: cluster.fail_machine(spare))
@@ -211,39 +210,39 @@ class TestRegeneration:
         assert arange.refs[2].state in LOST
         assert target not in cluster.slabs
         assert cluster.machines[spare].slab_bytes == 0
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[2].state is SlabState.AVAILABLE
 
     def no_spare(self):
         # two groups of k+r=3 and no slack: a lost split has nowhere to go
         # inside its group, though the other group has room
-        cluster, mgr, mon = build(6, CodecParams(k=2, r=1), l=0)
+        cluster, mgr = build(6, CodecParams(k=2, r=1), l=0)
         arange = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1))
         victim = arange.refs[0]
         dead = victim.machine_id
         cluster.fail_machine(dead)
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
-        return cluster, mgr, mon, arange, victim, dead
+        return cluster, mgr, arange, victim, dead
 
     def test_group_without_spare_keeps_the_ref_failed(self):
-        cluster, mgr, mon, arange, victim, dead = self.no_spare()
+        cluster, mgr, arange, victim, dead = self.no_spare()
         assert arange.refs[0].state in LOST
         others = [m for m in range(6) if m not in arange.group_members]
         assert all(cluster.machines[m].free_bytes >= SLAB for m in others)
         assert [s for s in cluster.slabs.values() if s.owner == 0 and s.machine_id in others] == []
 
     def test_ref_without_target_is_rebuilt_after_recover(self):
-        cluster, mgr, mon, arange, victim, dead = self.no_spare()
+        cluster, mgr, arange, victim, dead = self.no_spare()
         old = victim.slab_id
         cluster.recover_machine(dead)
         assert arange.refs[0].state in LOST
         assert old not in cluster.slabs
         # the recovered machine is a spare of the group again
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         assert arange.refs[0].machine_id in arange.group_members
@@ -254,12 +253,12 @@ class TestRegeneration:
 
     def test_regenerated_range_survives_next_failure(self):
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon, payloads = self.settled(params=params, n=6, l=3)
+        cluster, mgr, payloads = self.settled(params=params, n=6, l=3)
         arange = mgr.ranges[0]
         first = arange.refs[0].machine_id
         cluster.fail_machine(first)
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         # redundancy is restored, so one more failure is still tolerable
@@ -273,7 +272,7 @@ class TestRegeneration:
         # it must not copy role 0's corruption into the rebuilt parity
         params = CodecParams(k=2, r=2, delta=1)
         config = ManagerConfig(corruption_guard=True)
-        cluster, mgr, mon = build(5, params, l=1, config=config)
+        cluster, mgr = build(5, params, l=1, config=config)
         arange = mgr.map_range(0)
         page = page_of(7)
         assert mgr.remote_write(0, 0, page).outcome == "durable"
@@ -282,7 +281,7 @@ class TestRegeneration:
         def settle():
             cluster.run_until_idle()
             while mgr.regeneration_requests:
-                mon.drain_regeneration()
+                mgr.drain_regeneration()
                 cluster.run_until_idle()
 
         down = [arange.refs[2].machine_id, arange.refs[3].machine_id]
@@ -302,11 +301,11 @@ class TestRegeneration:
         # one group of five machines: range 0 on four, one spare
         params = CodecParams(k=2, r=2, delta=1)
         config = ManagerConfig(corruption_guard=True)
-        cluster, mgr, mon = build(5, params, l=1, config=config)
+        cluster, mgr = build(5, params, l=1, config=config)
         arange = mgr.map_range(0)
         assert mgr.remote_write(0, 0, page_of(7)).outcome == "durable"
         cluster.fail_machine(arange.refs[3].machine_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         assert arange.refs[3].state is SlabState.REGENERATING
         # the rebuild's guarded read of roles 0-2 is in flight; cutting one
         # off leaves no spare to ask, so it decodes k splits unchecked
@@ -319,10 +318,10 @@ class TestRegeneration:
     @pytest.mark.parametrize("loss", ["fail", "evict"])
     def test_slab_lost_mid_rebuild_is_rebuilt_elsewhere(self, loss):
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon, payloads = self.settled(params=params, n=5, l=2)
+        cluster, mgr, payloads = self.settled(params=params, n=5, l=2)
         arange = mgr.ranges[0]
         cluster.fail_machine(arange.refs[0].machine_id)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         target = arange.refs[0]
         assert target.state is SlabState.REGENERATING
         # the rebuild's first page read is in flight when its slab is lost
@@ -334,7 +333,7 @@ class TestRegeneration:
         assert ("regenerate", "r0:role0", "aborted") in [row[1:] for row in cluster.event_log]
         assert mgr.regeneration_requests == [(0, 0)]
         check_invariants(mgr)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         for p, payload in payloads.items():
@@ -345,20 +344,20 @@ class TestRegeneration:
         # one group of four machines, each with room for one slab: the
         # range's spare holds a slab of no range, so a lost ref finds no target
         params = CodecParams(k=2, r=1)
-        cluster, mgr, mon = build(4, params, l=1, machine_bytes=SLAB)
+        cluster, mgr = build(4, params, l=1, machine_bytes=SLAB)
         arange = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1))
         (spare,) = set(arange.group_members) - {slab.machine_id for slab in arange.refs}
         filler = cluster.machines[spare].allocate_slab(SLAB)
         cluster.fail_machine(arange.refs[0].machine_id)
         cluster.run_until_idle()
-        (rebuild,) = mon.drain_regeneration()
+        (rebuild,) = mgr.drain_regeneration()
         assert rebuild.done and not rebuild.succeeded
         assert arange.refs[0].state in LOST and not mgr.regeneration_requests
         # the eviction alone makes room on the spare; nothing recovers
         cluster.evict_slab(filler.slab_id)
         assert mgr.regeneration_requests == [(0, 0)]
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         victim = arange.refs[0]
         assert victim.state is SlabState.AVAILABLE and victim.machine_id == spare
@@ -369,7 +368,7 @@ class TestRegeneration:
         # 0-3, range 1 on 4-7, and machine 8 the only spare
         params = CodecParams(k=2, r=2, delta=1)
         config = ManagerConfig(corruption_guard=True)
-        cluster, mgr, mon = build(9, params, l=5, config=config, machine_bytes=SLAB)
+        cluster, mgr = build(9, params, l=5, config=config, machine_bytes=SLAB)
         doomed, parked = mgr.map_range(0), mgr.map_range(1)
         mgr.remote_write(0, 0, page_of(0))
         mgr.remote_write(1, 0, page_of(1))
@@ -380,7 +379,7 @@ class TestRegeneration:
             cluster.fail_machine(m)
         cluster.run_until_idle()
         for _ in range(8):
-            mon.drain_regeneration()
+            mgr.drain_regeneration()
             cluster.run_until_idle()
         assert not mgr.regeneration_requests
         assert [slab.state in LOST for slab in doomed.refs] == [True, True, False, False]
@@ -393,7 +392,7 @@ class TestRegeneration:
         # one group of six machines: range 0 on four, two spares
         params = CodecParams(k=2, r=2, delta=1)
         config = ManagerConfig(corruption_guard=True, page_size=64, slab_size=1024)
-        cluster, mgr, mon = build(6, params, l=2, config=config)
+        cluster, mgr = build(6, params, l=2, config=config)
         arange = mgr.map_range(0)
         mgr.remote_write(0, 0, page_of(1, size=64))
         cluster.run_until_idle()
@@ -402,29 +401,29 @@ class TestRegeneration:
         cluster.corrupt_slab(arange.refs[0].slab_id, 0, b"\xff")
         dead = arange.refs[2].machine_id
         cluster.fail_machine(dead)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert ("regenerate", "r0:role2", "aborted") in [row[1:] for row in cluster.event_log]
         assert arange.refs[2].state in LOST and not mgr.regeneration_requests
-        return cluster, mgr, mon, arange, dead
+        return cluster, mgr, arange, dead
 
     def test_rebuild_aborted_on_an_unverifiable_read_retries_after_a_rewrite(self):
-        cluster, mgr, mon, arange, _ = self.unverifiable_abort()
+        cluster, mgr, arange, _ = self.unverifiable_abort()
         fresh = page_of(2, size=64)
         assert mgr.remote_write(0, 0, fresh).outcome == "degraded"
         cluster.run_until_idle()
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         check_invariants(mgr)
         assert arange.refs[2].state is SlabState.AVAILABLE
         assert mgr.remote_read(0, 0) == fresh
 
     def test_write_asks_no_rebuild_of_a_slot_rebuilt_since_its_abort(self):
-        cluster, mgr, mon, arange, dead = self.unverifiable_abort()
+        cluster, mgr, arange, dead = self.unverifiable_abort()
         # the same mask undoes the corruption, and a recovery asks again
         cluster.corrupt_slab(arange.refs[0].slab_id, 0, b"\xff")
         cluster.recover_machine(dead)
-        mon.drain_regeneration()
+        mgr.drain_regeneration()
         cluster.run_until_idle()
         assert arange.refs[2].state is SlabState.AVAILABLE
         assert mgr.remote_write(0, 0, page_of(2, size=64)).outcome == "durable"
@@ -432,7 +431,7 @@ class TestRegeneration:
         assert not mgr.regeneration_requests
 
     def test_failed_write_asks_no_rebuild(self):
-        cluster, mgr, mon, arange, _ = self.unverifiable_abort()
+        cluster, mgr, arange, _ = self.unverifiable_abort()
         for role in (1, 3):
             cluster.fail_machine(arange.refs[role].machine_id)
         assert mgr.remote_write(0, 0, page_of(2, size=64)).outcome == "write-failed"
@@ -441,10 +440,11 @@ class TestRegeneration:
 
 class TestStatsAndTicks:
     def test_tick_drains_regeneration_requests(self):
-        cluster, mgr, mon, payloads = TestRegeneration().settled()
+        # the service the benchmark drains through forwards to the manager
+        cluster, mgr, payloads = TestRegeneration().settled()
         arange = mgr.ranges[0]
         cluster.evict_slab(arange.refs[2].slab_id)
-        rebuilds = mon.drain_regeneration()
+        rebuilds = MonitorService(cluster, mgr).drain_regeneration()
         assert rebuilds
         assert all(type(r) is manager._Rebuild for r in rebuilds)
         cluster.run_until_idle()

@@ -16,7 +16,6 @@ from codedmem import placement, simulator
 from codedmem.coding import CodecParams
 from codedmem.errors import CapacityExhausted, InvalidParams
 from codedmem.manager import ResilienceManager
-from codedmem.monitor import MonitorService
 from codedmem.simulator import Cluster, FaultScript, LatencyModel
 
 
@@ -108,13 +107,6 @@ class TestLatencyModel:
     def test_every_draw_straggles_at_probability_one(self):
         draws = latencies(flat_model(straggler_prob=1.0, straggler_multiplier=10.0), 5)
         assert {draws.draw() for _ in range(3000)} == {15000}
-
-    @pytest.mark.parametrize("multiplier", [0, 0.5, 0.999])
-    def test_background_multiplier_below_one_is_refused(self, multiplier):
-        # a window's level never drops below 1, so such a default would do nothing
-        with pytest.raises(InvalidParams, match="background_multiplier must be >= 1"):
-            LatencyModel(background_multiplier=multiplier)
-        assert LatencyModel(background_multiplier=1).background_multiplier == 1
 
     @pytest.mark.parametrize("value", [1e306, math.inf, 10**400])
     def test_a_cost_must_stay_finite_in_ns(self, value):
@@ -244,7 +236,6 @@ class TestFailures:
         c = Cluster(6, latency=flat_model(sigma=0.3), seed=4)
         plan = placement.build_codingsets(placement.ClusterShape(machines=6), params, l=1, seed=4)
         mgr = ResilienceManager(c, plan, params, seed=4)
-        mon = MonitorService(c, mgr)
         pages = [np.random.default_rng(i).bytes(4096) for i in range(8)]
         gc.collect()
         gc.disable()
@@ -258,7 +249,7 @@ class TestFailures:
             c.schedule_at(700, lambda: c.fail_machine(victim))
             c.schedule_at(5000, lambda: c.recover_machine(victim))
             c.run_until_idle()
-            mon.drain_regeneration()
+            mgr.drain_regeneration()
             c.run_until_idle()
             assert c.split_outcomes["write_split", "disconnect"] > 0
             left = [o for o in gc.get_objects() if type(o) is simulator._InflightIo]
@@ -639,7 +630,6 @@ def test_slab_bytes_match_live_slabs_after_churn():
     c = new_cluster(n=n, seed=3)
     plan = placement.build_codingsets(placement.ClusterShape(machines=n), params, l=1, seed=3)
     mgr = ResilienceManager(c, plan, params, seed=3)
-    mon = MonitorService(c, mgr)
     rng = np.random.default_rng(21)
     for step in range(300):
         action = int(rng.integers(0, 6))
@@ -661,8 +651,15 @@ def test_slab_bytes_match_live_slabs_after_churn():
             ids = sorted(c.slabs)  # freed slabs leave gaps in the ids
             c.evict_slab(ids[int(rng.integers(0, len(ids)))])
         else:
-            mon.drain_regeneration()
+            mgr.drain_regeneration()
         c.run_until_idle()
         check_invariants(mgr)
     outcomes = {(op, outcome) for _, op, _, outcome in c.event_log}
     assert {("evict", "evicted"), ("regenerate", "complete")} <= outcomes
+
+
+def test_a_window_without_level_opens_at_the_default_level():
+    c = new_cluster()
+    row = {"type": "background_load", "time_us": 0, "until_us": 5}
+    simulator.inject(c, FaultScript.from_events([row]))
+    assert c.background_level() == simulator.BACKGROUND_LEVEL == 2.0

@@ -20,7 +20,6 @@ from invariants import check_invariants
 
 from codedmem.coding import CodecParams
 from codedmem.manager import ManagerConfig, ResilienceManager
-from codedmem.monitor import MonitorService
 from codedmem.placement import ClusterShape, build_codingsets
 from codedmem.simulator import Cluster, LatencyModel, MachineState, SlabState
 
@@ -44,13 +43,13 @@ def build(machine_bytes, seed):
     manager = ResilienceManager(cluster, plan, PARAMS, config=config, seed=seed)
     for rid in range(RANGES):
         manager.map_range(rid)
-    return cluster, manager, MonitorService(cluster, manager)
+    return cluster, manager
 
 
-def settle(cluster, manager, monitor):
+def settle(cluster, manager):
     cluster.run_until_idle()
     while manager.regeneration_requests:
-        monitor.drain_regeneration()
+        manager.drain_regeneration()
         cluster.run_until_idle()
     check_invariants(manager)
 
@@ -72,7 +71,7 @@ def free_bytes(cluster):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("machine_bytes", [8 << 20, 11 * SLAB], ids=["roomy", "tight"])
 def test_churned_cluster_matches_a_fresh_one(machine_bytes, seed):
-    cluster, manager, monitor = build(machine_bytes, seed)
+    cluster, manager = build(machine_bytes, seed)
     rng = np.random.default_rng(seed)
     shadow = {}
     for _ in range(STEPS):
@@ -102,11 +101,11 @@ def test_churned_cluster_matches_a_fresh_one(machine_bytes, seed):
             if leaves_healable(manager, {victim}):
                 cluster.evict_slab(victim)
         else:
-            monitor.drain_regeneration()
-        settle(cluster, manager, monitor)
+            manager.drain_regeneration()
+        settle(cluster, manager)
     for machine in cluster.machines:
         cluster.recover_machine(machine.machine_id)
-    settle(cluster, manager, monitor)
+    settle(cluster, manager)
 
     width = PARAMS.k + PARAMS.r
     for arange in manager.ranges.values():
@@ -114,7 +113,7 @@ def test_churned_cluster_matches_a_fresh_one(machine_bytes, seed):
         hosts = {slab.machine_id for slab in arange.refs}
         assert len(hosts) == width and hosts <= set(arange.group_members), arange.range_id
     assert len(cluster.slabs) == RANGES * width
-    fresh, _, _ = build(machine_bytes, seed)
+    fresh, _ = build(machine_bytes, seed)
     assert free_bytes(cluster) == free_bytes(fresh)
     for (rid, page), payload in shadow.items():
         assert manager.remote_read(rid, page) == payload, (rid, page)
