@@ -714,7 +714,9 @@ def _run_coded(cfg, seed, ops, chash):
     shadow = {}
     reads = _OpStats()
     writes = _OpStats()
-    ctx = manager.ctx_ns
+    # a write waits one copy before wave one, a read one before its splits
+    # and one at completion; neither is network time
+    ctx, copy = manager.ctx_ns, manager.copy_ns
     for op, rid, page, pseed in ops:
         if op == "W":
             writes.count += 1
@@ -730,7 +732,7 @@ def _run_coded(cfg, seed, ops, chash):
                 writes.queue.append(c.started_ns - c.submitted_ns)
                 writes.encode.append(c.encode_ack_ns)
                 writes.network.append(
-                    c.data_acked_ns - c.started_ns - c.encode_ack_ns - ctx
+                    c.data_acked_ns - c.started_ns - c.encode_ack_ns - ctx - copy
                 )
                 if c.durable_ns is not None:
                     writes.durable.append(c.durable_ns - c.submitted_ns)
@@ -750,7 +752,7 @@ def _run_coded(cfg, seed, ops, chash):
                 reads.queue.append(c.started_ns - c.submitted_ns)
                 reads.decode.append(c.decode_ns)
                 reads.network.append(
-                    c.completed_ns - c.started_ns - c.decode_ns - ctx - manager.copy_ns
+                    c.completed_ns - c.started_ns - c.decode_ns - ctx - 2 * copy
                 )
         if manager.regeneration_requests:
             manager.drain_regeneration()

@@ -106,9 +106,13 @@ def split_page(page, k):
     """Cut a page into k data splits of ceil(len/k) bytes, zero-padding the tail."""
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
+    return [Split(i, row) for i, row in enumerate(_data_rows(page, k))]
+
+
+def _data_rows(page, k):
     size = -(-len(page) // k)
-    padded = page + b"\x00" * (size * k - len(page))
-    return [Split(i, padded[i * size : (i + 1) * size]) for i in range(k)]
+    padded = page.ljust(size * k, b"\x00")
+    return [padded[i * size : (i + 1) * size] for i in range(k)]
 
 
 def _rows(codec, data, indices):
@@ -122,20 +126,22 @@ def _rows(codec, data, indices):
 
 def encode(codec, data_splits):
     """Produce the r parity splits for k data splits."""
-    k, r = codec.params.k, codec.params.r
+    k = codec.params.k
     if len(data_splits) != k:
         raise InsufficientSplits(f"encode needs exactly {k} data splits, got {len(data_splits)}")
     if len({len(s[1]) for s in data_splits}) > 1:
         raise LengthMismatch("data splits differ in length")
-    ordered = sorted(data_splits, key=lambda s: s[0])
-    parity = _rows(codec, [s[1] for s in ordered], range(k, k + r))
+    # (index, data) pairs sort by index first
+    data = [s[1] for s in sorted(data_splits)]
+    parity = gf256.apply_matrix(codec.parity_matrix, data)
     return [Split(k + i, row) for i, row in enumerate(parity)]
 
 
 def codeword(codec, page):
     """The k+r split payloads of a page, indexed by role."""
-    data = split_page(page, codec.params.k)
-    return tuple(s.data for s in data + encode(codec, data))
+    splits = _data_rows(page, codec.params.k)
+    parity = encode(codec, list(enumerate(splits)))
+    return tuple(splits + [s[1] for s in parity])
 
 
 def _generator_row(codec, index):

@@ -13,13 +13,17 @@ in-place design.
 A write builds its page's codeword, the k+r splits by role, once with
 `coding.codeword` when it starts; it sends each slab its split and records
 the same tuple in its range's `codewords` at the k-ack. The keys of
-`codewords` are the written pages. A read first compares the splits that
-arrived with that codeword, or with `zero_codeword`, the codeword of an
-all-zero page, for a page never written. When all are equal the read is
-`clean`: it delivers the codeword's page and takes the branch the codec
-would, since any k splits of one codeword decode to its page and every
-extra split checks against it, and a rebuild fills with the codeword's own
-split. Any mismatch runs the codec.
+`codewords` are the written pages. A wave of splits (wave one, wave two, or
+the resend of a refused split) goes out at once or, after a delay, from one
+event; either way it sends its splits in role order, each to the slab in
+its slot then, and so draws latencies in the order that one event per
+split would. A read first compares the splits that arrived with that
+codeword, or with `zero_codeword`, the codeword of an all-zero page, for a
+page never written. When all are equal the read is `clean`: it delivers
+the codeword's page and takes the branch the codec would, since any k
+splits of one codeword decode to its page and every extra split checks
+against it, and a rebuild fills with the codeword's own split. Any
+mismatch runs the codec.
 
 A read decides once, when `need` splits have arrived or none is left in
 flight. With the corruption guard enabled it waits for all k+delta
@@ -249,26 +253,27 @@ class _WriteOp(_PageOp):
             # parity enters the ack path, so the encode cost does too
             delay += mgr.encode_ns
             self.encode_ack_ns = mgr.encode_ns
-        for role in self.wave1_roles:
-            self._issue(role, delay)
+        self._issue([(role, False) for role in self.wave1_roles], delay)
 
-    def _issue(self, role, delay=0, fill=False):
-        mgr = self.mgr
-        self.fanout += 1
-        self.outstanding += 1
-        payload = self.codeword[role]
+    def _issue(self, wave, delay=0):
+        """Send a wave of (role, fill) splits, now or as one event `delay` on."""
+        self.fanout += len(wave)
+        self.outstanding += len(wave)
         if delay:
-            mgr.cluster.schedule(delay, lambda: self._submit(role, payload, fill))
+            self.mgr.cluster.schedule(delay, lambda: self._submit(wave))
         else:
-            self._submit(role, payload, fill)
+            self._submit(wave)
 
-    def _submit(self, role, payload, fill):
-        # the slot may have been relocated during the delay
-        slab = self.arange.refs[role]
-        self.roles[slab.slab_id] = role
-        self.mgr.cluster.write_split(
-            slab.machine_id, slab.slab_id, self.page_index, payload, self._on_split, fill=fill
-        )
+    def _submit(self, wave):
+        # a slot may have been relocated during the delay
+        refs, roles, codeword = self.arange.refs, self.roles, self.codeword
+        write_split = self.mgr.cluster.write_split
+        for role, fill in wave:
+            slab = refs[role]
+            roles[slab.slab_id] = role
+            write_split(
+                slab.machine_id, slab.slab_id, self.page_index, codeword[role], self._on_split, fill
+            )
 
     def _on_split(self, io):
         # a refused split has no slab to read its role from, so the op keeps it
@@ -277,9 +282,10 @@ class _WriteOp(_PageOp):
         self.outstanding -= 1
         if io.outcome == "ok":
             self.acks += 1
-            mgr.promote(self.arange, role)
+            if self.arange.refs[role].state is REGENERATING:
+                mgr.promote(self.arange, role)
         elif mgr.relocate(self.arange, role) is not None:
-            self._issue(role, fill=True)
+            self._issue([(role, True)])
         self._evaluate()
 
     def _evaluate(self):
@@ -305,18 +311,15 @@ class _WriteOp(_PageOp):
     def _issue_wave2(self):
         mgr = self.mgr
         self.wave2_issued = True
+        # a slab mid-regeneration only takes backfill writes
         rest = [
-            slab
+            (slab.role, slab.state is REGENERATING)
             for slab in self.arange.refs
             if slab.role not in self.wave1_roles and slab.state not in LOST
         ]
-        if not rest:
-            return
-        # the encode cost is paid once: in the ack path or here
-        delay = mgr.encode_ns - self.encode_ack_ns
-        for slab in rest:
-            # a slab mid-regeneration only takes backfill writes
-            self._issue(slab.role, delay, fill=slab.state is REGENERATING)
+        if rest:
+            # the encode cost is paid once: in the ack path or here
+            self._issue(rest, mgr.encode_ns - self.encode_ack_ns)
 
     def _finish(self, outcome):
         mgr = self.mgr

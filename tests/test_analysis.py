@@ -497,6 +497,29 @@ class TestEverySettingCounts:
         assert [r[:1] + r[2:] for r in rows] != [r[:1] + r[2:] for r in base_rows]
 
 
+def test_copies_are_not_network_time():
+    # a fault-free run on flat latency: a copy moves the latency cells of
+    # both coded ops but neither network cell
+    def table(copy_us):
+        cfg = cfg_of(
+            DATAPATH_CFG,
+            cluster={
+                "machines": 6,
+                "latency": {"median_us": 1.5, "sigma": 0.0, "straggler_prob": 0.0,
+                            "copy_us": copy_us},
+            },
+            workload={"ranges": 2, "operations": 40, "read_fraction": 0.5},
+        )
+        header, rows = analysis.run_datapath(cfg)
+        system, op = header.index("system"), header.index("op")
+        return {(r[system], r[op]): dict(zip(header, r)) for r in rows}
+
+    base, copied = table(0.0), table(0.85)
+    for key in (("coded", "R"), ("coded", "W")):
+        assert copied[key]["network_p50_us"] == base[key]["network_p50_us"] == "1.500", key
+        assert float(copied[key]["p50_us"]) > float(base[key]["p50_us"]), key
+
+
 GUARDED_FAULTED_CFG = cfg_of(
     DATAPATH_CFG,
     seeds=[3],

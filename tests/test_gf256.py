@@ -100,7 +100,21 @@ def test_mat_inv_singular_rejected():
 def test_apply_matrix_matches_rowwise_scalar():
     rng = np.random.default_rng(5)
     coefficients = set()
-    for width in [1, 3, 17, 32, 255] * 8:
+
+    def check(mat, rows, width):
+        out = gf256.apply_matrix(mat, rows)
+        assert len(out) == len(mat)
+        for coefs, got in zip(mat, out):
+            assert type(got) is bytes and len(got) == width
+            for col in range(width):
+                acc = 0
+                for c, row in zip(coefs, rows):
+                    acc ^= gf256.gf_mul(c, row[col])
+                assert got[col] == acc
+        return out
+
+    # widths that are and are not a multiple of 8 take the 64-bit and byte views
+    for width in [1, 3, 17, 32, 255, 8, 24, 1024, 1366] * 8:
         out_rows, inner = (int(v) for v in rng.integers(1, 6, size=2))
         # draw half the coefficients from {0, 1} so both shortcuts run
         mat = np.where(
@@ -110,13 +124,10 @@ def test_apply_matrix_matches_rowwise_scalar():
         ).tolist()
         rows = [rng.integers(0, 256, size=width, dtype=np.uint8).tobytes() for _ in range(inner)]
         coefficients.update(c for coefs in mat for c in coefs)
-        out = gf256.apply_matrix(mat, rows)
-        assert len(out) == out_rows
-        for coefs, got in zip(mat, out):
-            assert type(got) is bytes and len(got) == width
-            for col in range(width):
-                acc = 0
-                for c, row in zip(coefs, rows):
-                    acc ^= gf256.gf_mul(c, row[col])
-                assert got[col] == acc
+        check(mat, rows, width)
     assert {0, 1} <= coefficients
+    # an all-zero coefficient row makes a zero row, beside rows that do not
+    for width in (8, 1366):
+        rows = [rng.integers(0, 256, size=width, dtype=np.uint8).tobytes() for _ in range(3)]
+        out = check([[0, 0, 0], [1, 7, 0], [0, 0, 0]], rows, width)
+        assert out[0] == out[2] == bytes(width) != out[1]
