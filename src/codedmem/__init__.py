@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .coding import (
     CodecParams,
-    Split,
     make_codec,
-    split_page,
     encode,
     decode,
     detect_corruption,
@@ -21,7 +19,6 @@ from .coding import (
 )
 from .placement import (
     ClusterShape,
-    ExtendedGroup,
     PlacementPlan,
     build_codingsets,
     build_eccache,
@@ -46,16 +43,13 @@ from .analysis import (
 
 __all__ = [
     "CodecParams",
-    "Split",
     "make_codec",
-    "split_page",
     "encode",
     "decode",
     "detect_corruption",
     "correct_corruption",
     "min_splits",
     "ClusterShape",
-    "ExtendedGroup",
     "PlacementPlan",
     "build_codingsets",
     "build_eccache",

@@ -6,11 +6,12 @@ so the single-parity configuration degenerates to plain xor. Any k of the
 k+r splits reconstruct the page; k+delta splits detect up to delta
 corruptions and k+2*delta+1 locate and repair them.
 
-A split's payload is ``bytes`` throughout: the codec hands lists of split
-payloads to ``gf256.apply_matrix`` and joins the k data rows into a page.
-The codec reads a split by position, as an (index, data) pair, so a
-``Split`` and a plain tuple serve alike. ``codeword`` is the one place a
-page becomes its k+r payloads, indexed by role.
+A row is ``bytes`` throughout. ``codeword`` is the one place a page
+becomes its k+r rows, a tuple indexed by role: the page's k data rows,
+then the r parity rows ``encode`` makes from them with
+``gf256.apply_matrix``. A split is an (index, row) pair only where its
+index carries meaning, in what ``decode``, ``detect_corruption`` and
+``correct_corruption`` take.
 
 A decode inverts the generator rows of the k splits it uses, keeps the
 data rows that arrived and rebuilds only the missing ones, from their
@@ -26,7 +27,6 @@ import itertools
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import gf256
 from .errors import InsufficientSplits, InvalidParams, LengthMismatch, UncorrectableCorruption
@@ -60,17 +60,6 @@ class CodecParams:
             raise InvalidParams(f"delta must be in [0, r], got {self.delta}")
 
 
-class Split(NamedTuple):
-    """One coded fragment of a page. Indices 0..k-1 are data, k..k+r-1 parity.
-
-    The codec reads it by position, so a plain (index, data) tuple, which
-    is cheaper to make, serves as well.
-    """
-
-    index: int
-    data: bytes
-
-
 def _build_parity_matrix(k, r):
     # Cauchy block: rows indexed by k..k+r-1, columns by 0..k-1. Every square
     # submatrix is nonsingular, and that survives scaling each column so the
@@ -102,19 +91,6 @@ def make_codec(params, page_size=PAGE_SIZE):
     )
 
 
-def split_page(page, k):
-    """Cut a page into k data splits of ceil(len/k) bytes, zero-padding the tail."""
-    if k < 1:
-        raise InvalidParams(f"k must be >= 1, got {k}")
-    return [Split(i, row) for i, row in enumerate(_data_rows(page, k))]
-
-
-def _data_rows(page, k):
-    size = -(-len(page) // k)
-    padded = page.ljust(size * k, b"\x00")
-    return [padded[i * size : (i + 1) * size] for i in range(k)]
-
-
 def _rows(codec, data, indices):
     """Codeword rows ``indices`` of the k data rows: a data row as it is, a
     parity row from its own ``parity_matrix`` row, never the whole codeword."""
@@ -124,24 +100,24 @@ def _rows(codec, data, indices):
     return [data[i] if i < k else next(computed) for i in indices]
 
 
-def encode(codec, data_splits):
-    """Produce the r parity splits for k data splits."""
+def encode(codec, data):
+    """The r parity rows of the k data rows."""
     k = codec.params.k
-    if len(data_splits) != k:
-        raise InsufficientSplits(f"encode needs exactly {k} data splits, got {len(data_splits)}")
-    if len({len(s[1]) for s in data_splits}) > 1:
-        raise LengthMismatch("data splits differ in length")
-    # (index, data) pairs sort by index first
-    data = [s[1] for s in sorted(data_splits)]
-    parity = gf256.apply_matrix(codec.parity_matrix, data)
-    return [Split(k + i, row) for i, row in enumerate(parity)]
+    if len(data) != k:
+        raise InsufficientSplits(f"encode needs exactly {k} data rows, got {len(data)}")
+    if len(set(map(len, data))) > 1:
+        raise LengthMismatch("data rows differ in length")
+    return gf256.apply_matrix(codec.parity_matrix, data)
 
 
 def codeword(codec, page):
-    """The k+r split payloads of a page, indexed by role."""
-    splits = _data_rows(page, codec.params.k)
-    parity = encode(codec, list(enumerate(splits)))
-    return tuple(splits + [s[1] for s in parity])
+    """The k+r rows of a page, indexed by role: k data rows of ceil(len/k)
+    bytes, the last zero-padded, then their r parity rows."""
+    k = codec.params.k
+    size = -(-len(page) // k)
+    padded = page.ljust(size * k, b"\x00")
+    data = [padded[i * size : (i + 1) * size] for i in range(k)]
+    return tuple(data + encode(codec, data))
 
 
 def _generator_row(codec, index):

@@ -38,7 +38,12 @@ A range's `refs` are its slabs, indexed by role: slot `role` of the
 codeword is whichever slab `refs[role]` names now, and its state is that
 slab's, so a split is available, regenerating, or lost
 (`simulator.LOST`). Code that holds a slot across a delay keeps its role
-and reads `refs[role]` again when it acts. A lost split moves
+and reads `refs[role]` again when it acts. A range's group is the slice
+of the plan's member array that `plan.bounds` cuts for it; the manager
+builds no group list. `map_range` and `relocate` choose machines through
+one picker, `_least_loaded`: of the group's members that are up, have room
+for a slab and host no live split of the range, `placement.select_members`
+takes the least loaded, ties to the lower id. A lost split moves
 to a fresh slab on a spare member of the range's own group, never
 outside it; the slab it leaves, a slab whose rebuild aborts, and every
 slab on a recovered machine are freed, so a stale slab never reads as
@@ -110,7 +115,7 @@ from .errors import (
     UncorrectableCorruption,
     UnrecoverableRead,
 )
-from .placement import ExtendedGroup, select_members
+from .placement import select_members
 from .simulator import AVAILABLE, LOST, REGENERATING, UP, SlabState
 
 
@@ -675,21 +680,13 @@ class ResilienceManager:
             return self.ranges[range_id]
         width = self.codec.params.k + self.codec.params.r
         gid = self.plan.group_for_range(range_id)
-        group = self.plan.groups[gid]
-        loads = {m: self.cluster.machines[m].slab_bytes for m in group.members}
-        eligible = [
-            m
-            for m in group.members
-            if self.cluster.machines[m].state is UP
-            and self.cluster.machines[m].free_bytes >= self.config.slab_size
-        ]
-        if len(eligible) < width:
+        bounds = self.plan.bounds
+        group_members = tuple(self.plan.members[bounds[gid] : bounds[gid + 1]].tolist())
+        members = self._least_loaded(group_members, width)
+        if len(members) < width:
             raise CapacityExhausted(
-                f"range {range_id}: {len(eligible)} usable machines, needs {width}"
+                f"range {range_id}: {len(members)} usable machines, needs {width}"
             )
-        members = select_members(
-            ExtendedGroup(index=gid, members=tuple(eligible), l=group.l), loads, self.codec.params
-        )
         refs = []
         for role, machine_id in enumerate(members):
             slab = self.cluster.machines[machine_id].allocate_slab(
@@ -704,7 +701,7 @@ class ResilienceManager:
         arange = AddressRange(
             range_id=range_id,
             group_id=gid,
-            group_members=tuple(group.members),
+            group_members=group_members,
             refs=refs,
             page_capacity=self.config.slab_size // self.codec.split_size,
         )
@@ -824,28 +821,20 @@ class ResilienceManager:
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
 
-        A fresh slab goes on the least-loaded member of the range's group
-        (ties to the lower id) that is up, has room, and hosts no other
-        live split of the range. It starts REGENERATING, takes the slot,
+        A fresh slab goes on the member of the range's group that
+        `_least_loaded` picks among those hosting no live split of the
+        range. It starts REGENERATING, takes the slot,
         and the slab it replaces is freed if the cluster still holds it,
         evicted or not. None when the group has no such spare.
         """
         old = arange.refs[role]
         if old.state not in LOST:
             return old
-        machines = self.cluster.machines
         hosting = {s.machine_id for s in arange.refs if s.state not in LOST}
-        spares = [
-            m
-            for m in arange.group_members
-            if m not in hosting
-            and machines[m].state is UP
-            and machines[m].free_bytes >= self.config.slab_size
-        ]
-        if not spares:
+        spare = self._least_loaded(arange.group_members, 1, hosting)
+        if not spare:
             return None
-        target = min(spares, key=lambda m: (machines[m].slab_bytes, m))
-        slab = machines[target].allocate_slab(
+        slab = self.cluster.machines[spare[0]].allocate_slab(
             self.config.slab_size,
             owner=arange.range_id,
             role=role,
@@ -856,6 +845,20 @@ class ResilienceManager:
         if old.slab_id in self.cluster.slabs:
             self.cluster.free_slab(old.slab_id)
         return slab
+
+    def _least_loaded(self, members, count, hosting=()):
+        """Up to `count` of `members` for new slabs, as `select_members`
+        picks them from those that are up, have room for a slab and are not
+        in `hosting`."""
+        machines = self.cluster.machines
+        size = self.config.slab_size
+        usable = [
+            m
+            for m in members
+            if m not in hosting and machines[m].state is UP and machines[m].free_bytes >= size
+        ]
+        loads = {m: machines[m].slab_bytes for m in usable}
+        return select_members(usable, loads, min(count, len(usable)))
 
     def promote(self, arange, role):
         """True once the slab in slot `role` is AVAILABLE.

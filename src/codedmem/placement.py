@@ -8,9 +8,12 @@ copysets (machine subsets whose simultaneous failure loses data).
 scatters copysets across the whole cluster. A range's group is a function
 of its id (a seeded uniform draw for codingsets, the id modulo the group
 count for eccache), so a plan keeps no per-range record. A plan holds its
-groups as one flat member array and G+1 offsets; the ExtendedGroup list is
-built only when a caller reads ``plan.groups``. Loss analysis counts all of
-a group's extended members as its copyset universe.
+groups as one flat member array and G+1 offsets, and every routine here and
+in the manager reads a group as a slice of them; the ExtendedGroup list is
+built only when a caller reads ``plan.groups``. ``select_members`` is the
+one placement policy: the least loaded of the members a caller may use,
+ties to the lower id. Loss analysis counts all of a group's extended
+members as its copyset universe.
 """
 
 import itertools
@@ -91,7 +94,7 @@ class PlacementPlan:
 
     @property
     def groups(self):
-        """The ExtendedGroup list, built from the arrays on first read."""
+        """The ExtendedGroup list, built on first read; the package never reads it."""
         if self._groups is None:
             ids = self.members.tolist()
             cuts = self.bounds.tolist()
@@ -188,15 +191,12 @@ def eccache_members(shape, params, seed):
     return _distinct_rows(np.random.default_rng(seed), count, width, n)
 
 
-def select_members(group, loads, params):
-    """The k+r least-loaded group members, ties broken by ascending id."""
-    width = params.k + params.r
-    if len(group.members) < width:
-        raise InvalidParams(
-            f"group has {len(group.members)} members, needs {width}"
-        )
+def select_members(members, loads, count):
+    """The ``count`` least-loaded of ``members``, ties broken by ascending id."""
+    if len(members) < count:
+        raise InvalidParams(f"{len(members)} members, needs {count}")
     # the sort is stable, so sorting ids first breaks load ties by id
-    return sorted(sorted(group.members), key=loads.__getitem__)[:width]
+    return sorted(sorted(members), key=loads.__getitem__)[:count]
 
 
 def codingsets_loads(plan, count, params):

@@ -445,9 +445,11 @@ def _id(value, row):
 
 def _mask(value, row):
     try:
-        return value if isinstance(value, bytes) else bytes.fromhex(value)
+        mask = value if isinstance(value, bytes) else bytes.fromhex(value)
     except (TypeError, ValueError):
         return None
+    # an all-zero mask would log `corrupted` and change nothing
+    return mask if any(mask) else None
 
 
 def _at(method):
@@ -474,7 +476,7 @@ _UNTIL = (
 )
 _LEVEL = ("a finite int or float >= 1", _real(lambda level, row: level >= 1))
 BACKGROUND_LEVEL = 2.0  # the level of a background_load row without one
-_MASK = ("hex or bytes", _mask)
+_MASK = ("hex or bytes with a non-zero byte", _mask)
 
 # For each fault type: the keys its row may carry besides `type` and `time_us`
 # ("?" marks an optional key), and how `inject` applies a row, given the

@@ -57,10 +57,7 @@ def settle(cluster, manager, rounds=8):
 
 def expected_split(codec, page, role):
     """Recompute the split a healthy encode would store for this role."""
-    data = coding.split_page(page, codec.params.k)
-    if role < codec.params.k:
-        return data[role].data
-    return coding.encode(codec, data)[role - codec.params.k].data
+    return coding.codeword(codec, page)[role]
 
 
 def test_criterion_01_erasure_roundtrip_exhaustive():
@@ -71,8 +68,7 @@ def test_criterion_01_erasure_roundtrip_exhaustive():
     assert len(subsets) == 45
     for _ in range(100):
         page = rng.bytes(PAGE)
-        data = coding.split_page(page, 8)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         for subset in subsets:
             assert coding.decode(codec, [splits[i] for i in subset]) == page
     assert time.monotonic() - started < 5.0
@@ -83,25 +79,24 @@ def test_criterion_02_detection_correction_thresholds():
     rng = np.random.default_rng(2)
     for _ in range(100):
         page = rng.bytes(PAGE)
-        data = coding.split_page(page, 8)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
 
         nine = [splits[i] for i in rng.choice(11, size=9, replace=False)]
         assert not coding.detect_corruption(codec, nine, 1)  # clean: no false alarm
         victim = int(rng.integers(0, 9))
-        corrupted = bytearray(nine[victim].data)
+        corrupted = bytearray(nine[victim][1])
         corrupted[int(rng.integers(0, len(corrupted)))] ^= int(rng.integers(1, 256))
-        nine[victim] = coding.Split(nine[victim].index, bytes(corrupted))
+        nine[victim] = (nine[victim][0], bytes(corrupted))
         assert coding.detect_corruption(codec, nine, 1)  # corrupted: no miss
 
         eleven = list(splits)
         victim = int(rng.integers(0, 11))
-        corrupted = bytearray(eleven[victim].data)
+        corrupted = bytearray(eleven[victim][1])
         corrupted[int(rng.integers(0, len(corrupted)))] ^= int(rng.integers(1, 256))
-        eleven[victim] = coding.Split(eleven[victim].index, bytes(corrupted))
+        eleven[victim] = (eleven[victim][0], bytes(corrupted))
         fixed, bad_roles = coding.correct_corruption(codec, eleven, 1)
         assert fixed == page
-        assert bad_roles == {eleven[victim].index}
+        assert bad_roles == {eleven[victim][0]}
 
     params = CodecParams(k=8, r=2, delta=1)
     assert min_splits("failure", params) == (8, Fraction(5, 4))

@@ -212,9 +212,9 @@ def test_parity_a_write_never_sent_is_rebuilt_from_its_codeword():
     page = bytes(range(200)) * 20 + bytes(96)
     assert mgr.remote_write(0, 0, page).outcome == "degraded"
     # the write records its whole codeword, parity too, though no slab took it
-    data = coding.split_page(page, 2)
+    data = [page[:2048], page[2048:]]
     (parity,) = coding.encode(mgr.codec, data)
-    assert arange.codewords[0] == (data[0].data, data[1].data, parity.data)
+    assert arange.codewords[0] == (data[0], data[1], parity)
     mgr.drain_regeneration()
     cluster.run_until_idle()
     assert arange.refs[2].store[0] is arange.codewords[0][2]

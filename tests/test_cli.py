@@ -148,6 +148,7 @@ class TestFaultRows:
             ({"type": "evict", "time_us": 1, "slab": 0, "machine": 9}, "evict fault takes no key machine"),
             ({"type": "fail", "time_us": 1e308, "machine": 0}, "time_us must be"),
             ({"type": "background_load", "time_us": 1, "until_us": 1e308}, "until_us must be"),
+            ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": "0000"}, "non-zero byte"),
         ],
     )
     def test_bad_rows_fail_before_the_run(self, tmp_path, capsys, fault, message):

@@ -30,9 +30,10 @@ def random_page(rng, size=4096):
 
 
 def corrupt_split(split, offset, delta_byte):
-    raw = bytearray(split.data)
+    index, data = split
+    raw = bytearray(data)
     raw[offset] ^= delta_byte
-    return coding.Split(split.index, bytes(raw))
+    return index, bytes(raw)
 
 
 class TestParams:
@@ -64,22 +65,26 @@ class TestParams:
 
 
 class TestSplitJoin:
+    """A codeword's first k rows are the page cut in k, the tail zero-padded."""
+
     def test_split_lengths_k3(self):
         rng = np.random.default_rng(0)
         page = random_page(rng)
-        splits = coding.split_page(page, 3)
-        assert len(splits) == 3
-        assert all(len(s.data) == 1366 for s in splits)
-        assert [s.index for s in splits] == [0, 1, 2]
-        # zero padding on the tail split only
-        assert splits[2].data[-2:] == b"\x00\x00"
+        codec = coding.make_codec(coding.CodecParams(k=3, r=1))
+        word = coding.codeword(codec, page)
+        assert len(word) == 4
+        assert all(len(row) == 1366 for row in word)
+        # the data rows in page order, zero padding on the tail row only
+        assert [word[0], word[1], word[2][:-2]] == [page[:1366], page[1366:2732], page[2732:]]
+        assert word[2][-2:] == b"\x00\x00"
 
     def test_even_division_no_padding(self):
         rng = np.random.default_rng(2)
         page = random_page(rng)
-        splits = coding.split_page(page, 8)
-        assert all(len(s.data) == 512 for s in splits)
-        assert b"".join(s.data for s in splits) == page
+        codec = coding.make_codec(coding.CodecParams(k=8, r=2))
+        data = coding.codeword(codec, page)[:8]
+        assert all(len(row) == 512 for row in data)
+        assert b"".join(data) == page
 
 
 class TestEncode:
@@ -89,27 +94,29 @@ class TestEncode:
         for k in (2, 5, 8):
             codec = coding.make_codec(coding.CodecParams(k=k, r=1))
             page = random_page(rng)
-            data = coding.split_page(page, k)
-            parity = coding.encode(codec, data)
+            word = coding.codeword(codec, page)
+            parity = coding.encode(codec, list(word[:k]))
             assert len(parity) == 1
-            assert parity[0].index == k
-            expect = np.zeros(len(data[0].data), dtype=np.uint8)
-            for s in data:
-                expect ^= np.frombuffer(s.data, dtype=np.uint8)
-            assert parity[0].data == expect.tobytes()
+            assert word[k] == parity[0]  # the parity row is role k
+            expect = np.zeros(len(word[0]), dtype=np.uint8)
+            for row in word[:k]:
+                expect ^= np.frombuffer(row, dtype=np.uint8)
+            assert parity[0] == expect.tobytes()
 
     def test_r_zero_no_parity(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=0))
         page = random_page(np.random.default_rng(4))
-        assert coding.encode(codec, coding.split_page(page, 4)) == []
+        word = coding.codeword(codec, page)
+        assert len(word) == 4
+        assert coding.encode(codec, list(word)) == []
 
     def test_encode_deterministic(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=2))
         page = random_page(np.random.default_rng(5))
-        data = coding.split_page(page, 4)
+        data = list(coding.codeword(codec, page)[:4])
         p1 = coding.encode(codec, data)
         p2 = coding.encode(codec, data)
-        assert [s.data for s in p1] == [s.data for s in p2]
+        assert p1 == p2
 
     @pytest.mark.parametrize(
         "k, r, seed, digest",
@@ -122,16 +129,21 @@ class TestEncode:
         # digests of the joined parity splits, frozen from the numpy product-table kernel
         codec = coding.make_codec(coding.CodecParams(k=k, r=r))
         page = random_page(np.random.default_rng(seed))
-        parity = coding.encode(codec, coding.split_page(page, k))
-        assert [len(s.data) for s in parity] == [4096 // k] * r
-        assert hashlib.sha256(b"".join(s.data for s in parity)).hexdigest() == digest
+        size = 4096 // k
+        parity = coding.encode(codec, [page[i * size : (i + 1) * size] for i in range(k)])
+        assert [len(row) for row in parity] == [size] * r
+        assert hashlib.sha256(b"".join(parity)).hexdigest() == digest
+        assert coding.codeword(codec, page)[k:] == tuple(parity)
 
     @pytest.mark.parametrize("k, r", [(8, 2), (4, 3), (3, 1), (1, 2)])
     def test_codeword_is_the_data_splits_then_their_parity(self, k, r, monkeypatch):
         codec = coding.make_codec(coding.CodecParams(k=k, r=r))
         page = random_page(np.random.default_rng(10 * k + r))
-        data = coding.split_page(page, k)
-        expect = tuple(s.data for s in data + coding.encode(codec, data))
+        # k = 3 does not divide 4096: the tail row is zero-padded
+        size = -(-4096 // k)
+        padded = page + bytes(size * k - 4096)
+        data = [padded[i * size : (i + 1) * size] for i in range(k)]
+        expect = tuple(data + coding.encode(codec, data))
         calls = []
         real = coding.encode
         monkeypatch.setattr(coding, "encode", lambda *a: calls.append(a) or real(*a))
@@ -140,12 +152,14 @@ class TestEncode:
 
     def test_length_mismatch_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=2, r=1))
-        bad = [
-            coding.Split(0, b"\x01" * 8),
-            coding.Split(1, b"\x02" * 9),
-        ]
         with pytest.raises(LengthMismatch):
-            coding.encode(codec, bad)
+            coding.encode(codec, [b"\x01" * 8, b"\x02" * 9])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_row_count_rejected(self, count):
+        codec = coding.make_codec(coding.CodecParams(k=2, r=1))
+        with pytest.raises(InsufficientSplits, match="exactly 2 data rows"):
+            coding.encode(codec, [b"\x01" * 8] * count)
 
 
 class TestDecode:
@@ -155,8 +169,7 @@ class TestDecode:
         codec = coding.make_codec(params)
         rng = np.random.default_rng(6)
         page = random_page(rng)
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         for subset in itertools.combinations(splits, 4):
             assert coding.decode(codec, list(subset)) == page
 
@@ -164,8 +177,7 @@ class TestDecode:
         params = coding.CodecParams(k=2, r=2)
         codec = coding.make_codec(params)
         page = random_page(np.random.default_rng(7))
-        data = coding.split_page(page, 2)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         # corrupt the last-arriving split; decode must ignore it
         tampered = corrupt_split(splits[3], 0, 0xFF)
         assert coding.decode(codec, [splits[1], splits[2], tampered]) == page
@@ -173,17 +185,16 @@ class TestDecode:
     def test_insufficient_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=2))
         page = random_page(np.random.default_rng(8))
-        data = coding.split_page(page, 4)
+        splits = list(enumerate(coding.codeword(codec, page)))
         with pytest.raises(InsufficientSplits):
-            coding.decode(codec, data[:3])
+            coding.decode(codec, splits[:3])
 
     def test_every_arrival_order_decodes_from_a_bounded_cache(self):
         # the inverse rows are cached per index set, not per arrival order,
         # and the all-data set takes the systematic path without any
         codec = coding.make_codec(coding.CodecParams(k=4, r=2))
         page = random_page(np.random.default_rng(17))
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         for subset in itertools.combinations(splits, 4):
             for arrival in itertools.permutations(subset):
                 assert coding.decode(codec, list(arrival)) == page
@@ -192,9 +203,7 @@ class TestDecode:
     def test_k1_replication(self):
         codec = coding.make_codec(coding.CodecParams(k=1, r=2))
         page = random_page(np.random.default_rng(9))
-        data = coding.split_page(page, 1)
-        parity = coding.encode(codec, data)
-        for s in data + parity:
+        for s in enumerate(coding.codeword(codec, page)):
             assert coding.decode(codec, [s]) == page
 
 
@@ -228,8 +237,7 @@ class TestDecodeOracle:
         codec = coding.make_codec(coding.CodecParams(k=k, r=r))
         rng = np.random.default_rng(100 * k + r)
         page = random_page(rng)
-        data = coding.split_page(page, k)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         for subset in itertools.combinations(range(k + r), k):
             arrival = [splits[i] for i in rng.permutation(list(subset))]
             later = [splits[i] for i in range(k + r) if i not in subset]
@@ -239,8 +247,7 @@ class TestDecodeOracle:
             for used, clean in ((arrival, True), (tampered, False)):
                 expected = reference_decode(codec, used)
                 assert (expected == page) is clean
-                for given in (used + later, [tuple(s) for s in used + later]):
-                    assert coding.decode(codec, given) == expected
+                assert coding.decode(codec, used + later) == expected
         assert len(codec._decode_cache) == comb(k + r, k) - 1
 
 
@@ -251,8 +258,7 @@ class TestDetect:
         rng = np.random.default_rng(10)
         for _ in range(25):
             page = random_page(rng)
-            data = coding.split_page(page, 4)
-            splits = data + coding.encode(codec, data)
+            splits = list(enumerate(coding.codeword(codec, page)))
             idx = rng.permutation(6)[:5]
             subset = [splits[i] for i in idx]
             assert coding.detect_corruption(codec, subset, 1) is False
@@ -263,12 +269,11 @@ class TestDetect:
         rng = np.random.default_rng(11)
         for _ in range(50):
             page = random_page(rng)
-            data = coding.split_page(page, 4)
-            splits = data + coding.encode(codec, data)
+            splits = list(enumerate(coding.codeword(codec, page)))
             idx = rng.permutation(6)[:5].tolist()
             subset = [splits[i] for i in idx]
             victim = int(rng.integers(0, 5))
-            offset = int(rng.integers(0, len(subset[victim].data)))
+            offset = int(rng.integers(0, len(subset[victim][1])))
             flip = int(rng.integers(1, 256))
             subset[victim] = corrupt_split(subset[victim], offset, flip)
             assert coding.detect_corruption(codec, subset, 1) is True
@@ -279,8 +284,7 @@ class TestDetect:
         params = coding.CodecParams(k=4, r=2, delta=1)
         codec = coding.make_codec(params)
         page = random_page(np.random.default_rng(18))
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         for victim in (0, 4):
             twin = corrupt_split(splits[victim], 3, 0x41)
             subset = [splits[0], splits[4], splits[2], splits[3], twin]
@@ -290,9 +294,9 @@ class TestDetect:
     def test_requires_k_plus_delta(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=2, delta=1))
         page = random_page(np.random.default_rng(12))
-        data = coding.split_page(page, 4)
+        splits = list(enumerate(coding.codeword(codec, page)))
         with pytest.raises(InsufficientSplits):
-            coding.detect_corruption(codec, data, 1)
+            coding.detect_corruption(codec, splits[:4], 1)
 
 
 class TestCorrect:
@@ -303,23 +307,21 @@ class TestCorrect:
         rng = np.random.default_rng(13)
         for _ in range(30):
             page = random_page(rng)
-            data = coding.split_page(page, 4)
-            splits = data + coding.encode(codec, data)
+            splits = list(enumerate(coding.codeword(codec, page)))
             victim = int(rng.integers(0, 7))
-            offset = int(rng.integers(0, len(splits[victim].data)))
+            offset = int(rng.integers(0, len(splits[victim][1])))
             flip = int(rng.integers(1, 256))
             tampered = list(splits)
             tampered[victim] = corrupt_split(splits[victim], offset, flip)
             decoded, bad = coding.correct_corruption(codec, tampered, 1)
             assert decoded == page
-            assert bad == {splits[victim].index}
+            assert bad == {splits[victim][0]}
 
     def test_clean_set_reports_no_corruption(self):
         params = coding.CodecParams(k=4, r=3, delta=1)
         codec = coding.make_codec(params)
         page = random_page(np.random.default_rng(14))
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         decoded, bad = coding.correct_corruption(codec, splits, 1)
         assert decoded == page
         assert bad == set()
@@ -329,8 +331,7 @@ class TestCorrect:
         codec = coding.make_codec(params)
         rng = np.random.default_rng(15)
         page = random_page(rng)
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         tampered = list(splits)
         # two corruptions exceed delta=1 capacity
         tampered[0] = corrupt_split(splits[0], 0, 0x5A)
@@ -341,8 +342,7 @@ class TestCorrect:
     def test_requires_threshold_count(self):
         codec = coding.make_codec(coding.CodecParams(k=4, r=3, delta=1))
         page = random_page(np.random.default_rng(16))
-        data = coding.split_page(page, 4)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         with pytest.raises(InsufficientSplits):
             coding.correct_corruption(codec, splits[:6], 1)
 
@@ -354,11 +354,10 @@ class TestArrivalOrder:
         rng = np.random.default_rng(18)
         for trial in range(16):
             page = random_page(rng)
-            data = coding.split_page(page, 4)
-            splits = data + coding.encode(codec, data)
+            splits = list(enumerate(coding.codeword(codec, page)))
             if trial % 4:  # one clean set in four
                 victim = int(rng.integers(0, 7))
-                offset = int(rng.integers(0, len(splits[victim].data)))
+                offset = int(rng.integers(0, len(splits[victim][1])))
                 splits[victim] = corrupt_split(splits[victim], offset, int(rng.integers(1, 256)))
             subset = [splits[i] for i in sorted(rng.permutation(7)[:5].tolist())]
             verdict = coding.detect_corruption(codec, subset, 1)
@@ -403,8 +402,7 @@ def test_random_roundtrip_property():
         r = int(rng.integers(0, 5))
         page = random_page(rng, size=int(rng.integers(1, 2048)))
         codec = coding.make_codec(coding.CodecParams(k=k, r=r), len(page))
-        data = coding.split_page(page, k)
-        splits = data + coding.encode(codec, data)
+        splits = list(enumerate(coding.codeword(codec, page)))
         pick = rng.permutation(k + r)[:k]
         subset = [splits[i] for i in pick]
         assert coding.decode(codec, subset) == page

@@ -113,8 +113,8 @@ class TestWritePath:
         page = page_of(4)
         mgr.remote_write(0, 5, page)
         codec = coding.make_codec(CodecParams(k=2, r=1))
-        data = coding.split_page(page, 2)
-        expect = [s.data for s in data + coding.encode(codec, data)]
+        data = [page[:2048], page[2048:]]
+        expect = data + coding.encode(codec, data)
         got = [cluster.slabs[ref.slab_id].store[5] for ref in rng.refs]
         assert got == expect
 
@@ -721,9 +721,9 @@ def test_read_path_python_calls_stay_bounded():
     # reads at k=8, r=2 once 200 earlier reads have filled the decode-plan
     # cache. 100.0 per read when the bound was set to 105; 108.0 while every
     # read ran the codec, even one whose splits equal the page's codeword;
-    # 118.1 while each decoded arrival became a named-tuple `Split`, and
-    # 222.9 while each split had a lambda callback, a conclusion frame of
-    # its own and a dataclass Split.
+    # 118.1 while each decoded arrival became a named tuple, not a plain
+    # (index, data) pair, and 222.9 while each split had a lambda callback,
+    # a conclusion frame of its own and a dataclass record.
     reads = 200
     params = CodecParams(k=8, r=2, delta=1)
     cluster = Cluster(12, latency=LatencyModel(straggler_prob=0.05), machine_bytes=1 << 26, seed=1)

@@ -35,11 +35,7 @@ def page_of(rng_seed, size=4096):
 
 
 def expected_split(params, page, role):
-    codec = coding.make_codec(params)
-    data = coding.split_page(page, params.k)
-    if role < params.k:
-        return data[role].data
-    return coding.encode(codec, data)[role - params.k].data
+    return coding.codeword(coding.make_codec(params), page)[role]
 
 
 class TestEviction:
@@ -123,6 +119,34 @@ class TestRegeneration:
         others = {slab.machine_id for slab in arange.refs if slab.role != 1}
         assert arange.refs[1].machine_id not in others
         assert len({slab.machine_id for slab in arange.refs}) == 3
+
+    def test_relocate_takes_the_least_loaded_usable_spare(self, monkeypatch):
+        # one group of 9: the range on 0, 1, 2 (load 1 each), 3 down and 4
+        # full at load 0, spares 5..8 at loads 2, 1, 3, 1
+        cluster, mgr = build(9, CodecParams(k=2, r=1), l=6)
+        arange = mgr.map_range(0)
+        assert [slab.machine_id for slab in arange.refs] == [0, 1, 2]
+        cluster.fail_machine(3)
+        cluster.machines[4].total_bytes = SLAB - 1
+        for m, load in ((5, 2), (6, 1), (7, 3), (8, 1)):
+            for _ in range(load):
+                cluster.machines[m].allocate_slab(SLAB)
+        cluster.fail_machine(0)
+        cluster.run_until_idle()
+        picks = []
+        real = manager.select_members
+        monkeypatch.setattr(
+            manager, "select_members", lambda *a: picks.append(a[2]) or real(*a)
+        )
+        # 1 and 2 tie with 6 and 8 but host live splits; 6 beats 8 by id
+        slab = mgr.relocate(arange, 0)
+        assert slab.machine_id == 6 and arange.refs[0] is slab
+        assert slab.state is SlabState.REGENERATING
+        assert picks == [1]  # through the picker map_range uses
+        # with 6 down too, 8 is the one usable spare at the least load
+        cluster.fail_machine(6)
+        cluster.run_until_idle()
+        assert mgr.relocate(arange, 0).machine_id == 8
 
     def test_reads_stay_correct_during_regen(self):
         cluster, mgr, payloads = self.settled()

@@ -41,12 +41,10 @@ def test_numpy_stays_inside_the_gf_kernel():
 def test_the_codec_returns_bytes_payloads():
     codec = coding.make_codec(coding.CodecParams(k=4, r=3, delta=1), page_size=4000)
     page = bytes(range(256)) * 15 + bytes(160)
-    data = coding.split_page(page, 4)
-    parity = coding.encode(codec, data)
-    splits = data + parity
-    corrupted = [splits[0]._replace(data=bytes(len(splits[0].data)))] + splits[1:]
+    splits = list(enumerate(coding.codeword(codec, page)))
+    corrupted = [(0, bytes(len(splits[0][1])))] + splits[1:]
     payloads = [
-        *(s.data for s in splits),
+        *coding.encode(codec, [data for _, data in splits[:4]]),
         *coding.codeword(codec, page),
         # parity among the first k, so both decodes rebuild data rows
         coding.decode(codec, splits[3:]),

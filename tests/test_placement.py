@@ -19,6 +19,8 @@ import pytest
 from codedmem import analysis, placement
 from codedmem.coding import CodecParams
 from codedmem.errors import InvalidParams
+from codedmem.manager import ManagerConfig, ResilienceManager
+from codedmem.simulator import Cluster
 
 
 def shape(n, s=1, f=0.0):
@@ -187,7 +189,9 @@ class TestPlanArrays:
             [-1, -1], [0, 1], [0, -1], [0, 1], [1, -1],
         ]
 
-    def test_loss_and_balance_build_no_group_list(self, monkeypatch):
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The arguments of every ExtendedGroup built while the test runs."""
         made = []
         new = placement.ExtendedGroup.__new__
 
@@ -196,6 +200,9 @@ class TestPlanArrays:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(placement.ExtendedGroup, "__new__", staticmethod(counting))
+        return made
+
+    def test_loss_and_balance_build_no_group_list(self, made):
         sh = shape(200, s=4, f=0.05)
         params = CodecParams(k=4, r=2)
         for scheme in ("eccache", "codingsets"):
@@ -213,19 +220,35 @@ class TestPlanArrays:
         placement.build_codingsets(sh, params, 2, 1).groups
         assert len(made) == 200 // 8  # the counter sees a group list when one is read
 
+    def test_the_data_path_builds_no_group_list(self, made):
+        params = CodecParams(k=2, r=1)
+        cluster = Cluster(40, machine_bytes=1 << 22)
+        plan = build("codingsets", shape(40), params, 1, seed=3)  # 10 groups of 4
+        mgr = ResilienceManager(cluster, plan, params, config=ManagerConfig(page_size=64))
+        for rid in range(300):
+            arange = mgr.map_range(rid)
+            lo, hi = plan.bounds[arange.group_id], plan.bounds[arange.group_id + 1]
+            assert arange.group_members == tuple(plan.members[lo:hi].tolist())
+        arange = mgr.ranges[7]
+        cluster.evict_slab(arange.refs[1].slab_id)
+        assert mgr.relocate(arange, 1).machine_id in arange.group_members
+        assert made == []
+
 
 class TestSelectMembers:
     def test_least_loaded_win(self):
-        group = placement.ExtendedGroup(0, (0, 1, 2, 3), l=2)
         loads = {0: 3.0, 1: 1.0, 2: 1.0, 3: 2.0}
-        got = placement.select_members(group, loads, CodecParams(k=1, r=1))
+        got = placement.select_members((0, 1, 2, 3), loads, 2)
         assert got == [1, 2]
 
     def test_ties_break_by_id(self):
-        group = placement.ExtendedGroup(0, (5, 3, 9, 7), l=2)
         loads = {3: 0.0, 5: 0.0, 7: 0.0, 9: 0.0}
-        got = placement.select_members(group, loads, CodecParams(k=1, r=1))
+        got = placement.select_members((5, 3, 9, 7), loads, 2)
         assert got == [3, 5]
+
+    def test_too_few_members_rejected(self):
+        with pytest.raises(InvalidParams, match="3 members, needs 4"):
+            placement.select_members((0, 1, 2), [0, 0, 0], 4)
 
     @pytest.mark.parametrize("as_dict", [False, True])
     def test_matches_load_then_id_order(self, as_dict):
@@ -235,22 +258,20 @@ class TestSelectMembers:
             members = tuple(int(m) for m in rng.choice(40, size=size, replace=False))
             values = rng.integers(0, 4, size=40).astype(float).tolist()  # many ties
             loads = dict(enumerate(values)) if as_dict else values
-            p = CodecParams(k=1, r=int(rng.integers(1, size)))
+            count = 1 + int(rng.integers(1, size))
             left, expect = list(members), []
-            while len(expect) < p.k + p.r:
+            while len(expect) < count:
                 pick = min(left, key=lambda m: (loads[m], m))
                 left.remove(pick)
                 expect.append(pick)
-            group = placement.ExtendedGroup(0, members, l=size - p.k - p.r)
-            assert placement.select_members(group, loads, p) == expect
+            assert placement.select_members(members, loads, count) == expect
 
     def test_scale_invariant(self):
-        group = placement.ExtendedGroup(0, (0, 1, 2, 3, 4, 5), l=2)
+        members = (0, 1, 2, 3, 4, 5)
         loads = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
         scaled = [v * 1000.0 for v in loads]
-        p = CodecParams(k=2, r=2)
-        assert placement.select_members(group, loads, p) == placement.select_members(
-            group, scaled, p
+        assert placement.select_members(members, loads, 4) == placement.select_members(
+            members, scaled, 4
         )
 
 
@@ -258,7 +279,8 @@ def placed_one_by_one(plan, count, params):
     """Per-machine loads of ranges 0 .. count-1 placed by select_members in turn."""
     loads = [0] * plan.shape.machines
     for gid in plan.group_ids(count):
-        for m in placement.select_members(plan.groups[gid], loads, params):
+        members = plan.members[plan.bounds[gid] : plan.bounds[gid + 1]].tolist()
+        for m in placement.select_members(members, loads, params.k + params.r):
             loads[m] += 1
     return loads
 
@@ -665,7 +687,9 @@ class TestAssignment:
         plan = placement.build_codingsets(shape(12), params, l=1, seed=2)
         gid = plan.group_for_range(5)
         assert 0 <= gid < 3  # 12/(2+1+1) = 3 groups
-        members = placement.select_members(plan.groups[gid], dict.fromkeys(range(12), 0.0), params)
+        members = placement.select_members(
+            plan.groups[gid].members, dict.fromkeys(range(12), 0.0), params.k + params.r
+        )
         assert len(members) == 3
         assert set(members) <= set(plan.groups[gid].members)
 

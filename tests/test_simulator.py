@@ -560,6 +560,10 @@ def test_valid_row_applies_and_a_foreign_key_is_refused(kind):
         ({"type": ["fail"], "time_us": 1}, "of a known type"),
         ({"type": "warp", "time_us": 1}, "of a known type"),
         (["fail", 1, 0], "must be a mapping"),
+        ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": ""}, "non-zero byte"),
+        ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": "00"}, "non-zero byte"),
+        ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": "0000"}, "non-zero byte"),
+        ({"type": "corrupt", "time_us": 1, "slab": 0, "page_index": 0, "mask": b"\x00"}, "non-zero byte"),
     ],
 )
 def test_bad_row_is_refused_naming_it(row, message):
