@@ -714,9 +714,6 @@ def _run_coded(cfg, seed, ops, chash):
     shadow = {}
     reads = _OpStats()
     writes = _OpStats()
-    # a write waits one copy before wave one, a read one before its splits
-    # and one at completion; neither is network time
-    ctx, copy = manager.ctx_ns, manager.copy_ns
     for op, rid, page, pseed in ops:
         if op == "W":
             writes.count += 1
@@ -731,9 +728,7 @@ def _run_coded(cfg, seed, ops, chash):
                 writes.latency.append(c.completed_ns - c.submitted_ns)
                 writes.queue.append(c.started_ns - c.submitted_ns)
                 writes.encode.append(c.encode_ack_ns)
-                writes.network.append(
-                    c.data_acked_ns - c.started_ns - c.encode_ack_ns - ctx - copy
-                )
+                writes.network.append(c.network_ns)
                 if c.durable_ns is not None:
                     writes.durable.append(c.durable_ns - c.submitted_ns)
         else:
@@ -751,9 +746,7 @@ def _run_coded(cfg, seed, ops, chash):
                 reads.latency.append(c.completed_ns - c.submitted_ns)
                 reads.queue.append(c.started_ns - c.submitted_ns)
                 reads.decode.append(c.decode_ns)
-                reads.network.append(
-                    c.completed_ns - c.started_ns - c.decode_ns - ctx - 2 * copy
-                )
+                reads.network.append(c.network_ns)
         if manager.regeneration_requests:
             manager.drain_regeneration()
     cluster.run_until_idle()

@@ -13,16 +13,17 @@ in-place design.
 A write builds its page's codeword, the k+r splits by role, once with
 `coding.codeword` when it starts; it sends each slab its split and records
 the same tuple in its range's `codewords` at the k-ack. The keys of
-`codewords` are the written pages. A wave of splits (wave one, wave two, or
-the resend of a refused split) goes out at once or, after a delay, from one
-event; either way it sends its splits in role order, each to the slab in
-its slot then, and so draws latencies in the order that one event per
-split would. A read first compares the splits that arrived with that
-codeword, or with `zero_codeword`, the codeword of an all-zero page, for a
-page never written. When all are equal the read is `clean`: it delivers
-the codeword's page and takes the branch the codec would, since any k
-splits of one codeword decode to its page and every extra split checks
-against it, and a rebuild fills with the codeword's own split. Any
+`codewords` are the written pages. A page op sends every split through one
+path, `_PageOp._issue`: a wave (a read's fan-out or spares, a write's wave
+one, wave two, or the resend of a refused split) goes out at once or, after
+a delay, from one event; either way it sends its splits in order, each to
+the slab in its slot then, and so draws latencies in the order that one
+event per split would. A read first compares the splits that arrived with
+that codeword, or with `zero_codeword`, the codeword of an all-zero page,
+for a page never written. When all are equal the read is `clean`: it
+delivers the codeword's page and takes the branch the codec would, since
+any k splits of one codeword decode to its page and every extra split
+checks against it, and a rebuild fills with the codeword's own split. Any
 mismatch runs the codec.
 
 A read decides once, when `need` splits have arrived or none is left in
@@ -94,9 +95,11 @@ sliced from its arrival records.
 
 A page read or write is its own completion: once `done`, its caller
 reads the outcome and the timeline from the op, and `on_done` receives
-the op. A done op keeps no page buffers, and the manager keeps no log of
-ops; a rebuild is likewise one record, whose `done` and `succeeded` its
-caller reads.
+the op. The op records its own `network_ns`, its time in flight, at a
+write's k-ack or a read's `ok` delivery, so only the manager knows which
+fixed costs a latency holds. A done op keeps no page buffers, and the
+manager keeps no log of ops; a rebuild is likewise one record, whose `done`
+and `succeeded` its caller reads.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ class MachineHealth:
 
     @property
     def suspect(self):
-        return self.errors > 0 and self.error_rate > ERROR_CORRECTION_LIMIT
+        return self.error_rate > ERROR_CORRECTION_LIMIT
 
 
 @dataclass(frozen=True)
@@ -187,13 +190,14 @@ class _PageOp:
     """One page read or write; once done, the op is also its completion.
 
     Its caller reads `outcome`, `submitted_ns`, `started_ns`,
-    `completed_ns` and `fanout` from it, and `on_done` receives it. Callers
-    keep done ops, so the ops have slots and drop their buffers when done.
+    `completed_ns`, `network_ns` and `fanout` from it, and `on_done`
+    receives it. Callers keep done ops, so the ops have slots and drop their
+    buffers when done.
     """
 
     __slots__ = (
         "mgr", "arange", "page_index", "on_done", "submitted_ns", "started_ns",
-        "completed_ns", "outcome", "done", "fanout", "outstanding",
+        "completed_ns", "network_ns", "outcome", "done", "fanout", "outstanding",
     )
 
     def __init__(self, mgr, arange, page_index, on_done):
@@ -204,6 +208,7 @@ class _PageOp:
         self.submitted_ns = mgr.cluster.now
         self.started_ns = None
         self.completed_ns = None
+        self.network_ns = None  # time in flight: the latency less its fixed costs
         self.outcome = None
         self.done = False
         self.fanout = 0
@@ -212,6 +217,15 @@ class _PageOp:
     @property
     def completion(self):
         return self if self.done else None
+
+    def _issue(self, wave, delay=0):
+        """Send a wave of splits, now or as one event `delay` on."""
+        self.fanout += len(wave)
+        self.outstanding += len(wave)
+        if delay:
+            self.mgr.cluster.schedule(delay, lambda: self._submit(wave))
+        else:
+            self._submit(wave)
 
 
 class _WriteOp(_PageOp):
@@ -260,15 +274,6 @@ class _WriteOp(_PageOp):
             self.encode_ack_ns = mgr.encode_ns
         self._issue([(role, False) for role in self.wave1_roles], delay)
 
-    def _issue(self, wave, delay=0):
-        """Send a wave of (role, fill) splits, now or as one event `delay` on."""
-        self.fanout += len(wave)
-        self.outstanding += len(wave)
-        if delay:
-            self.mgr.cluster.schedule(delay, lambda: self._submit(wave))
-        else:
-            self._submit(wave)
-
     def _submit(self, wave):
         # a slot may have been relocated during the delay
         refs, roles, codeword = self.arange.refs, self.roles, self.codeword
@@ -299,7 +304,9 @@ class _WriteOp(_PageOp):
         # splits conclude at cluster.now: the k-th ack and, if durable, the last are now
         acked = self.data_acked_ns is None and self.acks >= k
         if acked:
-            self.data_acked_ns = mgr.cluster.now + mgr.ctx_ns
+            now = mgr.cluster.now
+            self.data_acked_ns = now + mgr.ctx_ns
+            self.network_ns = now - self.started_ns - self.encode_ack_ns - mgr.copy_ns
         # wave two follows the k-ack point, or brings parity in to reach k
         # acks once wave one concluded short of them
         if not self.wave2_issued and (self.data_acked_ns is not None or self.outstanding == 0):
@@ -354,13 +361,12 @@ class _ReadOp(_PageOp):
     page's last-written codeword, so the page came without the codec."""
 
     __slots__ = (
-        "force_correction", "page", "corrected", "verified", "decode_ns", "targets", "need",
-        "guarded", "escalated", "arrivals", "clean",
+        "page", "corrected", "verified", "decode_ns", "targets", "need", "guarded",
+        "escalated", "arrivals", "clean",
     )
 
-    def __init__(self, mgr, arange, page_index, on_done, force_correction=False):
+    def __init__(self, mgr, arange, page_index, on_done):
         super().__init__(mgr, arange, page_index, on_done)
-        self.force_correction = force_correction
         self.page = None
         self.corrected = False
         self.verified = False
@@ -382,43 +388,33 @@ class _ReadOp(_PageOp):
             self._deliver("unrecoverable", None)
             return
         width = k + delta
-        if mgr.config.corruption_guard:
-            wide = self.force_correction or any(
-                mgr.health[slab.machine_id].suspect for slab in healthy
-            )
-            if wide:
-                width = k + 2 * delta + 1
+        # a suspect machine widens the first hop
+        if mgr.config.corruption_guard and any(
+            mgr.health[slab.machine_id].suspect for slab in healthy
+        ):
+            width = k + 2 * delta + 1
         width = min(width, len(healthy))
         self.guarded = mgr.config.corruption_guard and width >= k + delta and delta > 0
         self.need = width if self.guarded else k
         picked = mgr.rng.permutation(len(healthy))[:width].tolist()
-        targets = [healthy[i] for i in picked]
-        self.targets = tuple([slab.role for slab in targets])
-        for slab in targets:
-            self._issue(slab)
+        self.targets = tuple([healthy[i].role for i in picked])
+        self._issue(self.targets, mgr.copy_ns)
 
-    def _issue(self, slab):
-        mgr = self.mgr
-        self.fanout += 1
-        self.outstanding += 1
-        if mgr.copy_ns:
-            role = slab.role
-            mgr.cluster.schedule(mgr.copy_ns, lambda: self._submit(role))
-        else:
-            mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
-
-    def _submit(self, role):
-        # the slot may have been relocated during the copy delay
-        slab = self.arange.refs[role]
-        self.mgr.cluster.read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
+    def _submit(self, wave):
+        # a slot may have been relocated during the copy delay
+        refs = self.arange.refs
+        read_split = self.mgr.cluster.read_split
+        for role in wave:
+            slab = refs[role]
+            read_split(slab.machine_id, slab.slab_id, self.page_index, self._on_split)
 
     def _ask(self, count):
         """Issue up to `count` healthy slabs not yet asked; how many were."""
-        used = set(self.targets)
-        spares = [slab for slab in self.arange.healthy_refs() if slab.role not in used][:count]
-        self.targets += tuple(slab.role for slab in spares)
-        for slab in spares:
-            self._issue(slab)
+        used = self.targets
+        spares = [slab.role for slab in self.arange.healthy_refs() if slab.role not in used][:count]
+        if spares:
+            self.targets += tuple(spares)
+            self._issue(spares, self.mgr.copy_ns)
         return len(spares)
 
     def _on_split(self, io):
@@ -501,7 +497,9 @@ class _ReadOp(_PageOp):
         self.verified = verified
         self.decode_ns = extra_ns
         if outcome == "ok":
-            self.completed_ns = mgr.cluster.now + extra_ns + mgr.ctx_ns + mgr.copy_ns
+            now = mgr.cluster.now
+            self.completed_ns = now + extra_ns + mgr.ctx_ns + mgr.copy_ns
+            self.network_ns = now - self.started_ns - mgr.copy_ns
         # a delivered read is kept as its completion; its splits are not needed
         self.arrivals = None
         self.done = True
@@ -720,9 +718,9 @@ class ResilienceManager:
         self._enqueue(range_id, page_index, op)
         return op
 
-    def submit_read(self, range_id, page_index, on_done=None, force_correction=False):
+    def submit_read(self, range_id, page_index, on_done=None):
         arange = self._checked(range_id, page_index)
-        op = _ReadOp(self, arange, page_index, on_done, force_correction)
+        op = _ReadOp(self, arange, page_index, on_done)
         self._enqueue(range_id, page_index, op)
         return op
 
@@ -731,10 +729,9 @@ class ResilienceManager:
         self.drive(op)
         return op.completion
 
-    def remote_read(self, range_id, page_index, force_correction=False):
-        """The page's bytes; `force_correction` fans out to k+2*delta+1
-        from the first hop under the corruption guard."""
-        op = self.submit_read(range_id, page_index, force_correction=force_correction)
+    def remote_read(self, range_id, page_index):
+        """The page's bytes, or the read's failure raised."""
+        op = self.submit_read(range_id, page_index)
         self.drive(op)
         return self._unwrap(op)
 

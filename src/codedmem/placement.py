@@ -31,6 +31,7 @@ ECCACHE = "eccache"
 
 MC_CHUNK_TRIALS = 5000  # trials per spawned seed; fixes the estimate for a seed
 MC_BLOCK_BYTES = 2 << 20  # cap on the bytes of draws or incidence ids a trial block holds
+LOAD_FLOOR = 1.0  # one slab: the least minimum load a max-to-min ratio divides by
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,9 @@ class PlacementPlan:
     ExtendedGroup list from them on first read and keeps it.
     """
 
-    def __init__(self, scheme, shape, params, l, seed, members, bounds):
+    def __init__(self, scheme, shape, l, seed, members, bounds):
         self.scheme = scheme
         self.shape = shape
-        self.params = params
         self.l = l
         self.seed = seed
         self.members = np.asarray(members, dtype=np.int64)
@@ -147,13 +147,11 @@ def build_codingsets(shape, params, l, seed):
     rows = np.sort(perm[:full].reshape(-1, width), axis=1)
     members = np.concatenate((rows.ravel(), np.sort(perm[full:])))
     bounds = np.append(np.arange(0, full + 1, width), n)
-    return PlacementPlan(CODINGSETS, shape, params, l, seed, members=members, bounds=bounds)
+    return PlacementPlan(CODINGSETS, shape, l, seed, members=members, bounds=bounds)
 
 
 def _distinct_rows(rng, rows, width, n):
-    """rows x width matrix of distinct uniform machine ids per row."""
-    if width > n:
-        raise InvalidParams(f"group width {width} exceeds machine count {n}")
+    """rows x width matrix of distinct uniform machine ids per row; width <= n."""
     if width * 2 > n:
         # collision-heavy regime: per-row partial shuffle
         out = np.empty((rows, width), dtype=np.int64)
@@ -178,7 +176,7 @@ def build_eccache(shape, params, seed):
     """
     rows = eccache_members(shape, params, seed)
     bounds = np.arange(0, rows.size + 1, rows.shape[1])
-    return PlacementPlan(ECCACHE, shape, params, 0, seed, members=rows.ravel(), bounds=bounds)
+    return PlacementPlan(ECCACHE, shape, 0, seed, members=rows.ravel(), bounds=bounds)
 
 
 def eccache_members(shape, params, seed):
@@ -374,11 +372,11 @@ class LoadImbalance:
     floored: bool
 
 
-def load_imbalance(loads, epsilon=1.0):
+def load_imbalance(loads):
     """Dispersion metrics for a per-machine load vector.
 
-    A zero minimum is floored at ``epsilon`` (one slab's worth) for the
-    ratio and flagged so reports can call out the degenerate case.
+    A minimum below ``LOAD_FLOOR`` (one slab's worth) is floored at it for
+    the ratio and flagged so reports can call out the degenerate case.
     """
     arr = np.asarray(loads, dtype=np.float64)
     if arr.size == 0:
@@ -386,8 +384,8 @@ def load_imbalance(loads, epsilon=1.0):
     lo = float(arr.min())
     hi = float(arr.max())
     mean = float(arr.mean())
-    floored = lo < epsilon
-    ratio = hi / max(lo, epsilon) if hi > 0 else 1.0
+    floored = lo < LOAD_FLOOR
+    ratio = hi / max(lo, LOAD_FLOOR) if hi > 0 else 1.0
     cv = float(arr.std() / mean) if mean > 0 else 0.0
     min_util = lo / mean if mean > 0 else 0.0
     return LoadImbalance(ratio, cv, min_util, floored)

@@ -560,6 +560,24 @@ GUARDED_FAULTED_ROWS = [
 # SHA-256 of the datapath CSV of GUARDED_FAULTED_CFG at seeds 0, 1 and 2
 GUARDED_FAULTED_DIGEST = "50f357426d57278dba15f53005d5cb3abe5c16310f341685034650584534820e"
 
+# GUARDED_FAULTED_CFG with a copy, a context switch and many stragglers: every
+# wave, resend and spare read goes out one copy late
+COPY_PATH_CFG = cfg_of(
+    GUARDED_FAULTED_CFG,
+    seeds=[0, 1, 2, 3],
+    cluster={
+        "machines": 9,
+        "latency": {"sigma": 0.25, "straggler_prob": 0.2, "copy_us": 0.85,
+                    "context_switch_us": 1.5},
+    },
+)
+
+# SHA-256 of the datapath CSV of COPY_PATH_CFG, by `async_parity`
+COPY_PATH_DIGESTS = {
+    True: "064dfb40bdaad39589b422f244c0feb4dafc803781e1e5d1df8b923fddc59f40",
+    False: "91f9213e86e26b9c448ef3eaf0cdb73f9564ba28e7a60df9949b86171a7daefb",
+}
+
 
 class TestPinnedDatapathRows:
     """A refactor of the data path, the monitor or the simulator must leave
@@ -580,6 +598,14 @@ class TestPinnedDatapathRows:
         header, rows = analysis.run_datapath(cfg)
         path = analysis.emit_report(header, rows, "datapath", analysis.config_hash(cfg), tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GUARDED_FAULTED_DIGEST
+
+    @pytest.mark.parametrize("async_parity", [True, False])
+    def test_copy_path_csv_digest(self, tmp_path, async_parity):
+        cfg = copy.deepcopy(COPY_PATH_CFG)
+        cfg["manager"]["async_parity"] = async_parity
+        header, rows = analysis.run_datapath(cfg)
+        path = analysis.emit_report(header, rows, "datapath", analysis.config_hash(cfg), tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == COPY_PATH_DIGESTS[async_parity]
 
 
 def scalar_workload(wcfg, capacity, seed):

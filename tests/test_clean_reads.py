@@ -107,6 +107,7 @@ def test_a_read_delivers_what_the_codec_gives_for_its_arrivals(params, guard, da
         split_arrivals.append((time, role, split))
 
     op = manager._ReadOp(mgr, arange, page_index, None)
+    op.started_ns = cluster.now  # as `start` sets it
     op.guarded = guard and params.delta > 0
     op.targets = tuple(range(len(arange.refs)))  # no spare left to ask
     op.arrivals = list(split_arrivals)
@@ -179,7 +180,9 @@ def test_a_corrupted_split_still_reaches_correction(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(coding, "correct_corruption", spied)
-    op = mgr.drive(mgr.submit_read(0, 0, force_correction=True))
+    # a suspect machine widens the first hop to k+2*delta+1
+    mgr.health[arange.refs[1].machine_id].record(False)
+    op = mgr.drive(mgr.submit_read(0, 0))
     assert seen == [5]
     assert op.outcome == "ok" and op.page == page
     assert op.corrected and op.verified and not op.clean

@@ -59,6 +59,10 @@ class TestParams:
         with pytest.raises(InvalidParams, match=f"{next(iter(fields))} must be an integer"):
             coding.CodecParams(**values)
 
+    def test_zero_page_size_rejected(self):
+        with pytest.raises(InvalidParams, match="page_size must be >= 1"):
+            coding.make_codec(coding.CodecParams(k=2, r=1), page_size=0)
+
     def test_numpy_integers_accepted(self):
         p = coding.CodecParams(k=np.int64(4), r=np.int32(2), delta=np.int8(1))
         assert (p.k, p.r, p.delta) == (4, 2, 1)
@@ -199,6 +203,17 @@ class TestDecode:
             for arrival in itertools.permutations(subset):
                 assert coding.decode(codec, list(arrival)) == page
         assert len(codec._decode_cache) <= comb(6, 4) - 1
+
+    def test_index_past_k_plus_r_rejected(self):
+        codec = coding.make_codec(coding.CodecParams(k=2, r=1))
+        splits = list(enumerate(coding.codeword(codec, bytes(range(8)))))
+        with pytest.raises(InvalidParams, match="split index 3 out of range"):
+            coding.decode(codec, [splits[0], (3, splits[1][1])])
+
+    def test_splits_of_unequal_length_rejected(self):
+        codec = coding.make_codec(coding.CodecParams(k=2, r=1))
+        with pytest.raises(LengthMismatch, match="splits differ in length"):
+            coding.decode(codec, [(0, b"\x01" * 4), (2, b"\x02" * 5)])
 
     def test_k1_replication(self):
         codec = coding.make_codec(coding.CodecParams(k=1, r=2))

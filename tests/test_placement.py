@@ -85,6 +85,10 @@ class TestClusterShape:
         ("failure_fraction", True),
         ("failure_fraction", "0.1"),
         ("failure_fraction", None),
+        # and values out of range
+        ("machines", 0),
+        ("slabs_per_machine", 0),
+        ("failure_fraction", 1.5),
     ])
     def test_bad_field_types_rejected(self, field, value):
         with pytest.raises(InvalidParams, match=f"{field} must be"):
@@ -181,7 +185,7 @@ class TestPlanArrays:
 
     def test_incidence_table_of_a_group_list(self):
         plan = placement.PlacementPlan(
-            scheme="eccache", shape=shape(5), params=CodecParams(k=2, r=1), l=0, seed=0,
+            scheme="eccache", shape=shape(5), l=0, seed=0,
             members=[3, 1, 2, 1, 4, 3],  # group 0 is (3, 1, 2), group 1 is (1, 4, 3)
             bounds=[0, 3, 6],
         )
@@ -361,7 +365,6 @@ class TestCopysets:
         plan = placement.PlacementPlan(
             scheme="eccache",
             shape=shape(4),
-            params=CodecParams(k=2, r=1),
             l=0,
             seed=0,
             members=[0, 1, 2, 1, 2, 3],  # group 0 is (0, 1, 2), group 1 is (1, 2, 3)
@@ -489,6 +492,12 @@ class TestMonteCarloLoss:
             est, hw = placement.loss_probability_montecarlo(plan, sh, params, trials=5000, seed=2)
             assert abs(est - exact) <= 3 * hw
         assert exact == 1.0  # codingsets: every machine sits in a group
+
+    def test_exhaustive_loss_is_zero_below_r_plus_1_failures(self):
+        sh = shape(20, f=0.1)  # two failed machines, r+1 = 3
+        params = CodecParams(k=3, r=2)
+        plan = placement.build_codingsets(sh, params, l=0, seed=1)
+        assert analysis.exhaustive_loss(plan, sh, params) == 0
 
     def test_seed_and_chunk_independence(self):
         sh = shape(60, f=0.05)
@@ -660,7 +669,7 @@ class TestLoadImbalance:
         assert not got.floored
 
     def test_zero_load_floor_flagged(self):
-        got = placement.load_imbalance([0.0, 5.0], epsilon=1.0)
+        got = placement.load_imbalance([0.0, 5.0])
         assert got.floored
         assert got.max_to_min == pytest.approx(5.0)
         assert got.min_utilization == 0.0
