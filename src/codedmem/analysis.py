@@ -40,6 +40,7 @@ from .simulator import Cluster, FaultScript, LatencyModel, SplitLatencies, injec
 
 SCHEMA_VERSION = 1
 DEFAULT_EXACT_THRESHOLD = 50_000
+_MAX_DRAW = 2**63  # the largest bound gen_workload draws ranges and pages below
 
 # sweeps over these leaf keys must never decrease the analytic loss
 MONOTONE_SWEEPS = ("failure_fraction", "slabs_per_machine")
@@ -183,13 +184,13 @@ def _codec(code, where, cfg):
 
 
 def _slab_holds_a_split(section, where, cfg):
-    """A slab smaller than one split would give every range no pages."""
+    """A slab smaller than one split would give every range no pages, and
+    one of more than 2**63 splits more pages than a workload draws from."""
     mconfig = ManagerConfig(**section)
     split = make_codec(CodecParams(**cfg["code"]), mconfig.page_size).split_size
-    _require(
-        mconfig.slab_size >= split,
-        f"{where}.slab_size {mconfig.slab_size} is smaller than one split ({split} bytes)",
-    )
+    size = mconfig.slab_size
+    _require(size >= split, f"{where}.slab_size {size} is smaller than one split ({split} bytes)")
+    _require(size // split <= _MAX_DRAW, f"{where}.slab_size {size} holds over 2**63 splits")
 
 
 def _faults(rows, where, cfg):
@@ -214,6 +215,7 @@ def _sweep(sweep, where, cfg):
 
 
 _POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_DRAWABLE = (lambda v: _is_int(v) and 1 <= v <= _MAX_DRAW, "an integer in [1, 2**63]")
 _NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _FRACTION = (lambda v: _is_number(v) and 0.0 <= v <= 1.0, "in [0, 1]")
 _COMMON = {
@@ -259,7 +261,7 @@ _SCHEMAS = {
         **_COMMON,
         "cluster": {"machines": _POSITIVE, "machine_bytes?": _POSITIVE, "latency?": LatencyModel},
         "code": [_codec, {**_CODE, "delta?": None}],  # only the data path reads delta
-        "workload": {"operations": _POSITIVE, "ranges": _POSITIVE, "read_fraction?": _FRACTION},
+        "workload": {"operations": _POSITIVE, "ranges": _DRAWABLE, "read_fraction?": _FRACTION},
         "baselines?": _entries(
             "baseline", {"replication": {"copies?": _POSITIVE}, "ssd_backup": {}}, may_be_empty=True
         ),
@@ -591,7 +593,7 @@ def gen_workload(wcfg, capacity, seed):
         return low
 
     def below(n):
-        if not 1 <= n <= 2**63:
+        if not 1 <= n <= _MAX_DRAW:
             raise ValueError(f"a draw bound must be in [1, 2**63], got {n}")
         if n == 1:
             return lambda: 0

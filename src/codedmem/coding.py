@@ -15,7 +15,8 @@ index carries meaning, in what ``decode``, ``detect_corruption`` and
 
 A decode inverts the generator rows of the k splits it uses, keeps the
 data rows that arrived and rebuilds only the missing ones, from their
-inverse rows cached per sorted index set.
+inverse rows cached per sorted index set. A check of a set of splits is that
+one reconstruction, then only the other splits' rows, each compared with it.
 
 The manager decodes no read whose splits all equal the page's
 last-written codeword: the code is MDS, so any k splits of one

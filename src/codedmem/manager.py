@@ -10,59 +10,69 @@ copy (`copy_us`) delays a write's first wave and a read's splits, and adds
 again when a read completes. Both are zero in Hydra's run-to-completion,
 in-place design.
 
+A page op sends every split through one path, `_PageOp._issue`: a wave (a
+read's fan-out or spares, a write's wave one, wave two, or the resend of a
+refused split) goes out at once or, after a delay, from one event, each
+split to the slab in its slot then, in the order one event per split would
+draw. Each split I/O gets the op's bound `_on_split`, no closure. A read
+takes a split's role from the slab that served it; a write keeps a slab id
+-> role map, since a refused split has no slab to ask.
+
 A write builds its page's codeword, the k+r splits by role, once with
-`coding.codeword` when it starts; it sends each slab its split and records
-the same tuple in its range's `codewords` at the k-ack. The keys of
-`codewords` are the written pages. A page op sends every split through one
-path, `_PageOp._issue`: a wave (a read's fan-out or spares, a write's wave
-one, wave two, or the resend of a refused split) goes out at once or, after
-a delay, from one event; either way it sends its splits in order, each to
-the slab in its slot then, and so draws latencies in the order that one
-event per split would. A read first compares the splits that arrived with
-that codeword, or with `zero_codeword`, the codeword of an all-zero page,
-for a page never written. When all are equal the read is `clean`: it
-delivers the codeword's page and takes the branch the codec would, since
-any k splits of one codeword decode to its page and every extra split
-checks against it, and a rebuild fills with the codeword's own split. Any
-mismatch runs the codec.
+`coding.codeword`, and records it in its range's `codewords`, keyed by the
+written pages, at the k-ack. A read first compares the splits that arrived
+with that codeword, or with `zero_codeword` for a page never written. When
+all are equal the read is `clean`: it delivers the codeword's page and
+takes the branch the codec would, since any k splits of one codeword decode
+to its page and every extra split checks against it.
 
 A read decides once, when `need` splits have arrived or none is left in
-flight. With the corruption guard enabled it waits for all k+delta
-splits it asked and checks them in the reconstruction that decodes
-them; on a mismatch it asks spares up to k+2*delta+1 once. A set that
-wide goes straight to `correct_corruption`, whose empty exclusion set is
-the check of the whole set; past delta corrupted splits the read
-delivers `corrupt-unrecoverable`. Machines whose splits keep failing
-verification are put in suspect mode (wide fan-out from the start).
+flight: k for an unguarded read, its whole fan-out for a guarded one;
+fewer than k is `unrecoverable`. A guarded read of at least k+delta splits
+is `checked`. A read neither clean nor checked goes to `coding.decode`; a
+checked one to `coding.correct_corruption`, with a budget of delta once it
+holds k+2*delta+1 splits and of 0 below, whose empty exclusion set, tried
+first, is one reconstruction that decodes and checks the whole set. A
+narrower check that fails asks spares up to k+2*delta+1 once; a wide set
+past delta corruptions, or a read with no spare left, delivers
+`corrupt-unrecoverable`. A checked read records each split's result in its
+machine's health window; a machine whose failure rate there passes
+`ERROR_CORRECTION_LIMIT` is suspect, and a guarded read that may touch it
+asks k+2*delta+1 splits at once.
 
-A range's `refs` are its slabs, indexed by role: slot `role` of the
-codeword is whichever slab `refs[role]` names now, and its state is that
-slab's, so a split is available, regenerating, or lost
-(`simulator.LOST`). Code that holds a slot across a delay keeps its role
-and reads `refs[role]` again when it acts. A range's group is the slice
-of the plan's member array that `plan.bounds` cuts for it; the manager
-builds no group list. `map_range` and `relocate` choose machines through
-one picker, `_least_loaded`: of the group's members that are up, have room
-for a slab and host no live split of the range, `placement.select_members`
-takes the least loaded, ties to the lower id. A lost split moves
-to a fresh slab on a spare member of the range's own group, never
-outside it; the slab it leaves, a slab whose rebuild aborts, and every
-slab on a recovered machine are freed, so a stale slab never reads as
-healthy again. A REGENERATING slab becomes AVAILABLE in `promote`, once
-it holds every written page, whether a rebuild or a foreground write
-filled the last one.
+A page read or write is its own completion, and every op ends in
+`_PageOp._conclude`: it sets the outcome and `completed_ns`, the caller's
+unblock time plus one context switch, calls `on_done` with the op, and
+moves the page's queue on once no split is in flight. The op records its
+own `network_ns`, its time in flight (the `datapath` CSV's
+`network_p50_us` is its median), so only the manager knows which fixed
+costs a latency holds. A done op keeps no page buffers, and the manager
+keeps no log of ops.
+
+A range's `refs` are its slabs, indexed by role: slot `role` is whichever
+slab `refs[role]` names now, so a split is available, regenerating, or
+lost (`simulator.LOST`), and code that holds a slot across a delay reads
+`refs[role]` again when it acts. A range's group is the slice of the
+plan's member array that `plan.bounds` cuts for it. `map_range` and
+`relocate` choose through one picker, `_least_loaded`: of the group's
+members that are up, have room and host no live split of the range,
+`placement.select_members` takes the least loaded. A lost split moves to a
+fresh slab on a spare member of its own group; the slab it leaves, a slab
+whose rebuild aborts, and every slab on a recovered machine are freed, so
+a stale slab never reads as healthy again. A REGENERATING slab becomes
+AVAILABLE in `promote` once it holds every written page, whether a rebuild
+or a foreground write filled the last one.
 
 `ResilienceManager.drain_regeneration` starts one rebuild per queued
-request. A rebuild reads each written page from k healthy slabs, takes the
-lost split from the recorded codeword when the read is clean or else from
-the decoded page's codeword, and backfills it onto the fresh slab
-that `relocate` placed. It takes each page's queue like a foreground op,
-so a page is never read for a rebuild while a write to it is in flight;
-foreground writes keep flowing, backfill the new slab directly, and the
-rebuild skips the pages that already landed. A rebuild whose slab is
-lost before it is whole aborts and asks for its rebuild again.
-`promote` logs a rebuild's `complete` row; every other outcome (aborted,
-no_quorum, no_target) is a `regenerate` row of `Cluster.event_log` too.
+request, one record whose `done` and `succeeded` its caller reads. A
+rebuild reads each written page from k healthy slabs, takes the lost split
+from the recorded codeword when the read is clean or else from the decoded
+page's codeword, and backfills it onto the fresh slab. It takes each
+page's queue like a foreground op, so it never reads a page a write has in
+flight; foreground writes backfill the new slab directly, and the rebuild
+skips the pages that landed. A rebuild whose slab is lost before it is whole aborts and asks
+again. Each outcome (complete, aborted, no_quorum, no_target) is a
+`regenerate` row of `Cluster.event_log`.
 
 A lost slot, or one being rebuilt, has one status in its range's
 `rebuild_status`, written only by `_request_regen` and a rebuild's end.
@@ -73,33 +83,19 @@ the status of a slot that waits says what queues it again:
     no_target   no spare in the group: an eviction or recovery there, or
                 room that an aborted rebuild frees there
     unverified  a page could not be read or verified: a write to the
-                range that completes durable or degraded, or an eviction
-                or recovery in the group
+                range that completes durable or degraded, which may
+                replace the bad split, or an eviction or recovery in the
+                group
     no_quorum   fewer than k healthy splits: an eviction or recovery in
                 the group
 
-Under the corruption guard with delta > 0, a guarded rebuild fills only
-from verified reads. A read that could not be verified (fewer than
-k + delta healthy splits, or a split cut off in flight with no spare left
-to ask) aborts the rebuild like a failed one: filling
-from an unchecked decode would turn a corrupted split into a consistent
-wrong codeword that no later guarded read could detect. The slot waits
-`unverified` for a write that may mend the page; until then the range
-stays degraded, since a recovering machine's slabs are stale and freed.
-
-A page op hands its bound `_on_split` to every split I/O it issues, with
-no closure per split. A read takes a split's role from the slab that
-served it; a write keeps a slab id -> role map, since a refused split has
-no slab to ask. The splits a read decodes are plain (index, data) pairs
-sliced from its arrival records.
-
-A page read or write is its own completion: once `done`, its caller
-reads the outcome and the timeline from the op, and `on_done` receives
-the op. The op records its own `network_ns`, its time in flight, at a
-write's k-ack or a read's `ok` delivery, so only the manager knows which
-fixed costs a latency holds. A done op keeps no page buffers, and the
-manager keeps no log of ops; a rebuild is likewise one record, whose `done`
-and `succeeded` its caller reads.
+Under the corruption guard with delta > 0, a rebuild fills only from
+verified reads. A read that could not be verified (fewer than k + delta
+healthy splits, or a split cut off in flight with no spare left to ask)
+aborts the rebuild: filling from an unchecked decode would turn a
+corrupted split into a consistent wrong codeword that no later guarded
+read could detect. The slot waits `unverified` for a write that may mend
+the page; until then the range stays degraded.
 """
 
 from __future__ import annotations
@@ -191,7 +187,9 @@ class _PageOp:
 
     Its caller reads `outcome`, `submitted_ns`, `started_ns`,
     `completed_ns`, `network_ns` and `fanout` from it, and `on_done`
-    receives it. Callers keep done ops, so the ops have slots and drop their
+    receives it. Every done op has `completed_ns`, a failed one too;
+    `network_ns` is set only for a write that reached its k-ack and an `ok`
+    read. Callers keep done ops, so the ops have slots and drop their
     buffers when done.
     """
 
@@ -227,12 +225,24 @@ class _PageOp:
         else:
             self._submit(wave)
 
+    def _conclude(self, outcome, unblock_ns):
+        """End the op: its caller unblocks a context switch after
+        `unblock_ns`, and its page queue moves on once no split is in flight."""
+        mgr = self.mgr
+        self.outcome = outcome
+        self.completed_ns = unblock_ns + mgr.ctx_ns
+        self.done = True
+        if self.on_done:
+            self.on_done(self)
+        if self.outstanding == 0:
+            mgr._release(self.arange.range_id, self.page_index, self)
+
 
 class _WriteOp(_PageOp):
     """Also carries `data_acked_ns`, `durable_ns` and `encode_ack_ns`.
 
-    `completed_ns` is the caller's unblock time: the k-ack point with async
-    parity, the full conclusion when parity sits in the ack path.
+    `completed_ns` is a context switch after the caller's unblock point: the
+    k-ack with async parity, else the write's conclusion.
     """
 
     __slots__ = (
@@ -335,22 +345,17 @@ class _WriteOp(_PageOp):
 
     def _finish(self, outcome):
         mgr = self.mgr
-        range_id = self.arange.range_id
-        self.outcome = outcome
-        if mgr.config.async_parity and self.data_acked_ns is not None:
-            self.completed_ns = self.data_acked_ns
-        else:
-            self.completed_ns = mgr.cluster.now
         # a done write is kept as its completion and needs no buffers or issue state
         self.page = self.codeword = self.wave1_roles = self.roles = None
-        self.done = True
         waiting = self.arange.rebuild_status
         if waiting and outcome != "write-failed":
             for role in sorted(r for r, status in waiting.items() if status == "unverified"):
-                mgr._request_regen(range_id, role)
-        if self.on_done:
-            self.on_done(self)
-        mgr._release(range_id, self.page_index, self)
+                mgr._request_regen(self.arange.range_id, role)
+        # with async parity the caller unblocked at the k-ack; data_acked_ns holds the switch
+        if mgr.config.async_parity and self.data_acked_ns is not None:
+            self._conclude(outcome, self.data_acked_ns - mgr.ctx_ns)
+        else:
+            self._conclude(outcome, mgr.cluster.now)
 
 
 class _ReadOp(_PageOp):
@@ -452,61 +457,45 @@ class _ReadOp(_PageOp):
         else:
             page = b"".join(codeword[:k])[: mgr.codec.page_size]
         self.clean = page is not None
-        if not self.guarded:
-            if page is None:
-                page = coding.decode(mgr.codec, splits)
-            # splits order by index first: the highest one used says if parity was
-            cost = mgr.decode_ns if max(splits[:k])[0] >= k else 0
-            self._deliver("ok", page, extra_ns=cost)
-            return
-        if len(splits) >= k + 2 * delta + 1:
-            bad = ()
-            if page is None:
-                # the empty exclusion set comes first, so a clean set is one check
-                try:
-                    page, bad = coding.correct_corruption(mgr.codec, splits, delta)
-                except UncorrectableCorruption:
-                    self._deliver("corrupt-unrecoverable", None)
-                    return
+        # k + delta splits detect up to delta corruptions, k + 2*delta + 1 locate them
+        checked = self.guarded and len(splits) >= k + delta
+        wide = len(splits) >= k + 2 * delta + 1
+        bad = ()
+        if page is None and not checked:
+            page = coding.decode(mgr.codec, splits)
+        elif page is None:
+            # the empty exclusion set comes first: one reconstruction checks the set
+            try:
+                page, bad = coding.correct_corruption(mgr.codec, splits, delta if wide else 0)
+            except UncorrectableCorruption:
+                if not (wide or self.escalated):
+                    self.escalated = True
+                    self.need = k + 2 * delta + 1
+                    if self._ask(self.need - len(splits)):
+                        return
+                self._deliver("corrupt-unrecoverable", None)
+                return
+        if checked:
             for role, _ in splits:
                 mgr._record_health(self.arange, role, ok=role not in bad)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns, corrected=bool(bad), verified=True)
-            return
-        # one reconstruction verifies and decodes; short of k+delta, none is checked
-        checkable = len(splits) >= k + delta
-        if page is None:
-            page = coding._verified_decode(mgr.codec, splits if checkable else splits[:k])
-        if page is not None:
-            if checkable:
-                for role, _ in splits:
-                    mgr._record_health(self.arange, role, ok=True)
-            self._deliver("ok", page, extra_ns=mgr.decode_ns, verified=checkable)
-            return
-        if not self.escalated:
-            self.escalated = True
-            self.need = k + 2 * delta + 1
-            if self._ask(self.need - len(splits)):
-                return
-        self._deliver("corrupt-unrecoverable", None)
+        # splits order by index first: the highest one used says if parity was
+        cost = mgr.decode_ns if self.guarded or max(splits[:k])[0] >= k else 0
+        self._deliver("ok", page, extra_ns=cost, corrected=bool(bad), verified=checked)
 
     def _deliver(self, outcome, page, extra_ns=0, corrected=False, verified=False):
         mgr = self.mgr
-        self.outcome = outcome
+        unblock_ns = now = mgr.cluster.now
+        if outcome == "ok":
+            self.network_ns = now - self.started_ns - mgr.copy_ns
+            # the page is copied out to the caller after any decode
+            unblock_ns += extra_ns + mgr.copy_ns
         self.page = page
         self.corrected = corrected
         self.verified = verified
         self.decode_ns = extra_ns
-        if outcome == "ok":
-            now = mgr.cluster.now
-            self.completed_ns = now + extra_ns + mgr.ctx_ns + mgr.copy_ns
-            self.network_ns = now - self.started_ns - mgr.copy_ns
         # a delivered read is kept as its completion; its splits are not needed
         self.arrivals = None
-        self.done = True
-        if self.on_done:
-            self.on_done(self)
-        if self.outstanding == 0:
-            mgr._release(self.arange.range_id, self.page_index, self)
+        self._conclude(outcome, unblock_ns)
 
 
 class _Rebuild:
@@ -725,20 +714,14 @@ class ResilienceManager:
         return op
 
     def remote_write(self, range_id, page_index, page):
-        op = self.submit_write(range_id, page_index, page)
-        self.drive(op)
-        return op.completion
+        return self.drive(self.submit_write(range_id, page_index, page))
 
     def remote_read(self, range_id, page_index):
         """The page's bytes, or the read's failure raised."""
-        op = self.submit_read(range_id, page_index)
-        self.drive(op)
-        return self._unwrap(op)
-
-    def _unwrap(self, op):
+        op = self.drive(self.submit_read(range_id, page_index))
         if op.outcome == "ok":
             return op.page
-        where = f"range {op.arange.range_id} page {op.page_index}"
+        where = f"range {range_id} page {page_index}"
         if op.outcome == "corrupt-unrecoverable":
             raise UncorrectableCorruption(where)
         raise UnrecoverableRead(where)

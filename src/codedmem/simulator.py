@@ -8,7 +8,9 @@ A split I/O concludes in one place, `_InflightIo.arrive`, which hands the
 record to the caller's `on_done`. A split in flight is its heap entry and
 nothing else: a failing machine finds its accepted splits in the heap and
 cuts them off in submission (`seq`) order, never in the order their
-records happen to sit in memory.
+records happen to sit in memory. No record refers back to its entry, so a
+concluded split is freed without the cycle collector, and no split adds a
+row to `Cluster.event_log`: `split_outcomes` counts them.
 Machines expose slab storage with split-granularity reads and writes whose
 latencies come from a seeded lognormal model with straggler and
 background-load effects; fault scripts inject failures, recoveries,
@@ -57,7 +59,9 @@ REGENERATING = SlabState.REGENERATING
 class LatencyModel:
     """One-way split latency distribution plus fixed data-path costs (us).
     Hydra's run-to-completion, in-place data path has zero context switch
-    and copy costs; a positive one is charged to every op."""
+    and copy costs; a positive one is charged to every op. The paper's
+    alternatives cost about 1.5 us per context switch and 0.85 us per copy.
+    `disk_us` is the `ssd_backup` baseline's disk write."""
 
     median_us: float = 1.5
     sigma: float = 0.25
@@ -89,7 +93,8 @@ LATENCY_BLOCK = 1024  # split latencies drawn per refill of a SplitLatencies
 
 
 class SplitLatencies:
-    """Seeded one-way split latencies in ns, drawn from numpy in blocks.
+    """Seeded one-way split latencies in ns, drawn from numpy in blocks;
+    the cluster and the closed-form `datapath` baselines share it.
 
     The base draw is lognormal with the model's median; a straggler hit
     multiplies it, and an active background-load window scales it again.

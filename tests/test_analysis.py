@@ -572,10 +572,11 @@ COPY_PATH_CFG = cfg_of(
     },
 )
 
-# SHA-256 of the datapath CSV of COPY_PATH_CFG, by `async_parity`
+# SHA-256 of the datapath CSV of COPY_PATH_CFG, by `async_parity`; with parity
+# in the ack path a write pays its context switch at the full conclusion
 COPY_PATH_DIGESTS = {
     True: "064dfb40bdaad39589b422f244c0feb4dafc803781e1e5d1df8b923fddc59f40",
-    False: "91f9213e86e26b9c448ef3eaf0cdb73f9564ba28e7a60df9949b86171a7daefb",
+    False: "5250817ab86c20bb1ea5524d3e91e2f75f6888c1286624d23ac1f0682245ab86",
 }
 
 

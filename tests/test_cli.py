@@ -172,6 +172,8 @@ class TestFaultRows:
             ("manager.health_window", 64),  # a constant, not a config field
             ("manager.in_place_coding", False),
             ("manager.run_to_completion", False),
+            ("workload.ranges", 2**63 + 1),  # past the bound a range id is drawn below
+            ("manager.slab_size", 2**80),  # 2**69 pages of 2048-byte splits
         ],
     )
     def test_bad_fields_fail_before_the_run(self, tmp_path, capsys, path, value):

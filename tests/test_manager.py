@@ -271,6 +271,22 @@ class TestReadPath:
         assert op.completion.outcome == "unrecoverable"
         assert mgr._locks == {}
 
+    @pytest.mark.parametrize("context_switch_us", [0, 1.5])
+    def test_a_failed_read_has_a_completion_time(self, context_switch_us):
+        # the read fails when it starts, so its caller unblocks after the
+        # context switch alone: no split, decode or copy stands before it
+        cluster = flat_cluster(3, costs={"context_switch_us": context_switch_us, "copy_us": 0.85})
+        cluster, mgr = build(3, CodecParams(k=2, r=1), cluster=cluster)
+        arange = mgr.map_range(0)
+        cluster.fail_machine(arange.refs[0].machine_id)
+        cluster.fail_machine(arange.refs[1].machine_id)
+        cluster.run_until_idle()
+        cluster.schedule(400, lambda: None)
+        cluster.step()
+        op = mgr.submit_read(0, 0)
+        assert op.done and op.outcome == "unrecoverable"
+        assert op.completed_ns == op.submitted_ns + mgr.ctx_ns == 400 + mgr.ctx_ns
+
     def test_late_splits_discarded_in_log(self):
         cluster, mgr = build(4, CodecParams(k=2, r=2, delta=1), seed=3)
         mgr.map_range(0)
@@ -349,8 +365,10 @@ class TestDataPathKnobs:
     """The paper's data-path ablations, on the flat model: each cost is
     zero unless the latency model sets it."""
 
-    def latencies(self, **costs):
-        _, mgr = build(3, CodecParams(k=2, r=1), cluster=flat_cluster(3, costs=costs))
+    def latencies(self, async_parity=True, **costs):
+        config = ManagerConfig(async_parity=async_parity)
+        cluster = flat_cluster(3, costs=costs)
+        _, mgr = build(3, CodecParams(k=2, r=1), config=config, cluster=cluster)
         mgr.map_range(0)
         write = mgr.remote_write(0, 0, page_of(30))
         op = mgr.submit_read(0, 0)
@@ -358,10 +376,13 @@ class TestDataPathKnobs:
         read = op.completion
         return mgr, write.completed_ns - write.submitted_ns, read.completed_ns - read.submitted_ns
 
-    def test_context_switch_adds_to_each_op(self):
-        base, write, read = self.latencies()
+    @pytest.mark.parametrize("async_parity", [True, False])
+    def test_context_switch_adds_to_each_op(self, async_parity):
+        # with parity in the ack path the switch comes after the last ack
+        base, write, read = self.latencies(async_parity)
         assert base.ctx_ns == base.copy_ns == 0
-        mgr, switched_write, switched_read = self.latencies(context_switch_us=1.5)
+        assert write == (1500 if async_parity else 2200)
+        mgr, switched_write, switched_read = self.latencies(async_parity, context_switch_us=1.5)
         assert mgr.ctx_ns == 1500
         assert switched_write == write + mgr.ctx_ns
         assert switched_read == read + mgr.ctx_ns
@@ -577,6 +598,7 @@ class TestCorruption:
         assert op.completion.fanout == 5
         assert op.completion.outcome == "corrupt-unrecoverable"
         assert op.completion.page is None
+        assert op.completion.completed_ns == cluster.now  # no context switch is set
         assert mgr._locks == {}
         with pytest.raises(UncorrectableCorruption):
             mgr.remote_read(0, 0)

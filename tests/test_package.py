@@ -5,7 +5,7 @@ import inspect
 import types
 
 import codedmem
-from codedmem import coding, gf256
+from codedmem import coding, gf256, manager
 
 
 def test_every_exported_name_resolves():
@@ -53,3 +53,25 @@ def test_the_codec_returns_bytes_payloads():
     ]
     assert all(type(p) is bytes for p in payloads)
     assert payloads[-1] == payloads[-2] == payloads[-3] == page
+
+
+def test_the_manager_decodes_through_public_codec_names():
+    # every decode then goes through a name a tracer can wrap, such as
+    # `coding.decode` or `coding.correct_corruption`
+    tree = ast.parse(inspect.getsource(manager))
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "coding"
+        and node.attr.startswith("_")
+    ]
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "coding"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == imported == []
