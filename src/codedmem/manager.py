@@ -19,12 +19,17 @@ takes a split's role from the slab that served it; a write keeps a slab id
 -> role map, since a refused split has no slab to ask.
 
 A write builds its page's codeword, the k+r splits by role, once with
-`coding.codeword`, and records it in its range's `codewords`, keyed by the
-written pages, at the k-ack. A read first compares the splits that arrived
-with that codeword, or with `zero_codeword` for a page never written. When
-all are equal the read is `clean`: it delivers the codeword's page and
-takes the branch the codec would, since any k splits of one codeword decode
-to its page and every extra split checks against it.
+`coding.codeword`, and records it in its range's `codewords`, and the page
+it was given in `pages`, both keyed by the written pages, at the k-ack. A
+read first compares the splits that arrived with that codeword, or with
+`zero_codeword` for a page never written. When all are equal the read is
+`clean`: it delivers the recorded page object itself, or the manager's one
+`zero_page`, with no copy, and takes the branch the codec would, since any
+k splits of one codeword decode to its page and every extra split checks
+against it. The trade: a range keeps one page per written page alive even
+after its caller drops its own. A caller that keeps a shadow of what it
+wrote, as `analysis._run_coded` and the benchmark do, shares those page
+objects, so each page is held once.
 
 A read decides once, when `need` splits have arrived or none is left in
 flight: k for an unguarded read, its whole fan-out for a guarded one;
@@ -127,6 +132,8 @@ class AddressRange:
     page_capacity: int
     # written page -> the k+r splits its last k-acked write produced, by role
     codewords: dict = field(default_factory=dict)
+    # written page -> the bytes that write was given, which a clean read delivers
+    pages: dict = field(default_factory=dict)
     rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
 
     def healthy_refs(self):
@@ -241,8 +248,9 @@ class _PageOp:
 class _WriteOp(_PageOp):
     """Also carries `data_acked_ns`, `durable_ns` and `encode_ack_ns`.
 
-    `completed_ns` is a context switch after the caller's unblock point: the
-    k-ack with async parity, else the write's conclusion.
+    `data_acked_ns` is the k-th ack and `durable_ns` the last, both bare
+    split conclusions. `completed_ns` is a context switch after the caller's
+    unblock point: the k-ack with async parity, else the write's conclusion.
     """
 
     __slots__ = (
@@ -315,7 +323,7 @@ class _WriteOp(_PageOp):
         acked = self.data_acked_ns is None and self.acks >= k
         if acked:
             now = mgr.cluster.now
-            self.data_acked_ns = now + mgr.ctx_ns
+            self.data_acked_ns = now
             self.network_ns = now - self.started_ns - self.encode_ack_ns - mgr.copy_ns
         # wave two follows the k-ack point, or brings parity in to reach k
         # acks once wave one concluded short of them
@@ -323,6 +331,7 @@ class _WriteOp(_PageOp):
             self._issue_wave2()
         if acked:
             self.arange.codewords[self.page_index] = self.codeword
+            self.arange.pages[self.page_index] = self.page
         if self.outstanding == 0:
             if self.acks == len(self.arange.refs):
                 self.durable_ns = mgr.cluster.now
@@ -351,9 +360,9 @@ class _WriteOp(_PageOp):
         if waiting and outcome != "write-failed":
             for role in sorted(r for r, status in waiting.items() if status == "unverified"):
                 mgr._request_regen(self.arange.range_id, role)
-        # with async parity the caller unblocked at the k-ack; data_acked_ns holds the switch
+        # with async parity the caller unblocked at the k-ack
         if mgr.config.async_parity and self.data_acked_ns is not None:
-            self._conclude(outcome, self.data_acked_ns - mgr.ctx_ns)
+            self._conclude(outcome, self.data_acked_ns)
         else:
             self._conclude(outcome, mgr.cluster.now)
 
@@ -450,12 +459,11 @@ class _ReadOp(_PageOp):
         # splits that all equal one codeword decode to its page and pass
         # every check, so they take the branch the codec would, without it
         codeword = self.arange.codewords.get(self.page_index, mgr.zero_codeword)
+        page = self.arange.pages.get(self.page_index, mgr.zero_page)
         for role, data in splits:
             if data != codeword[role]:
                 page = None
                 break
-        else:
-            page = b"".join(codeword[:k])[: mgr.codec.page_size]
         self.clean = page is not None
         # k + delta splits detect up to delta corruptions, k + 2*delta + 1 locate them
         checked = self.guarded and len(splits) >= k + delta
@@ -642,8 +650,9 @@ class ResilienceManager:
         self.codec = make_codec(params, self.config.page_size)
         if self.config.slab_size < self.codec.split_size:
             raise InvalidParams("slab size smaller than one split")
-        # what a read compares with for a page never written
-        self.zero_codeword = coding.codeword(self.codec, bytes(self.config.page_size))
+        # what a read compares with, and delivers, for a page never written
+        self.zero_page = bytes(self.config.page_size)
+        self.zero_codeword = coding.codeword(self.codec, self.zero_page)
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
         self.ranges = {}
         self.health = defaultdict(MachineHealth)

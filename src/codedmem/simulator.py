@@ -342,18 +342,24 @@ class Cluster:
         slab.store.clear()
 
     def corrupt_slab(self, slab_id, page_index, mask, offset=0):
+        """XOR `mask` into the stored split from byte `offset` on; mask bytes
+        past the split's end fall off. Logs `absent`, `unchanged` or
+        `corrupted`."""
         slab = self._slab(slab_id)
+        entity = f"m{slab.machine_id}:s{slab_id}:p{page_index}"
         current = slab.store.get(page_index)
         if current is None:
-            self.log("corrupt", f"m{slab.machine_id}:s{slab_id}:p{page_index}", "absent")
+            self.log("corrupt", entity, "absent")
             return
-        raw = bytearray(current)
-        for i, b in enumerate(mask):
-            pos = offset + i
-            if pos < len(raw):
-                raw[pos] ^= b
-        slab.store[page_index] = bytes(raw)
-        self.log("corrupt", f"m{slab.machine_id}:s{slab_id}:p{page_index}", "corrupted")
+        window = mask[: max(len(current) - offset, 0)]
+        flips = int.from_bytes(window, "big")
+        if not flips:
+            self.log("corrupt", entity, "unchanged")
+            return
+        end = offset + len(window)
+        flipped = (int.from_bytes(current[offset:end], "big") ^ flips).to_bytes(len(window), "big")
+        slab.store[page_index] = current[:offset] + flipped + current[end:]
+        self.log("corrupt", entity, "corrupted")
 
 
 class _InflightIo:
@@ -453,7 +459,7 @@ def _mask(value, row):
         mask = value if isinstance(value, bytes) else bytes.fromhex(value)
     except (TypeError, ValueError):
         return None
-    # an all-zero mask would log `corrupted` and change nothing
+    # an all-zero mask would change nothing
     return mask if any(mask) else None
 
 

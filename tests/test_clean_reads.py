@@ -221,3 +221,69 @@ def test_parity_a_write_never_sent_is_rebuilt_from_its_codeword():
     mgr.drain_regeneration()
     cluster.run_until_idle()
     assert arange.refs[2].store[0] is arange.codewords[0][2]
+
+
+def test_a_clean_read_delivers_the_written_bytes_object():
+    params = CodecParams(k=2, r=1)
+    cluster, mgr, arange = build(params, l=1)
+    page = bytes(range(256)) * 16
+    mgr.remote_write(0, 0, page)
+    assert arange.pages[0] is page
+    delivered = []
+    for _ in range(5):
+        op = mgr.drive(mgr.submit_read(0, 0))
+        assert op.outcome == "ok" and op.clean
+        delivered.append(op.page)
+    assert all(got is page for got in delivered)
+
+
+def test_a_bytearray_written_then_changed_reads_back_as_written():
+    params = CodecParams(k=2, r=1)
+    cluster, mgr, arange = build(params, l=1)
+    buffer = bytearray(range(256)) * 16
+    written = bytes(buffer)
+    write = mgr.submit_write(0, 0, buffer)
+    buffer[:] = bytes(len(buffer))  # the caller reuses its buffer before the write runs
+    assert mgr.drive(write).outcome == "durable"
+    buffer[0] ^= 0xFF
+    op = mgr.drive(mgr.submit_read(0, 0))
+    assert op.clean and op.page == written
+    assert type(op.page) is bytes and op.page is arange.pages[0]
+
+
+def test_a_never_written_page_reads_as_the_one_zero_page():
+    params = CodecParams(k=3, r=2, delta=1)
+    cluster, mgr, arange = build(params, guard=True)
+    mgr.remote_write(0, 0, bytes([9]) * 4096)
+    for page_index in (1, 2, 1):
+        op = mgr.drive(mgr.submit_read(0, page_index))
+        assert op.outcome == "ok" and op.clean and op.verified
+        assert op.page is mgr.zero_page
+    assert mgr.zero_page == bytes(4096)
+    assert mgr.zero_codeword == coding.codeword(mgr.codec, mgr.zero_page)
+
+
+@pytest.mark.parametrize("guard", [False, True])
+def test_a_read_that_is_not_clean_delivers_the_page_it_decoded(guard):
+    # a stale parity split arrives last: the unguarded read decodes the data
+    # splits, the guarded one finds the stale split and corrects around it
+    params = CodecParams(k=2, r=3, delta=1)
+    cluster, mgr, arange = build(params, guard=guard)
+    store = cluster.slabs[arange.refs[2].slab_id].store
+    mgr.remote_write(0, 0, bytes([1]) * 4096)
+    cluster.run_until_idle()
+    stale = store[0]
+    page = bytes(range(256)) * 8 + bytes(2048)
+    mgr.remote_write(0, 0, page)
+    cluster.run_until_idle()
+    store[0] = stale
+    op = manager._ReadOp(mgr, arange, 0, None)
+    op.started_ns = cluster.now  # as `start` sets it
+    op.guarded = guard
+    op.targets = tuple(range(len(arange.refs)))  # no spare left to ask
+    roles = (0, 1, 2, 3, 4) if guard else (0, 1, 2)
+    op.arrivals = [(0, role, cluster.slabs[arange.refs[role].slab_id].store[0]) for role in roles]
+    op._decide()
+    assert op.outcome == "ok" and not op.clean
+    assert op.page == page and op.page is not arange.pages[0]
+    assert op.corrected is guard and op.verified is guard

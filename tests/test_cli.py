@@ -7,6 +7,8 @@ import math
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from codedmem import analysis, cli
 
@@ -40,6 +42,38 @@ DATAPATH_CFG = {
     "placement": {"l": 1},
     "workload": {"ranges": 2, "operations": 40, "read_fraction": 0.5},
     "baselines": [{"name": "replication", "copies": 3}],
+}
+
+
+# a datapath config that reaches every fault type, both baselines, the
+# manager section and each latency field
+FAULTED_DATAPATH_CFG = {
+    **DATAPATH_CFG,
+    "cluster": {
+        "machines": 6,
+        "machine_bytes": 1 << 20,
+        "latency": {
+            "median_us": 1.5,
+            "sigma": 0.2,
+            "straggler_prob": 0.1,
+            "straggler_multiplier": 10.0,
+            "encode_us": 0.7,
+            "decode_us": 1.5,
+            "context_switch_us": 0.5,
+            "copy_us": 0.25,
+            "disk_us": 100.0,
+        },
+    },
+    "code": {"k": 2, "r": 2, "delta": 1},
+    "manager": {"page_size": 4096, "slab_size": 65536, "corruption_guard": True, "async_parity": False},
+    "faults": [
+        {"type": "corrupt", "time_us": 10, "slab": 0, "page_index": 0, "mask": "ff"},
+        {"type": "fail", "time_us": 20, "machine": 1},
+        {"type": "evict", "time_us": 30, "slab": 2},
+        {"type": "background_load", "time_us": 0, "until_us": 40, "level": 3},
+        {"type": "recover", "time_us": 60, "machine": 1},
+    ],
+    "baselines": [{"name": "replication", "copies": 3}, {"name": "ssd_backup"}],
 }
 
 
@@ -341,6 +375,13 @@ class TestDispatch:
         assert header == analysis.DATAPATH_HEADER
         assert {r[2] for r in rows} == {"coded", "replication3"}
 
+    def test_the_faulted_datapath_config_runs(self, tmp_path):
+        # the fuzz below mutates it, so it must run as it stands
+        cfg_path = dump(tmp_path, FAULTED_DATAPATH_CFG)
+        assert cli.main(["datapath", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(next(tmp_path.glob("datapath_*.csv")))
+        assert {r[2] for r in rows} == {"coded", "replication3", "ssd_backup"}
+
 
 class TestOverrides:
     def test_seed_override_replaces_config_seeds(self, tmp_path):
@@ -390,3 +431,48 @@ class TestOverrides:
         rc = cli.main(["balance", "--config", dump(tmp_path, cfg)])
         assert rc == 0
         assert len(list((tmp_path / "cfgout").glob("balance_*.csv"))) == 1
+
+
+def _fields(node, path=()):
+    """The path of every value in a config, containers too."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+_DROP = "<dropped>"  # the mutation that deletes the field
+# No integer above 256, so no mutation asks for more machines, operations
+# or trials than that.
+_MUTANTS = (
+    0, 1, -1, 2, 3, 255, 256, 0.5, 1.0, 1e-300, 1e300, math.inf, math.nan,
+    True, False, "", "x", "ff", None, [], {}, [0], [1, 2], {"x": 1}, _DROP,
+)
+_FUZZED = (LOSS_CFG, BALANCE_CFG, DATAPATH_CFG, FAULTED_DATAPATH_CFG)
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    field=st.sampled_from([(base, path) for base in _FUZZED for path in _fields(base)]),
+    value=st.sampled_from(_MUTANTS),
+)
+def test_a_one_field_change_exits_0_or_2(tmp_path_factory, field, value):
+    base, path = field
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for part in path[:-1]:
+        node = node[part]
+    if value == _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    out = tmp_path_factory.mktemp("fuzz")
+    config = dump(out, cfg)
+    # a crash raises here rather than exiting 1
+    assert cli.main([base["scenario"], "--config", config, "--out", str(out)]) in (0, 2)

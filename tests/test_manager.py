@@ -330,8 +330,8 @@ class TestOpIsItsCompletion:
 
     def test_ack_times_are_split_conclusions(self, monkeypatch):
         # lognormal hops and a data split failed mid-flight: the k-th ok
-        # conclusion plus the context switch is the data ack, and the last
-        # ok conclusion is the durable point
+        # conclusion is the data ack, and the last ok conclusion is the
+        # durable point
         model = LatencyModel(median_us=1.5, sigma=0.5, straggler_prob=0.0, context_switch_us=1.5)
         params = CodecParams(k=3, r=2)
         cluster = Cluster(6, latency=model, seed=5)
@@ -356,7 +356,7 @@ class TestOpIsItsCompletion:
         assert "disconnect" in {outcome for _, outcome in concluded}
         assert op.outcome == "durable" and len(ok) == 5
         assert len(set(ok)) == 5  # distinct times, so the k-th is not the last
-        assert op.data_acked_ns == ok[params.k - 1] + mgr.ctx_ns
+        assert op.data_acked_ns == ok[params.k - 1]
         assert mgr.ctx_ns == 1500
         assert op.durable_ns == ok[-1]
 
@@ -386,6 +386,23 @@ class TestDataPathKnobs:
         assert mgr.ctx_ns == 1500
         assert switched_write == write + mgr.ctx_ns
         assert switched_read == read + mgr.ctx_ns
+
+    @pytest.mark.parametrize("async_parity", [True, False])
+    def test_a_switch_moves_only_completed_ns(self, async_parity):
+        # a switch longer than the parity tail: the ack times stay bare split
+        # conclusions, so the data ack never passes the durable point
+        config = ManagerConfig(async_parity=async_parity)
+        cluster = flat_cluster(3, costs={"context_switch_us": 5})
+        _, mgr = build(3, CodecParams(k=2, r=1), config=config, cluster=cluster)
+        mgr.map_range(0)
+        write = mgr.remote_write(0, 0, page_of(32))
+        cluster.run_until_idle()
+        assert write.outcome == "durable"
+        expect = (1500, 3700) if async_parity else (2200, 2200)
+        assert (write.data_acked_ns, write.durable_ns) == expect
+        assert write.data_acked_ns <= write.durable_ns
+        unblock = write.data_acked_ns if async_parity else write.durable_ns
+        assert write.completed_ns == unblock + mgr.ctx_ns == unblock + 5000
 
     def test_copy_before_issue_and_again_at_read_completion(self, monkeypatch):
         _, write, read = self.latencies()

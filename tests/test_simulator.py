@@ -356,6 +356,34 @@ class TestFaultScript:
         c.run_until_idle()
         assert slab.store[0] == b"\xfe\x02\x03\x04"
 
+    @pytest.mark.parametrize("offset", [0, 1, 9, 15, 16, 40])
+    @pytest.mark.parametrize("length", [1, 6, 16, 17, 64])
+    def test_corrupt_xors_as_a_byte_loop_would(self, offset, length):
+        split = bytes(range(100, 116))
+        # zero bytes inside the mask leave their split bytes alone
+        mask = bytes((37 * i + 11) % 256 if i % 4 else 0 for i in range(length))
+        c = new_cluster()
+        slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=len(split))
+        slab.store[0] = split
+        c.corrupt_slab(slab.slab_id, 0, mask, offset=offset)
+        expect = bytearray(split)
+        for i, b in enumerate(mask):
+            if offset + i < len(expect):
+                expect[offset + i] ^= b
+        assert slab.store[0] == bytes(expect)
+        outcome = "corrupted" if expect != split else "unchanged"
+        assert c.event_log[-1][1:] == ("corrupt", f"m0:s{slab.slab_id}:p0", outcome)
+
+    def test_a_mask_past_the_split_logs_unchanged(self):
+        c = new_cluster()
+        slab = c.machines[0].allocate_slab(65536, owner=1, role=0, split_size=1024)
+        split = bytes(range(256)) * 4
+        slab.store[0] = split
+        c.corrupt_slab(slab.slab_id, 0, bytes(1024) + b"\x01")
+        c.corrupt_slab(slab.slab_id, 1, b"\xff")
+        assert slab.store[0] is split
+        assert [row[3] for row in c.event_log] == ["unchanged", "absent"]
+
     def test_fail_recover_evict_sequence(self):
         c = new_cluster()
         slab = c.machines[2].allocate_slab(65536, owner=7, role=1, split_size=8)
