@@ -18,18 +18,23 @@ draw. Each split I/O gets the op's bound `_on_split`, no closure. A read
 takes a split's role from the slab that served it; a write keeps a slab id
 -> role map, since a refused split has no slab to ask.
 
-A write builds its page's codeword, the k+r splits by role, once with
-`coding.codeword`, and records it in its range's `codewords`, and the page
-it was given in `pages`, both keyed by the written pages, at the k-ack. A
-read first compares the splits that arrived with that codeword, or with
-`zero_codeword` for a page never written. When all are equal the read is
-`clean`: it delivers the recorded page object itself, or the manager's one
-`zero_page`, with no copy, and takes the branch the codec would, since any
-k splits of one codeword decode to its page and every extra split checks
-against it. The trade: a range keeps one page per written page alive even
-after its caller drops its own. A caller that keeps a shadow of what it
-wrote, as `analysis._run_coded` and the benchmark do, shares those page
-objects, so each page is held once.
+A write builds its page's codeword once, as its slabs store it
+(`_stored_codeword`), and records it in its range's `codewords`, keyed by
+the written pages, at the k-ack. A data split is its page, in place: a data
+role whose split starts inside the page stores the page object the write
+was given, and every other role its row of `coding.codeword`; the data
+rows it does not keep are dropped once the parity is made.
+`simulator.split_of` is the one reader of that form. A read first compares what arrived with that codeword,
+an identity hit for a page stored in place, or with `zero_codeword`, the
+split rows an empty slab serves, for a page never written. When all are
+equal the read is `clean`: it delivers role 0's object, the written page
+itself, or the manager's one `zero_page`, with no copy and no codec, since
+any k splits of one codeword decode to its page and every extra split
+checks against it. A read that is not clean cuts what arrived into splits
+for the codec. The trade: a range keeps each written page alive after its
+caller drops its own, as the one copy its slabs share; a caller that keeps
+a shadow of what it wrote, as `analysis._run_coded` and the benchmark do,
+shares it.
 
 A read decides once, when `need` splits have arrived or none is left in
 flight: k for an unguarded read, its whole fan-out for a guarded one;
@@ -71,13 +76,14 @@ or a foreground write filled the last one.
 `ResilienceManager.drain_regeneration` starts one rebuild per queued
 request, one record whose `done` and `succeeded` its caller reads. A
 rebuild reads each written page from k healthy slabs, takes the lost split
-from the recorded codeword when the read is clean or else from the decoded
-page's codeword, and backfills it onto the fresh slab. It takes each
-page's queue like a foreground op, so it never reads a page a write has in
-flight; foreground writes backfill the new slab directly, and the rebuild
-skips the pages that landed. A rebuild whose slab is lost before it is whole aborts and asks
-again. Each outcome (complete, aborted, no_quorum, no_target) is a
-`regenerate` row of `Cluster.event_log`.
+from the recorded codeword when the read delivers the recorded page, or
+else from the stored codeword of the page it decoded, and backfills it onto
+the fresh slab. It takes each page's queue like a foreground op, so it
+never reads a page a write has in flight; foreground writes backfill the
+new slab directly, and the rebuild skips the pages that landed. A rebuild
+whose slab is lost before it is whole aborts and asks again. Each outcome
+(complete, aborted, no_quorum, no_target) is a `regenerate` row of
+`Cluster.event_log`.
 
 A lost slot, or one being rebuilt, has one status in its range's
 `rebuild_status`, written only by `_request_regen` and a rebuild's end.
@@ -120,7 +126,7 @@ from .errors import (
     UnrecoverableRead,
 )
 from .placement import select_members
-from .simulator import AVAILABLE, LOST, REGENERATING, UP, SlabState
+from .simulator import AVAILABLE, LOST, REGENERATING, UP, SlabState, split_of
 
 
 @dataclass
@@ -130,14 +136,21 @@ class AddressRange:
     group_members: tuple
     refs: list  # the slab that holds each split, indexed by role
     page_capacity: int
-    # written page -> the k+r splits its last k-acked write produced, by role
+    # written page -> its last k-acked write's codeword as stored, by role
+    # (`_stored_codeword`); role 0 is the page that write was given
     codewords: dict = field(default_factory=dict)
-    # written page -> the bytes that write was given, which a clean read delivers
-    pages: dict = field(default_factory=dict)
     rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
 
     def healthy_refs(self):
         return [slab for slab in self.refs if slab.state is AVAILABLE]
+
+
+def _stored_codeword(codec, page):
+    """A page's codeword by role as slabs store it: the page itself for each
+    data role whose split starts inside it, then `coding.codeword`'s rows
+    for the rest, zero rows of padding and the parity."""
+    inside = -(-len(page) // codec.split_size)
+    return (page,) * inside + coding.codeword(codec, page)[inside:]
 
 
 ERROR_CORRECTION_LIMIT = 0.05  # error rate above which a machine is suspect
@@ -267,7 +280,7 @@ class _WriteOp(_PageOp):
         self.wave1_roles = []
         self.wave2_issued = False
         self.encode_ack_ns = 0
-        self.codeword = None  # the k+r split payloads, by role, once started
+        self.codeword = None  # the k+r stored payloads, by role, once started
         self.roles = {}  # slab id -> the role a split I/O to that slab writes
 
     # -- plumbing ---------------------------------------------------------
@@ -280,7 +293,7 @@ class _WriteOp(_PageOp):
         if len(healthy) < k:
             self._finish("write-failed")
             return
-        self.codeword = coding.codeword(mgr.codec, self.page)
+        self.codeword = _stored_codeword(mgr.codec, self.page)
         # refs are in role order, so the first k healthy ones are the data
         # splits with parity standing in for the missing ones
         wave = healthy[:k] if mgr.config.async_parity else healthy
@@ -331,7 +344,6 @@ class _WriteOp(_PageOp):
             self._issue_wave2()
         if acked:
             self.arange.codewords[self.page_index] = self.codeword
-            self.arange.pages[self.page_index] = self.page
         if self.outstanding == 0:
             if self.acks == len(self.arange.refs):
                 self.durable_ns = mgr.cluster.now
@@ -458,13 +470,20 @@ class _ReadOp(_PageOp):
             return
         # splits that all equal one codeword decode to its page and pass
         # every check, so they take the branch the codec would, without it
-        codeword = self.arange.codewords.get(self.page_index, mgr.zero_codeword)
-        page = self.arange.pages.get(self.page_index, mgr.zero_page)
+        codeword = self.arange.codewords.get(self.page_index)
+        if codeword is None:
+            codeword, page = mgr.zero_codeword, mgr.zero_page
+        else:
+            page = codeword[0]
         for role, data in splits:
             if data != codeword[role]:
                 page = None
                 break
         self.clean = page is not None
+        if page is None:
+            # the codec takes split bytes, not a page stored in place
+            size = mgr.codec.split_size
+            splits = [(role, split_of(data, role, size)) for role, data in splits]
         # k + delta splits detect up to delta corruptions, k + 2*delta + 1 locate them
         checked = self.guarded and len(splits) >= k + delta
         wide = len(splits) >= k + 2 * delta + 1
@@ -574,12 +593,14 @@ class _Rebuild:
             self._page_done(advance=False)
             self._abort("unverified")
             return
-        # a clean read fills with the codeword's own split; the page is
-        # held by the rebuild, so no write changed the codeword since
-        if read.clean:
-            payload = self.arange.codewords[self.page][self.role]
+        # a read of the recorded page, clean or not, fills with the recorded
+        # payload, so the slabs share one page object; the page is held by
+        # the rebuild, so no write changed the codeword since
+        recorded = self.arange.codewords[self.page]
+        if read.page == recorded[0]:
+            payload = recorded[self.role]
         else:
-            payload = coding.codeword(mgr.codec, read.page)[self.role]
+            payload = _stored_codeword(mgr.codec, read.page)[self.role]
         delay = (read.completed_ns - mgr.cluster.now) + mgr.encode_ns
         mgr.cluster.schedule(delay, lambda: self._fill(payload))
 

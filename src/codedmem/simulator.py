@@ -129,6 +129,19 @@ class SplitLatencies:
             raise InvalidParams(f"split latency {us} us left the ns range") from None
 
 
+def split_of(stored, role, split_size):
+    """The split of `role` that a slab's stored object holds.
+
+    An object of `split_size` bytes is the split itself. A longer one is the
+    page the split was cut from, stored in place: its split is the
+    `split_size` bytes from `role * split_size` on, zero-padded.
+    """
+    if len(stored) == split_size:
+        return stored
+    start = role * split_size
+    return stored[start : start + split_size].ljust(split_size, b"\x00")
+
+
 @dataclass
 class Slab:
     slab_id: int
@@ -138,7 +151,12 @@ class Slab:
     role: object = None  # split index within the owner range
     split_size: int = 0
     state: SlabState = SlabState.AVAILABLE
-    store: dict = field(default_factory=dict)  # page index -> split bytes
+    # page index -> its split, or the page the split is cut from (`split_of`)
+    store: dict = field(default_factory=dict)
+
+    def split(self, page_index):
+        """The split bytes stored for a page; KeyError when none is."""
+        return split_of(self.store[page_index], self.role, self.split_size)
 
 
 class Machine:
@@ -343,14 +361,15 @@ class Cluster:
 
     def corrupt_slab(self, slab_id, page_index, mask, offset=0):
         """XOR `mask` into the stored split from byte `offset` on; mask bytes
-        past the split's end fall off. Logs `absent`, `unchanged` or
-        `corrupted`."""
+        past the split's end fall off. The slab then stores the split's own
+        bytes, so a page stored in place is left as it was. Logs `absent`,
+        `unchanged` or `corrupted`."""
         slab = self._slab(slab_id)
         entity = f"m{slab.machine_id}:s{slab_id}:p{page_index}"
-        current = slab.store.get(page_index)
-        if current is None:
+        if page_index not in slab.store:
             self.log("corrupt", entity, "absent")
             return
+        current = slab.split(page_index)
         window = mask[: max(len(current) - offset, 0)]
         flips = int.from_bytes(window, "big")
         if not flips:
@@ -373,7 +392,8 @@ class _InflightIo:
     submission or cut off by a disconnect gets its `outcome` set first and
     a fresh entry at delay 0. `slab_id` is the slab it was sent to, and
     `slab` that slab once it was accepted. `data` is the payload of a
-    write, or the bytes a read fetched once it concludes ok.
+    write, or what a read fetched once it concludes ok: the object the slab
+    stores for the page, which `split_of` resolves, or a zero split.
     """
 
     __slots__ = (

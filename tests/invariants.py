@@ -23,6 +23,9 @@ def check_invariants(manager):
     - no op holds a page's queue once the cluster is idle
     - every lost ref's slot has its rebuild queued, or a recorded reason
       to wait (``AddressRange.rebuild_status``)
+    - every AVAILABLE ref holds every page in its range's ``codewords``
+    - every stored object is a split or a whole page, and resolves through
+      ``Slab.split`` to exactly ``split_size`` bytes
     - with no rebuild request queued, no ref is lost while its range could
       be rebuilt: while the range has k healthy splits (k + delta under the
       guard) and its group an up spare with room for the slab
@@ -53,6 +56,14 @@ def check_invariants(manager):
                 assert cluster.slabs.get(slab.slab_id) is slab, (arange.range_id, role)
                 machine_slabs = cluster.machines[slab.machine_id].slabs
                 assert machine_slabs.get(slab.slab_id) is slab, (arange.range_id, role)
+            if slab.state is SlabState.AVAILABLE:
+                missing = arange.codewords.keys() - slab.store.keys()
+                assert not missing, f"range {arange.range_id} role {role} lacks {sorted(missing)}"
+    page_size = manager.config.page_size
+    for slab in cluster.slabs.values():
+        for page, stored in slab.store.items():
+            assert len(stored) in (slab.split_size, page_size), (slab.slab_id, page, len(stored))
+            assert len(slab.split(page)) == slab.split_size, (slab.slab_id, page)
     if manager.regeneration_requests:
         return
     params = manager.codec.params

@@ -342,13 +342,13 @@ def test_criterion_09_read_your_writes_under_faults():
             if (rid, page) in shadow and (rid, page) not in dirty and rng.random() < 0.4:
                 healthy = manager.ranges[rid].healthy_refs()
                 ref = healthy[int(rng.integers(0, len(healthy)))]
-                store = cluster.slabs[ref.slab_id].store
-                if page in store:
+                slab = cluster.slabs[ref.slab_id]
+                if page in slab.store:
                     cluster.corrupt_slab(
                         ref.slab_id,
                         page,
                         bytes([int(rng.integers(1, 256))]),
-                        offset=int(rng.integers(0, len(store[page]))),
+                        offset=int(rng.integers(0, len(slab.split(page)))),
                     )
                     dirty.add((rid, page))
                     injected += 1
@@ -424,9 +424,9 @@ def test_criterion_10_regeneration_equivalence():
         settle(cluster, manager)
         rebuilt = manager.ranges[0].refs[role]
         assert rebuilt.slab_id != evicted_slab
-        store = cluster.slabs[rebuilt.slab_id].store
+        slab = cluster.slabs[rebuilt.slab_id]
         for page in range(pages):
-            assert store[page] == expected_split(manager.codec, payload[page], role)
+            assert slab.split(page) == expected_split(manager.codec, payload[page], role)
         # the range survives a later fault, proving the rebuild is usable
         cluster.evict_slab(manager.ranges[0].refs[(role + 1) % 6].slab_id)
         manager.drain_regeneration()

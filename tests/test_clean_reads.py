@@ -14,7 +14,7 @@ from codedmem import coding, gf256, manager, placement
 from codedmem.coding import CodecParams
 from codedmem.errors import UncorrectableCorruption
 from codedmem.manager import ManagerConfig, ResilienceManager
-from codedmem.simulator import Cluster, LatencyModel, SlabState
+from codedmem.simulator import Cluster, LatencyModel, SlabState, split_of
 
 
 def build(params, l=0, guard=False, page_size=coding.PAGE_SIZE, seed=0):
@@ -59,8 +59,9 @@ def reads(draw, params):
     n = draw(st.integers(k, width))
     roles = draw(st.permutations(range(width)))[:n]
     times = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))  # ties too
-    # each arrived split is as stored, or an equal copy such as a rebuild
-    # writes; up to two are a corrupted byte or the split of an earlier write
+    # each arrival is as stored, or an equal copy such as a rebuild writes;
+    # up to two are a split with a corrupted byte or what an earlier write
+    # stored
     kinds = draw(st.lists(st.sampled_from(["stored", "copy"]), min_size=n, max_size=n))
     bad = st.tuples(st.integers(0, n - 1), st.sampled_from(["corrupt", "stale"]))
     for at, kind in draw(st.lists(bad, max_size=2)):
@@ -97,7 +98,8 @@ def test_a_read_delivers_what_the_codec_gives_for_its_arrivals(params, guard, da
     for time, role, kind, (offset, mask) in arrivals:
         split = stored[role]
         if kind == "corrupt":
-            raw = bytearray(split)
+            # `corrupt_slab` leaves the split's own bytes, not the page
+            raw = bytearray(split_of(split, role, mgr.codec.split_size))
             raw[offset % len(raw)] ^= mask
             split = bytes(raw)
         elif kind == "stale":
@@ -114,7 +116,8 @@ def test_a_read_delivers_what_the_codec_gives_for_its_arrivals(params, guard, da
     before = {m: list(h.window) for m, h in mgr.health.items()}
     op._decide()
 
-    splits = [arrival[1:] for arrival in sorted(split_arrivals)]
+    size = mgr.codec.split_size
+    splits = [(role, split_of(data, role, size)) for _, role, data in sorted(split_arrivals)]
     outcome, page, corrected, verified, records = codec_outcome(
         mgr.codec, splits, op.guarded, params.delta
     )
@@ -215,9 +218,8 @@ def test_parity_a_write_never_sent_is_rebuilt_from_its_codeword():
     page = bytes(range(200)) * 20 + bytes(96)
     assert mgr.remote_write(0, 0, page).outcome == "degraded"
     # the write records its whole codeword, parity too, though no slab took it
-    data = [page[:2048], page[2048:]]
-    (parity,) = coding.encode(mgr.codec, data)
-    assert arange.codewords[0] == (data[0], data[1], parity)
+    (parity,) = coding.encode(mgr.codec, [page[:2048], page[2048:]])
+    assert arange.codewords[0] == (page, page, parity)
     mgr.drain_regeneration()
     cluster.run_until_idle()
     assert arange.refs[2].store[0] is arange.codewords[0][2]
@@ -228,7 +230,7 @@ def test_a_clean_read_delivers_the_written_bytes_object():
     cluster, mgr, arange = build(params, l=1)
     page = bytes(range(256)) * 16
     mgr.remote_write(0, 0, page)
-    assert arange.pages[0] is page
+    assert arange.codewords[0][0] is page
     delivered = []
     for _ in range(5):
         op = mgr.drive(mgr.submit_read(0, 0))
@@ -248,7 +250,7 @@ def test_a_bytearray_written_then_changed_reads_back_as_written():
     buffer[0] ^= 0xFF
     op = mgr.drive(mgr.submit_read(0, 0))
     assert op.clean and op.page == written
-    assert type(op.page) is bytes and op.page is arange.pages[0]
+    assert type(op.page) is bytes and op.page is arange.codewords[0][0]
 
 
 def test_a_never_written_page_reads_as_the_one_zero_page():
@@ -285,5 +287,5 @@ def test_a_read_that_is_not_clean_delivers_the_page_it_decoded(guard):
     op.arrivals = [(0, role, cluster.slabs[arange.refs[role].slab_id].store[0]) for role in roles]
     op._decide()
     assert op.outcome == "ok" and not op.clean
-    assert op.page == page and op.page is not arange.pages[0]
+    assert op.page == page and op.page is not arange.codewords[0][0]
     assert op.corrected is guard and op.verified is guard

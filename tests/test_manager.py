@@ -122,7 +122,7 @@ class TestWritePath:
         codec = coding.make_codec(CodecParams(k=2, r=1))
         data = [page[:2048], page[2048:]]
         expect = data + coding.encode(codec, data)
-        got = [cluster.slabs[ref.slab_id].store[5] for ref in rng.refs]
+        got = [cluster.slabs[ref.slab_id].split(5) for ref in rng.refs]
         assert got == expect
 
     def test_degraded_write_when_parity_machine_down(self):
@@ -683,7 +683,7 @@ class TestCorruption:
         assert rebuild.done and rebuild.succeeded
         slab = arange.refs[5]
         assert slab is not lost and slab.state is simulator.SlabState.AVAILABLE
-        assert slab.store[0] == coding.codeword(mgr.codec, page)[5]
+        assert slab.split(0) == coding.codeword(mgr.codec, page)[5]
 
 
 class TestOrderingAndEviction:

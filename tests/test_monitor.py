@@ -78,7 +78,7 @@ class TestRegeneration:
         slab = cluster.slabs[arange.refs[2].slab_id]
         assert slab.state is SlabState.AVAILABLE
         for p, payload in payloads.items():
-            assert slab.store[p] == expected_split(params, payload, 2)
+            assert slab.split(p) == expected_split(params, payload, 2)
 
     def test_data_role_regenerates_too(self):
         params = CodecParams(k=2, r=1)
@@ -93,7 +93,7 @@ class TestRegeneration:
         slab = cluster.slabs[arange.refs[0].slab_id]
         assert slab.machine_id != dead
         for p, payload in payloads.items():
-            assert slab.store[p] == expected_split(params, payload, 0)
+            assert slab.split(p) == expected_split(params, payload, 0)
 
     @pytest.mark.parametrize("role", [0, 4, 5, 6])
     def test_every_role_rebuilds_its_own_row(self, role):
@@ -107,7 +107,7 @@ class TestRegeneration:
         assert arange.refs[role].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[role].slab_id]
         for p, payload in payloads.items():
-            assert slab.store[p] == expected_split(params, payload, role)
+            assert slab.split(p) == expected_split(params, payload, role)
 
     def test_regen_target_avoids_range_hosts(self):
         cluster, mgr, payloads = self.settled()
@@ -171,9 +171,9 @@ class TestRegeneration:
         cluster.run_until_idle()
         assert arange.refs[2].state is SlabState.AVAILABLE
         slab = cluster.slabs[arange.refs[2].slab_id]
-        assert slab.store[7] == expected_split(params, fresh, 2)
+        assert slab.split(7) == expected_split(params, fresh, 2)
         for p, payload in payloads.items():
-            assert slab.store[p] == expected_split(params, payload, 2)
+            assert slab.split(p) == expected_split(params, payload, 2)
 
     def test_rebuild_finished_by_a_foreground_write_succeeds(self):
         # the write's backfill lands the last missing page, so the slab is
@@ -270,7 +270,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         assert arange.refs[0].machine_id in arange.group_members
-        assert arange.refs[0].store[0] == expected_split(CodecParams(k=2, r=1), page_of(1), 0)
+        assert arange.refs[0].split(0) == expected_split(CodecParams(k=2, r=1), page_of(1), 0)
         fresh = page_of(2)
         assert mgr.remote_write(0, 0, fresh).outcome == "durable"
         assert mgr.remote_read(0, 0) == fresh
@@ -317,7 +317,7 @@ class TestRegeneration:
         settle()
         for slab in arange.refs[1:]:
             if slab.state is SlabState.AVAILABLE:
-                assert slab.store[0] == expected_split(params, page, slab.role), slab.role
+                assert slab.split(0) == expected_split(params, page, slab.role), slab.role
         # nothing can verify a rebuild at k healthy splits, so the range stays degraded
         assert len(arange.healthy_refs()) == params.k
 
@@ -361,7 +361,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         assert arange.refs[0].state is SlabState.AVAILABLE
         for p, payload in payloads.items():
-            assert arange.refs[0].store[p] == expected_split(params, payload, 0)
+            assert arange.refs[0].split(p) == expected_split(params, payload, 0)
         check_invariants(mgr)
 
     def test_ref_without_target_is_rebuilt_after_an_eviction(self):
@@ -385,7 +385,7 @@ class TestRegeneration:
         cluster.run_until_idle()
         victim = arange.refs[0]
         assert victim.state is SlabState.AVAILABLE and victim.machine_id == spare
-        assert victim.store[0] == expected_split(params, page_of(1), 0)
+        assert victim.split(0) == expected_split(params, page_of(1), 0)
 
     def test_aborted_rebuild_gives_its_room_to_a_parked_ref(self):
         # one group of nine machines with room for one slab each: range 0 on
@@ -409,7 +409,7 @@ class TestRegeneration:
         assert [slab.state in LOST for slab in doomed.refs] == [True, True, False, False]
         victim = parked.refs[0]
         assert victim.state is SlabState.AVAILABLE and victim.machine_id == 8
-        assert victim.store[0] == expected_split(params, page_of(1), 0)
+        assert victim.split(0) == expected_split(params, page_of(1), 0)
         check_invariants(mgr)
 
     def unverifiable_abort(self):
