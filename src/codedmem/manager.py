@@ -81,24 +81,26 @@ else from the stored codeword of the page it decoded, and backfills it onto
 the fresh slab. It takes each page's queue like a foreground op, so it
 never reads a page a write has in flight; foreground writes backfill the
 new slab directly, and the rebuild skips the pages that landed. A rebuild
-whose slab is lost before it is whole aborts and asks again. Each outcome
-(complete, aborted, no_quorum, no_target) is a `regenerate` row of
-`Cluster.event_log`.
+whose slab is lost before it is whole aborts. Each outcome (complete,
+aborted, no_quorum, no_target) is a `regenerate` row of
+`Cluster.event_log`; a queued rebuild that finds fewer than k healthy
+splits, or no spare, logs `no_quorum` or `no_target` and leaves no status.
 
-A lost slot, or one being rebuilt, has one status in its range's
-`rebuild_status`, written only by `_request_regen` and a rebuild's end.
-A disconnect or eviction that loses a slot's slab queues its rebuild;
-the status of a slot that waits says what queues it again:
+One routine, `_reconsider`, queues the rebuild of each slot not whole
+that waits for nothing. A range's `rebuild_status` stores two statuses,
+and a slot not lost carries only `queued`:
 
     queued      a rebuild is asked for or running
-    no_target   no spare in the group: an eviction or recovery there, or
-                room that an aborted rebuild frees there
-    unverified  a page could not be read or verified: a write to the
-                range that completes durable or degraded, which may
-                replace the bad split, or an eviction or recovery in the
-                group
-    no_quorum   fewer than k healthy splits: an eviction or recovery in
-                the group
+    unverified  a rebuild could not read or verify a page
+
+A slot with neither waits while its range has fewer than k healthy splits
+or, if lost, its group no spare: facts recomputed, not stored.
+`_reconsider` runs over a machine's group ranges at its disconnect,
+eviction or recovery; at an aborted rebuild, over the freed slab's group
+ranges, or else its own range; and over the range at a `promote` or a
+write that completes durable or degraded. All but a disconnect and an
+abort also end `unverified` waits, since they may mend the page; an
+abort's retry would abort again and free the same room, without end.
 
 Under the corruption guard with delta > 0, a rebuild fills only from
 verified reads. A read that could not be verified (fewer than k + delta
@@ -139,7 +141,8 @@ class AddressRange:
     # written page -> its last k-acked write's codeword as stored, by role
     # (`_stored_codeword`); role 0 is the page that write was given
     codewords: dict = field(default_factory=dict)
-    rebuild_status: dict = field(default_factory=dict)  # role -> status of a slot not whole
+    # role -> "queued" or "unverified", for a slot not whole that waits on it
+    rebuild_status: dict = field(default_factory=dict)
 
     def healthy_refs(self):
         return [slab for slab in self.refs if slab.state is AVAILABLE]
@@ -368,10 +371,9 @@ class _WriteOp(_PageOp):
         mgr = self.mgr
         # a done write is kept as its completion and needs no buffers or issue state
         self.page = self.codeword = self.wave1_roles = self.roles = None
-        waiting = self.arange.rebuild_status
-        if waiting and outcome != "write-failed":
-            for role in sorted(r for r, status in waiting.items() if status == "unverified"):
-                mgr._request_regen(self.arange.range_id, role)
+        if self.arange.rebuild_status and outcome != "write-failed":
+            # the write may have replaced a split no rebuild could verify
+            mgr._reconsider((self.arange,), retry=True)
         # with async parity the caller unblocked at the k-ack
         if mgr.config.async_parity and self.data_acked_ns is not None:
             self._conclude(outcome, self.data_acked_ns)
@@ -553,10 +555,10 @@ class _Rebuild:
         if self.slab.state is AVAILABLE:
             self._finish(True)
         elif len(self.arange.healthy_refs()) < mgr.codec.params.k:
-            self._abort("no_quorum", outcome="no_quorum")
+            self._abort("no_quorum")
         elif mgr.relocate(self.arange, self.role) is None:
             self._log("no_target")
-            self._finish(False, "no_target")
+            self._finish(False)
         else:
             self._next_page()
 
@@ -591,7 +593,7 @@ class _Rebuild:
         guard = mgr.config.corruption_guard and mgr.codec.params.delta > 0
         if read.outcome != "ok" or (guard and not read.verified):
             self._page_done(advance=False)
-            self._abort("unverified")
+            self._abort(wait="unverified")
             return
         # a read of the recorded page, clean or not, fills with the recorded
         # payload, so the slabs share one page object; the page is held by
@@ -624,41 +626,29 @@ class _Rebuild:
         if advance:
             self._next_page()
 
-    def _abort(self, reason=None, outcome="aborted"):
-        """Free the unfinished slab, so the slot reads as lost, log why, and
-        leave the slot waiting for `reason`, or queued again without one."""
+    def _abort(self, outcome="aborted", wait=None):
+        """Free the unfinished slab, so the slot reads as lost, log why,
+        leave the slot waiting `wait`, if any, and reconsider the slots the
+        freed room may serve, or else this range's."""
         mgr = self.mgr
         slab = self.slab
         freed = slab.state is REGENERATING
         if freed or slab.state is SlabState.FAILED:
             mgr.cluster.free_slab(slab.slab_id)
         self._log(outcome)
-        self._finish(False, reason)
-        if reason is None:
-            mgr._request_regen(self.arange.range_id, self.role)
-        if freed:
-            # only slots that found no spare: one whose read failed would
-            # abort again and free the same room, without end
-            mgr._ask_again(slab.machine_id, _without_target)
+        self._finish(False, wait)
+        mgr._reconsider(mgr._group_ranges[slab.machine_id] if freed else (self.arange,))
 
     def _log(self, outcome):
         self.mgr.cluster.log("regenerate", f"r{self.arange.range_id}:role{self.role}", outcome)
 
-    def _finish(self, ok, reason=None):
+    def _finish(self, ok, wait=None):
         self.done = True
         self.succeeded = ok
-        if reason is None:
+        if wait is None:
             del self.arange.rebuild_status[self.role]
         else:
-            self.arange.rebuild_status[self.role] = reason
-
-
-def _lost(slab, status):
-    return slab.state in LOST
-
-
-def _without_target(slab, status):
-    return status == "no_target" and slab.state in LOST
+            self.arange.rebuild_status[self.role] = wait
 
 
 class ResilienceManager:
@@ -798,16 +788,11 @@ class ResilienceManager:
 
     def handle_disconnect(self, machine_id):
         # the disconnect failed every slab that was live on the machine
-        self._ask_again(
-            machine_id,
-            lambda slab, status: slab.machine_id == machine_id and slab.state is SlabState.FAILED,
-        )
+        self._reconsider(self._group_ranges.get(machine_id, ()))
 
     def _on_eviction(self, slab):
-        arange = self.ranges.get(slab.owner)
-        if arange is not None and arange.refs[slab.role] is slab:
-            self._request_regen(arange.range_id, slab.role)
-        self._ask_again(slab.machine_id, _lost)
+        # the evicted slab's range, and room for a slab of any range in the group
+        self._reconsider(self._group_ranges.get(slab.machine_id, ()), retry=True)
 
     def _on_recover(self, machine_id):
         # every slab on the machine was failed at disconnect and has missed
@@ -816,17 +801,30 @@ class ResilienceManager:
         for slab in list(machine.slabs.values()):
             if slab.owner is not None and slab.state is not SlabState.EVICTED:
                 self.cluster.free_slab(slab.slab_id)
-        self._ask_again(machine_id, _lost)
+        self._reconsider(self._group_ranges.get(machine_id, ()), retry=True)
 
-    def _ask_again(self, machine_id, wants):
-        """Request the rebuild of each slot for which `wants(slab, status)`
-        holds, over the ranges whose group holds `machine_id`: every range
-        with a slab on it or that it may serve as a spare. They are kept in
-        mapping order, the order in which a scan of every range asks."""
-        for arange in self._group_ranges.get(machine_id, ()):
-            for slab in arange.refs:
-                if wants(slab, arange.rebuild_status.get(slab.role)):
-                    self._request_regen(arange.range_id, slab.role)
+    def _reconsider(self, aranges, retry=False):
+        """Queue the rebuild of each slot of `aranges`, in order and then by
+        role, that waits for nothing: not AVAILABLE, not queued, not waiting
+        `unverified` (a wait `retry` ends first), in a range with k healthy
+        splits and, if lost, a group with a spare. A fault handler's ranges
+        are those whose group holds its machine, in mapping order."""
+        k = self.codec.params.k
+        for arange in aranges:
+            waiting = arange.rebuild_status
+            if retry and waiting:
+                for role in [r for r, status in waiting.items() if status == "unverified"]:
+                    del waiting[role]
+            idle = [s for s in arange.refs if s.state is not AVAILABLE and s.role not in waiting]
+            if not idle or len(arange.healthy_refs()) < k:
+                continue
+            hosting = {s.machine_id for s in arange.refs if s.state not in LOST}
+            spare = self._least_loaded(arange.group_members, 1, hosting)
+            for slab in idle:
+                # relocate keeps a REGENERATING slab, so it needs no spare
+                if spare or slab.state is REGENERATING:
+                    waiting[slab.role] = "queued"
+                    self.regeneration_requests.append((arange.range_id, slab.role))
 
     def relocate(self, arange, role):
         """The slab for `role`: its own while live, else a fresh one.
@@ -874,21 +872,15 @@ class ResilienceManager:
         """True once the slab in slot `role` is AVAILABLE.
 
         A REGENERATING slab that holds every written page becomes AVAILABLE
-        here, whichever write filled its last page, and its rebuild logs its
-        `complete` row.
+        here, whichever write filled its last page: this logs its rebuild's
+        `complete` row and reconsiders the range, one split healthier.
         """
         slab = arange.refs[role]
         if slab.state is REGENERATING and arange.codewords.keys() <= slab.store.keys():
             slab.state = AVAILABLE
             self.cluster.log("regenerate", f"r{arange.range_id}:role{role}", "complete")
+            self._reconsider((arange,), retry=True)
         return slab.state is AVAILABLE
-
-    def _request_regen(self, range_id, role):
-        waiting = self.ranges[range_id].rebuild_status
-        if waiting.get(role) == "queued":
-            return
-        waiting[role] = "queued"
-        self.regeneration_requests.append((range_id, role))
 
     def drain_regeneration(self):
         """Start a rebuild for every queued request, in order; the records."""

@@ -4,8 +4,9 @@ from collections import Counter
 
 from codedmem.simulator import LOST, MachineState, SlabState
 
-# the rebuild statuses a lost slot may have: queued, or the reason it waits
-WAITING = ("queued", "no_target", "unverified", "no_quorum")
+# the rebuild statuses a slot may carry: its rebuild is queued or running,
+# or it waits for a write or a fault event to retry an unverifiable read
+WAITING = ("queued", "unverified")
 
 
 def check_invariants(manager):
@@ -21,14 +22,10 @@ def check_invariants(manager):
     - each range's live refs sit on distinct machines
     - every ref's machine is a member of its range's group
     - no op holds a page's queue once the cluster is idle
-    - every lost ref's slot has its rebuild queued, or a recorded reason
-      to wait (``AddressRange.rebuild_status``)
     - every AVAILABLE ref holds every page in its range's ``codewords``
     - every stored object is a split or a whole page, and resolves through
       ``Slab.split`` to exactly ``split_size`` bytes
-    - with no rebuild request queued, no ref is lost while its range could
-      be rebuilt: while the range has k healthy splits (k + delta under the
-      guard) and its group an up spare with room for the slab
+    - the rebuild statuses are consistent (``check_rebuild_statuses``)
     """
     cluster = manager.cluster
     assert not manager._locks, f"page queues held at idle: {sorted(manager._locks)}"
@@ -49,10 +46,7 @@ def check_invariants(manager):
         for role, slab in enumerate(arange.refs):
             assert slab.role == role, (arange.range_id, role)
             assert slab.machine_id in arange.group_members, (arange.range_id, role)
-            if slab.state in LOST:
-                status = arange.rebuild_status.get(role)
-                assert status in WAITING, f"range {arange.range_id} role {role} lost, {status}"
-            else:
+            if slab.state not in LOST:
                 assert cluster.slabs.get(slab.slab_id) is slab, (arange.range_id, role)
                 machine_slabs = cluster.machines[slab.machine_id].slabs
                 assert machine_slabs.get(slab.slab_id) is slab, (arange.range_id, role)
@@ -64,20 +58,58 @@ def check_invariants(manager):
         for page, stored in slab.store.items():
             assert len(stored) in (slab.split_size, page_size), (slab.slab_id, page, len(stored))
             assert len(slab.split(page)) == slab.split_size, (slab.slab_id, page)
-    if manager.regeneration_requests:
-        return
+    check_rebuild_statuses(manager)
+
+
+def spares(manager, arange):
+    """The members of a range's group that are up, have room for a slab and
+    host no live split of the range."""
+    machines = manager.cluster.machines
+    hosting = {slab.machine_id for slab in arange.refs if slab.state not in LOST}
+    return [
+        m
+        for m in arange.group_members
+        if m not in hosting
+        and machines[m].state is MachineState.UP
+        and machines[m].free_bytes >= manager.config.slab_size
+    ]
+
+
+def check_rebuild_statuses(manager):
+    """Assert that no slot waits for nothing, and no status is stale.
+
+    - every lost ref's slot is ``queued`` or waits ``unverified``
+      (``AddressRange.rebuild_status``), or its range has fewer than k
+      healthy splits, or its group no up spare with room for the slab
+    - a slot that is not lost carries no status but ``queued``, and a
+      REGENERATING one is ``queued`` unless its range has fewer than k
+      healthy splits
+    - with no rebuild request queued, no ref is lost, unless it waits
+      ``unverified``, while its range could be rebuilt: while the range has
+      k healthy splits (k + delta under the guard) and its group a spare
+    """
     params = manager.codec.params
     floor = params.k + (params.delta if manager.config.corruption_guard else 0)
     for arange in manager.ranges.values():
-        lost = [slab.role for slab in arange.refs if slab.state in LOST]
-        if not lost or len(arange.healthy_refs()) < floor:
+        healthy = len(arange.healthy_refs())
+        for role, slab in enumerate(arange.refs):
+            status = arange.rebuild_status.get(role)
+            where = f"range {arange.range_id} role {role}"
+            if slab.state in LOST:
+                assert status in WAITING or healthy < params.k or not spares(manager, arange), (
+                    f"{where} lost beside a spare at {healthy} healthy, status {status}"
+                )
+            else:
+                assert status in (None, "queued"), f"{where} {slab.state.name} carries {status}"
+                if slab.state is SlabState.REGENERATING:
+                    assert status or healthy < params.k, f"{where} rebuilt by nothing"
+        if manager.regeneration_requests:
             continue
-        hosting = {slab.machine_id for slab in arange.refs if slab.state not in LOST}
-        spares = [
-            m
-            for m in arange.group_members
-            if m not in hosting
-            and cluster.machines[m].state is MachineState.UP
-            and cluster.machines[m].free_bytes >= manager.config.slab_size
+        lost = [
+            slab.role
+            for slab in arange.refs
+            if slab.state in LOST and arange.rebuild_status.get(slab.role) != "unverified"
         ]
-        assert not spares, f"range {arange.range_id} roles {lost} lost beside spares {spares}"
+        if lost and healthy >= floor:
+            found = spares(manager, arange)
+            assert not found, f"range {arange.range_id} roles {lost} lost beside spares {found}"

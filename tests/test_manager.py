@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from invariants import spares
 
 from codedmem import coding, manager, placement, simulator
 from codedmem.coding import CodecParams
@@ -724,40 +725,42 @@ class TestOrderingAndEviction:
         assert mgr.remote_read(0, 0) == page_of(19)  # still recoverable
 
 
-def scanned_requests(mgr, machine_id, handler):
-    """The rebuild requests a fault handler makes, found by scanning every
-    range in mapping order and every slab in role order."""
+def scanned_requests(mgr, machine_id, retry):
+    """The rebuild requests a fault handler makes by the rule, found by
+    scanning every range in mapping order and every slab in role order: a
+    slot not AVAILABLE, not queued, not waiting `unverified` unless
+    `retry`, in a range with k healthy splits and, if lost, a spare."""
     keys = []
     for arange in mgr.ranges.values():
+        if machine_id not in arange.group_members:
+            continue
+        quorum = len(arange.healthy_refs()) >= mgr.codec.params.k
+        room = bool(spares(mgr, arange))
         for slab in arange.refs:
-            key = (arange.range_id, slab.role)
-            state = slab.state
-            if handler == "disconnect":
-                hit = slab.machine_id == machine_id and state is simulator.SlabState.FAILED
-            else:
-                hit = (
-                    machine_id in arange.group_members
-                    and state in simulator.LOST
-                    and (handler == "retry" or arange.rebuild_status.get(slab.role) == "no_target")
-                )
-            if hit:
-                keys.append(key)
+            status = arange.rebuild_status.get(slab.role)
+            if (
+                slab.state is not simulator.SlabState.AVAILABLE
+                and status != "queued"
+                and (status is None or retry)
+                and quorum
+                and (room or slab.state is simulator.SlabState.REGENERATING)
+            ):
+                keys.append((arange.range_id, slab.role))
     return keys
 
 
 class TestFaultHandlerIndex:
-    HANDLERS = {
-        "disconnect": lambda mgr, m: mgr.handle_disconnect(m),
-        "retry": lambda mgr, m: mgr._ask_again(m, manager._lost),
-        "parked": lambda mgr, m: mgr._ask_again(m, manager._without_target),
-    }
-
-    def handler_requests(self, mgr, machine_id, handler, monkeypatch):
-        made = []
+    def handler_requests(self, mgr, machine_id, retry, monkeypatch):
+        """The requests `_reconsider` makes over the machine's group ranges
+        were no rebuild queued yet; the manager is left as it was."""
         with monkeypatch.context() as patch:
-            patch.setattr(mgr, "_request_regen", lambda *key: made.append(key))
-            self.HANDLERS[handler](mgr, machine_id)
-        return made
+            patch.setattr(mgr, "regeneration_requests", [])
+            for arange in mgr.ranges.values():
+                waits = {r: s for r, s in arange.rebuild_status.items() if s != "queued"}
+                patch.setattr(arange, "rebuild_status", waits)
+            expected = scanned_requests(mgr, machine_id, retry)
+            mgr._reconsider(mgr._group_ranges.get(machine_id, ()), retry)
+            return mgr.regeneration_requests, expected
 
     def test_handlers_request_in_scan_order_after_churn(self, monkeypatch):
         # three groups of four, ranges mapped between faults so their
@@ -766,7 +769,7 @@ class TestFaultHandlerIndex:
         params = CodecParams(k=2, r=1)
         cluster, mgr = build(n, params, l=1, seed=5, cluster=flat_cluster(n, machine_bytes=5 << 16))
         rng = np.random.default_rng(8)
-        nonempty = {handler: 0 for handler in self.HANDLERS}
+        nonempty = {False: 0, True: 0}
         for step in range(250):
             action = int(rng.integers(0, 5))
             m = int(rng.integers(0, n))
@@ -788,10 +791,10 @@ class TestFaultHandlerIndex:
                 mgr.drain_regeneration()
             cluster.run_until_idle()
             for machine_id in range(n):
-                for handler in self.HANDLERS:
-                    made = self.handler_requests(mgr, machine_id, handler, monkeypatch)
-                    assert made == scanned_requests(mgr, machine_id, handler), (step, handler)
-                    nonempty[handler] += bool(made)
+                for retry in nonempty:
+                    made, expected = self.handler_requests(mgr, machine_id, retry, monkeypatch)
+                    assert made == expected, (step, machine_id, retry)
+                    nonempty[retry] += bool(made)
         assert len(mgr.ranges) > 6
         assert all(nonempty.values()), nonempty
 

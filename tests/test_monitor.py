@@ -196,14 +196,54 @@ class TestRegeneration:
     def test_regen_aborts_without_quorum(self):
         cluster, mgr, payloads = self.settled()
         arange = mgr.ranges[0]
-        cluster.fail_machine(arange.refs[0].machine_id)
-        cluster.fail_machine(arange.refs[1].machine_id)
-        cluster.fail_machine(arange.refs[2].machine_id)
+        dead = [slab.machine_id for slab in arange.refs]
+        for m in dead:
+            cluster.fail_machine(m)
         cluster.run_until_idle()
+        # only the first failure left k healthy splits beside the spare
+        assert mgr.regeneration_requests == [(0, 0)]
+        (rebuild,) = mgr.drain_regeneration()
+        cluster.run_until_idle()
+        assert rebuild.done and not rebuild.succeeded
+        rows = [row[2:] for row in cluster.event_log if row[1] == "regenerate"]
+        assert rows == [("r0:role0", "no_quorum")]
+        assert all(slab.state in LOST for slab in arange.refs)
+        assert not arange.rebuild_status
+        # the range still has no quorum, so its recovery starts no rebuild
+        # and frees every slab it held
+        for m in dead:
+            cluster.recover_machine(m)
+        assert not mgr.regeneration_requests
+        assert not any(slab.owner == 0 for slab in cluster.slabs.values())
+        check_invariants(mgr)
+
+    def test_a_promotion_queues_the_slots_beside_it(self):
+        # one group of six machines: range 0 on four, two spares. Role 0 is
+        # evicted under a write in flight and roles 2 and 3 fail, so the
+        # drained rebuilds find fewer than k healthy splits
+        cluster, mgr = build(6, CodecParams(k=2, r=2), l=2)
+        arange = mgr.map_range(0)
+        assert mgr.remote_write(0, 0, page_of(1)).outcome == "durable"
+        write = mgr.submit_write(0, 0, page_of(2))
+        cluster.evict_slab(arange.refs[0].slab_id)
+        for role in (2, 3):
+            cluster.fail_machine(arange.refs[role].machine_id)
+        assert mgr.regeneration_requests == [(0, 0), (0, 2)]
+        mgr.drain_regeneration()
+        assert not arange.rebuild_status
+        # the write resends role 0's split to a fresh slab, whose promotion
+        # gives the range k healthy splits again
+        cluster.run_until_idle()
+        assert write.outcome == "degraded"
+        assert arange.refs[0].state is SlabState.AVAILABLE
+        assert arange.rebuild_status == {2: "queued", 3: "queued"}
+        assert mgr.regeneration_requests == [(0, 2), (0, 3)]
+        check_invariants(mgr)
         mgr.drain_regeneration()
         cluster.run_until_idle()
-        assert all(slab.state in LOST for slab in arange.refs)
-        assert not any(slab.owner == 0 for slab in cluster.slabs.values())
+        assert all(slab.state is SlabState.AVAILABLE for slab in arange.refs)
+        assert not arange.rebuild_status
+        check_invariants(mgr)
 
     def test_recover_frees_the_slab_a_ref_left(self):
         cluster, mgr, payloads = self.settled()
@@ -375,9 +415,9 @@ class TestRegeneration:
         filler = cluster.machines[spare].allocate_slab(SLAB)
         cluster.fail_machine(arange.refs[0].machine_id)
         cluster.run_until_idle()
-        (rebuild,) = mgr.drain_regeneration()
-        assert rebuild.done and not rebuild.succeeded
-        assert arange.refs[0].state in LOST and not mgr.regeneration_requests
+        # with no spare, the failure queues nothing, so a drain starts nothing
+        assert mgr.drain_regeneration() == []
+        assert arange.refs[0].state in LOST and not arange.rebuild_status
         # the eviction alone makes room on the spare; nothing recovers
         cluster.evict_slab(filler.slab_id)
         assert mgr.regeneration_requests == [(0, 0)]
