@@ -9,8 +9,11 @@ corruptions and k+2*delta+1 locate and repair them.
 A row is ``bytes`` throughout. ``codeword`` is the one place a page
 becomes its k+r rows, a tuple indexed by role: the page's k data rows,
 then the r parity rows ``encode`` makes from them with
-``gf256.apply_matrix``. A split is an (index, row) pair only where its
-index carries meaning, in what ``decode``, ``detect_corruption`` and
+``gf256.apply_matrix``. A ``Parity`` record holds a page's parity until
+something reads it: its first ``row`` call makes all r rows through
+``codeword`` and keeps them, so a page whose parity no one reads is never
+encoded. A split is an (index, row) pair only where its index carries
+meaning, in what ``decode``, ``detect_corruption`` and
 ``correct_corruption`` take.
 
 A decode inverts the generator rows of the k splits it uses, keeps the
@@ -119,6 +122,35 @@ def codeword(codec, page):
     padded = page.ljust(size * k, b"\x00")
     data = [padded[i * size : (i + 1) * size] for i in range(k)]
     return tuple(data + encode(codec, data))
+
+
+class Parity:
+    """The r parity rows of a page, made on first use.
+
+    ``row(role)`` makes every row once through ``codeword``, keeps them and
+    returns the one of that role. Two records of one codec are equal when
+    their pages are, as their rows then are.
+    """
+
+    __slots__ = ("codec", "page", "rows")
+
+    def __init__(self, codec, page):
+        self.codec = codec
+        self.page = page
+        self.rows = None  # the r parity rows, once made
+
+    def row(self, role):
+        rows = self.rows
+        if rows is None:
+            rows = self.rows = codeword(self.codec, self.page)[self.codec.params.k :]
+        return rows[role - self.codec.params.k]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Parity):
+            return NotImplemented
+        return self.codec is other.codec and self.page == other.page
 
 
 def _generator_row(codec, index):

@@ -22,19 +22,22 @@ A write builds its page's codeword once, as its slabs store it
 (`_stored_codeword`), and records it in its range's `codewords`, keyed by
 the written pages, at the k-ack. A data split is its page, in place: a data
 role whose split starts inside the page stores the page object the write
-was given, and every other role its row of `coding.codeword`; the data
-rows it does not keep are dropped once the parity is made.
-`simulator.split_of` is the one reader of that form. A read first compares what arrived with that codeword,
-an identity hit for a page stored in place, or with `zero_codeword`, the
-split rows an empty slab serves, for a page never written. When all are
-equal the read is `clean`: it delivers role 0's object, the written page
-itself, or the manager's one `zero_page`, with no copy and no codec, since
-any k splits of one codeword decode to its page and every extra split
-checks against it. A read that is not clean cuts what arrived into splits
-for the codec. The trade: a range keeps each written page alive after its
-caller drops its own, as the one copy its slabs share; a caller that keeps
-a shadow of what it wrote, as `analysis._run_coded` and the benchmark do,
-shares it.
+was given, and a data role past the page a zero row. Every parity role
+stores the page's one `coding.Parity` record, so a write encodes nothing:
+the parity rows are made when something first reads them as bytes (a read
+that is not clean, a corruption, a check), and virtual time still charges
+the encode where a write sends parity. `simulator.split_of` is the one
+reader of that form. A read first compares what arrived with that
+codeword, an identity hit for a page or record the write stored, or with
+`zero_codeword`, the split rows an empty slab serves, for a page never
+written. When all are equal the read is `clean`: it delivers role 0's
+object, the written page itself, or the manager's one `zero_page`, with no
+copy and no codec, since any k splits of one codeword decode to its page
+and every extra split checks against it. A read that is not clean cuts
+what arrived into splits for the codec. The trade: a range keeps each
+written page alive after its caller drops its own, as the one copy its
+slabs share; a caller that keeps a shadow of what it wrote, as
+`analysis._run_coded` and the benchmark do, shares it.
 
 A read decides once, when `need` splits have arrived or none is left in
 flight: k for an unguarded read, its whole fan-out for a guarded one;
@@ -78,13 +81,14 @@ request, one record whose `done` and `succeeded` its caller reads. A
 rebuild reads each written page from k healthy slabs, takes the lost split
 from the recorded codeword when the read delivers the recorded page, or
 else from the stored codeword of the page it decoded, and backfills it onto
-the fresh slab. It takes each page's queue like a foreground op, so it
-never reads a page a write has in flight; foreground writes backfill the
-new slab directly, and the rebuild skips the pages that landed. A rebuild
-whose slab is lost before it is whole aborts. Each outcome (complete,
-aborted, no_quorum, no_target) is a `regenerate` row of
-`Cluster.event_log`; a queued rebuild that finds fewer than k healthy
-splits, or no spare, logs `no_quorum` or `no_target` and leaves no status.
+the fresh slab; a parity slot takes a record, so a rebuild makes no rows.
+It takes each page's queue like a foreground op, so it never reads a page
+a write has in flight; foreground writes backfill the new slab directly,
+and the rebuild skips the pages that landed. A rebuild whose slab is lost
+before it is whole aborts. Each outcome (complete, aborted, no_quorum,
+no_target) is a `regenerate` row of `Cluster.event_log`; a queued rebuild
+that finds fewer than k healthy splits, or no spare, logs `no_quorum` or
+`no_target` and leaves no status.
 
 One routine, `_reconsider`, queues the rebuild of each slot not whole
 that waits for nothing. A range's `rebuild_status` stores two statuses,
@@ -150,10 +154,12 @@ class AddressRange:
 
 def _stored_codeword(codec, page):
     """A page's codeword by role as slabs store it: the page itself for each
-    data role whose split starts inside it, then `coding.codeword`'s rows
-    for the rest, zero rows of padding and the parity."""
+    data role whose split starts inside it, a zero row for each other data
+    role, then one `coding.Parity` record of the page for every parity role."""
+    k, r = codec.params.k, codec.params.r
     inside = -(-len(page) // codec.split_size)
-    return (page,) * inside + coding.codeword(codec, page)[inside:]
+    padding = (bytes(codec.split_size),) * (k - inside)
+    return (page,) * inside + padding + (coding.Parity(codec, page),) * r
 
 
 ERROR_CORRECTION_LIMIT = 0.05  # error rate above which a machine is suspect
@@ -483,7 +489,7 @@ class _ReadOp(_PageOp):
                 break
         self.clean = page is not None
         if page is None:
-            # the codec takes split bytes, not a page stored in place
+            # the codec takes split bytes, not a page stored in place or a record
             size = mgr.codec.split_size
             splits = [(role, split_of(data, role, size)) for role, data in splits]
         # k + delta splits detect up to delta corruptions, k + 2*delta + 1 locate them
@@ -596,8 +602,8 @@ class _Rebuild:
             self._abort(wait="unverified")
             return
         # a read of the recorded page, clean or not, fills with the recorded
-        # payload, so the slabs share one page object; the page is held by
-        # the rebuild, so no write changed the codeword since
+        # payload, so the slabs share one page object or parity record; the
+        # page is held by the rebuild, so no write changed the codeword since
         recorded = self.arange.codewords[self.page]
         if read.page == recorded[0]:
             payload = recorded[self.role]

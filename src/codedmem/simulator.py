@@ -132,10 +132,14 @@ class SplitLatencies:
 def split_of(stored, role, split_size):
     """The split of `role` that a slab's stored object holds.
 
-    An object of `split_size` bytes is the split itself. A longer one is the
-    page the split was cut from, stored in place: its split is the
-    `split_size` bytes from `role * split_size` on, zero-padded.
+    A `bytes` object of `split_size` bytes is the split itself. A longer one
+    is the page the split was cut from, stored in place: its split is the
+    `split_size` bytes from `role * split_size` on, zero-padded. Any other
+    object is a record of rows made on first use, and its `row(role)` is
+    the split.
     """
+    if not isinstance(stored, bytes):
+        return stored.row(role)
     if len(stored) == split_size:
         return stored
     start = role * split_size
@@ -151,7 +155,8 @@ class Slab:
     role: object = None  # split index within the owner range
     split_size: int = 0
     state: SlabState = SlabState.AVAILABLE
-    # page index -> its split, or the page the split is cut from (`split_of`)
+    # page index -> its split, the page the split is cut from, or a record
+    # that makes the split when first read (`split_of`)
     store: dict = field(default_factory=dict)
 
     def split(self, page_index):
@@ -283,9 +288,11 @@ class Cluster:
         return self._submit_io("read_split", machine_id, slab_id, page_index, None, on_done)
 
     def write_split(self, machine_id, slab_id, page_index, data, on_done, fill=False):
-        return self._submit_io(
-            "write_split", machine_id, slab_id, page_index, bytes(data), on_done, fill
-        )
+        # a bytearray is copied, so its caller may reuse it; bytes and a
+        # record are stored as given
+        if isinstance(data, bytearray):
+            data = bytes(data)
+        return self._submit_io("write_split", machine_id, slab_id, page_index, data, on_done, fill)
 
     # -- faults -----------------------------------------------------------
 
@@ -362,8 +369,8 @@ class Cluster:
     def corrupt_slab(self, slab_id, page_index, mask, offset=0):
         """XOR `mask` into the stored split from byte `offset` on; mask bytes
         past the split's end fall off. The slab then stores the split's own
-        bytes, so a page stored in place is left as it was. Logs `absent`,
-        `unchanged` or `corrupted`."""
+        bytes, so a page stored in place, or a record other slabs share, is
+        left as it was. Logs `absent`, `unchanged` or `corrupted`."""
         slab = self._slab(slab_id)
         entity = f"m{slab.machine_id}:s{slab_id}:p{page_index}"
         if page_index not in slab.store:

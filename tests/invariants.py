@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+from codedmem import coding
 from codedmem.simulator import LOST, MachineState, SlabState
 
 # the rebuild statuses a slot may carry: its rebuild is queued or running,
@@ -23,8 +24,11 @@ def check_invariants(manager):
     - every ref's machine is a member of its range's group
     - no op holds a page's queue once the cluster is idle
     - every AVAILABLE ref holds every page in its range's ``codewords``
-    - every stored object is a split or a whole page, and resolves through
-      ``Slab.split`` to exactly ``split_size`` bytes
+    - every stored object is split bytes, the page in place on a data
+      role, or a ``coding.Parity`` record on a parity role whose page is
+      ``page_size`` bytes and whose ``row(role)`` equals that role's row of
+      ``coding.codeword`` of the page; each resolves through ``Slab.split``
+      to exactly ``split_size`` bytes
     - the rebuild statuses are consistent (``check_rebuild_statuses``)
     """
     cluster = manager.cluster
@@ -53,11 +57,22 @@ def check_invariants(manager):
             if slab.state is SlabState.AVAILABLE:
                 missing = arange.codewords.keys() - slab.store.keys()
                 assert not missing, f"range {arange.range_id} role {role} lacks {sorted(missing)}"
-    page_size = manager.config.page_size
+    codec = manager.codec
+    page_size, k = codec.page_size, codec.params.k
+    codewords = {}  # id of a record -> the codeword of its page, made once here
     for slab in cluster.slabs.values():
         for page, stored in slab.store.items():
-            assert len(stored) in (slab.split_size, page_size), (slab.slab_id, page, len(stored))
-            assert len(slab.split(page)) == slab.split_size, (slab.slab_id, page)
+            where = (slab.slab_id, page, slab.role, type(stored).__name__)
+            if isinstance(stored, coding.Parity):
+                assert slab.role >= k and len(stored.page) == page_size, where
+                if id(stored) not in codewords:
+                    codewords[id(stored)] = coding.codeword(codec, stored.page)
+                assert stored.row(slab.role) == codewords[id(stored)][slab.role], where
+            else:
+                assert type(stored) is bytes, where
+                in_place = slab.role < k and len(stored) == page_size
+                assert in_place or len(stored) == slab.split_size, (*where, len(stored))
+            assert len(slab.split(page)) == slab.split_size, where
     check_rebuild_statuses(manager)
 
 

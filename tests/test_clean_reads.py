@@ -17,12 +17,12 @@ from codedmem.manager import ManagerConfig, ResilienceManager
 from codedmem.simulator import Cluster, LatencyModel, SlabState, split_of
 
 
-def build(params, l=0, guard=False, page_size=coding.PAGE_SIZE, seed=0):
+def build(params, l=0, guard=False, page_size=coding.PAGE_SIZE, seed=0, async_parity=True):
     n = params.k + params.r + l
     model = LatencyModel(median_us=1.5, sigma=0.0, straggler_prob=0.0)
     cluster = Cluster(n, latency=model, seed=seed)
     plan = placement.build_codingsets(placement.ClusterShape(machines=n), params, l=l, seed=seed)
-    config = ManagerConfig(page_size=page_size, corruption_guard=guard)
+    config = ManagerConfig(page_size=page_size, corruption_guard=guard, async_parity=async_parity)
     mgr = ResilienceManager(cluster, plan, params, config=config, seed=seed)
     return cluster, mgr, mgr.map_range(0)
 
@@ -59,7 +59,8 @@ def reads(draw, params):
     n = draw(st.integers(k, width))
     roles = draw(st.permutations(range(width)))[:n]
     times = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))  # ties too
-    # each arrival is as stored, or an equal copy such as a rebuild writes;
+    # each arrival is as stored, or an equal copy such as a rebuild writes
+    # (a parity record of an equal page object);
     # up to two are a split with a corrupted byte or what an earlier write
     # stored
     kinds = draw(st.lists(st.sampled_from(["stored", "copy"]), min_size=n, max_size=n))
@@ -104,6 +105,8 @@ def test_a_read_delivers_what_the_codec_gives_for_its_arrivals(params, guard, da
             split = bytes(raw)
         elif kind == "stale":
             split = stale[role]
+        elif kind == "copy" and isinstance(split, coding.Parity):
+            split = coding.Parity(mgr.codec, bytes(bytearray(split.page)))
         elif kind == "copy":
             split = bytes(bytearray(split))
         split_arrivals.append((time, role, split))
@@ -143,6 +146,60 @@ def gf_calls(monkeypatch):
 
         monkeypatch.setattr(gf256, name, counted)
     return calls
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The pages `coding.encode` has made parity rows for, in call order."""
+    made = []
+    real = coding.encode
+
+    def counted(codec, data):
+        made.append(b"".join(data))
+        return real(codec, data)
+
+    monkeypatch.setattr(coding, "encode", counted)
+    return made
+
+
+@pytest.mark.parametrize("async_parity", [True, False], ids=["async", "sync"])
+@pytest.mark.parametrize("guard", [False, True])
+def test_writes_and_clean_reads_make_no_gf_calls(guard, async_parity, gf_calls, encodes):
+    params = CodecParams(k=4, r=3, delta=1)
+    cluster, mgr, arange = build(params, l=1, guard=guard, async_parity=async_parity)
+    # the manager made its zero codeword
+    gf_calls.update(apply_matrix=0, mat_inv=0)
+    encodes.clear()
+    pages = {p: bytes([p + 1, p + 2]) * 2048 for p in range(4)}
+    for p, page in pages.items():
+        assert mgr.remote_write(0, p, page).outcome == "durable"
+    cluster.run_until_idle()
+    for p, page in pages.items():
+        op = mgr.drive(mgr.submit_read(0, p))
+        assert op.outcome == "ok" and op.clean and op.page is page
+        # every parity slab holds the write's one record, its rows never made
+        record = arange.codewords[p][params.k]
+        assert record.rows is None
+        for ref in arange.refs[params.k :]:
+            assert cluster.slabs[ref.slab_id].store[p] is record
+    assert gf_calls == {"apply_matrix": 0, "mat_inv": 0} and encodes == []
+
+
+def test_a_corrected_read_makes_the_pages_rows_once(encodes):
+    params = CodecParams(k=2, r=3, delta=1)
+    cluster, mgr, arange = build(params, guard=True)
+    encodes.clear()  # the manager's zero codeword
+    page = bytes(range(256)) * 16
+    mgr.remote_write(0, 0, page)
+    cluster.run_until_idle()
+    cluster.corrupt_slab(arange.refs[1].slab_id, 0, b"\x10")
+    # a suspect machine widens the first hop to every split, parity too
+    mgr.health[arange.refs[1].machine_id].record(False)
+    for made in ([page], [page]):
+        op = mgr.drive(mgr.submit_read(0, 0))
+        assert op.outcome == "ok" and op.page == page and op.corrected
+        assert encodes == made  # the second read finds the rows made
+    assert arange.codewords[0][2].rows is not None
 
 
 @pytest.mark.parametrize("guard", [False, True])
@@ -207,6 +264,8 @@ def test_a_clean_rebuild_fills_with_the_codewords_own_split(role, gf_calls):
     assert slab.state is SlabState.AVAILABLE
     for p, codeword in arange.codewords.items():
         assert slab.store[p] is codeword[role]
+        if role >= params.k:  # the write's parity record, its rows never made
+            assert isinstance(codeword[role], coding.Parity) and codeword[role].rows is None
     assert gf_calls == {"apply_matrix": 0, "mat_inv": 0}
 
 
@@ -219,10 +278,13 @@ def test_parity_a_write_never_sent_is_rebuilt_from_its_codeword():
     assert mgr.remote_write(0, 0, page).outcome == "degraded"
     # the write records its whole codeword, parity too, though no slab took it
     (parity,) = coding.encode(mgr.codec, [page[:2048], page[2048:]])
-    assert arange.codewords[0] == (page, page, parity)
+    recorded = arange.codewords[0]
+    assert recorded[:2] == (page, page) and isinstance(recorded[2], coding.Parity)
+    assert recorded[2].page is page
     mgr.drain_regeneration()
     cluster.run_until_idle()
-    assert arange.refs[2].store[0] is arange.codewords[0][2]
+    assert arange.refs[2].store[0] is recorded[2]
+    assert arange.refs[2].split(0) == parity
 
 
 def test_a_clean_read_delivers_the_written_bytes_object():

@@ -154,6 +154,30 @@ class TestEncode:
         assert coding.codeword(codec, page) == expect
         assert len(calls) == 1  # through the module's name, where a tracer wraps it
 
+    @pytest.mark.parametrize("k, r", [(8, 2), (4, 3), (1, 2)])
+    def test_a_parity_record_makes_its_rows_once_on_first_use(self, k, r, monkeypatch):
+        codec = coding.make_codec(coding.CodecParams(k=k, r=r))
+        page = random_page(np.random.default_rng(20 * k + r))
+        word = coding.codeword(codec, page)
+        calls = []
+        real = coding.encode
+        monkeypatch.setattr(coding, "encode", lambda *a: calls.append(a) or real(*a))
+        record = coding.Parity(codec, page)
+        assert record.rows is None and calls == []
+        assert [record.row(role) for role in range(k, k + r)] == list(word[k:])
+        assert record.row(k) is record.row(k) and len(calls) == 1
+
+    def test_parity_records_are_equal_when_their_pages_are(self):
+        codec = coding.make_codec(coding.CodecParams(k=4, r=2))
+        page = random_page(np.random.default_rng(6))
+        record = coding.Parity(codec, page)
+        assert record == record and record == coding.Parity(codec, bytes(bytearray(page)))
+        assert record != coding.Parity(codec, bytes(len(page)))
+        other = coding.make_codec(coding.CodecParams(k=4, r=2))
+        assert record != coding.Parity(other, page)
+        # a record is never its rows' bytes, which a clean check compares by value
+        assert record != record.row(4) and record.row(4) != record
+
     def test_length_mismatch_rejected(self):
         codec = coding.make_codec(coding.CodecParams(k=2, r=1))
         with pytest.raises(LengthMismatch):

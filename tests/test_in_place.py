@@ -1,6 +1,8 @@
 """A data split is its page, in place: a write stores the page object it was
-given in every data-role slab whose split starts inside the page, and
-`Slab.split` cuts the role's split from it wherever split bytes are needed.
+given in every data-role slab whose split starts inside the page, and one
+`coding.Parity` record of the page in every parity-role slab. `Slab.split`
+cuts the role's split from the page, or has the record make its rows,
+wherever split bytes are needed.
 """
 
 import numpy as np
@@ -31,6 +33,11 @@ def in_place(codec, role):
     return role < codec.params.k and role * codec.split_size < codec.page_size
 
 
+def is_record_of(stored, page):
+    """True when `stored` is a parity record of the very page object."""
+    return isinstance(stored, coding.Parity) and stored.page is page
+
+
 def test_split_of_cuts_a_page_and_keeps_a_split():
     split = b"\x07\x08"
     assert split_of(split, 3, 2) is split
@@ -44,13 +51,17 @@ def test_every_data_role_stores_the_page_object_it_was_given():
     assert mgr.remote_write(0, 2, page).outcome == "durable"
     cluster.run_until_idle()
     rows = coding.codeword(mgr.codec, page)
+    record = arange.codewords[2][params.k]
     for role, ref in enumerate(arange.refs):
-        stored = cluster.slabs[ref.slab_id].store[2]
+        slab = cluster.slabs[ref.slab_id]
+        stored = slab.store[2]
         assert stored is arange.codewords[2][role]
         if role < params.k:
             assert stored is page
         else:
-            assert stored == rows[role] and len(stored) == mgr.codec.split_size
+            # every parity role shares the one record, made into rows when read
+            assert stored is record and is_record_of(stored, page)
+        assert slab.split(2) == rows[role] and len(slab.split(2)) == mgr.codec.split_size
 
 
 # (page_size, k): k need not divide the page; at 5 bytes and k=4 role 3
@@ -79,8 +90,10 @@ def test_a_layout_stores_reads_and_resolves_its_splits(page_size, k):
             assert slab.split(p) == rows[role]
             if in_place(codec, role):
                 assert slab.store[p] is page
+            elif role < k:
+                assert slab.store[p] == rows[role] == bytes(codec.split_size)
             else:
-                assert slab.store[p] == rows[role]
+                assert is_record_of(slab.store[p], page)
         op = mgr.drive(mgr.submit_read(0, p))
         assert op.outcome == "ok" and op.clean and op.page is page
     assert mgr.remote_read(0, len(pages)) is mgr.zero_page
@@ -194,3 +207,36 @@ def test_corrupting_a_split_stored_in_place_changes_only_that_split():
     op = mgr.drive(mgr.submit_read(0, 0))
     assert op.outcome == "ok" and op.page == written
     assert op.corrected and op.verified and not op.clean
+
+
+@pytest.mark.parametrize("params", [CodecParams(4, 3, 1), CodecParams(8, 2, 1)], ids=str)
+def test_corrupting_a_parity_split_whose_rows_were_never_made(params):
+    cluster, mgr, arange = build(params, guard=True)
+    k = params.k
+    page = page_bytes(4096, 60)
+    mgr.remote_write(0, 0, page)
+    cluster.run_until_idle()
+    record = arange.codewords[0][k]
+    assert record.rows is None
+    slab = cluster.slabs[arange.refs[k].slab_id]
+    mask = b"\x81\x00\x7e"
+    cluster.corrupt_slab(slab.slab_id, 0, mask, offset=5)
+    assert cluster.event_log[-1][3] == "corrupted"
+    expect = bytearray(coding.codeword(mgr.codec, page)[k])
+    for i, byte in enumerate(mask):
+        expect[5 + i] ^= byte
+    # the slab stores the row xor the mask as its own bytes; the rows were
+    # made once, on the record every other parity slab still shares
+    assert type(slab.store[0]) is bytes and slab.store[0] == bytes(expect)
+    assert record.rows is not None
+    for ref in arange.refs[k + 1 :]:
+        assert cluster.slabs[ref.slab_id].store[0] is record
+    # a suspect machine makes a guarded read ask every split
+    mgr.health[slab.machine_id].record(False)
+    op = mgr.drive(mgr.submit_read(0, 0))
+    if len(arange.refs) >= k + 2 * params.delta + 1:
+        assert op.outcome == "ok" and op.page == page
+        assert op.corrected and op.verified and not op.clean
+    else:
+        # k + r splits are too few to locate a corruption: it is detected
+        assert op.outcome == "corrupt-unrecoverable" and op.page is None

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from invariants import check_invariants
 
-from codedmem import placement, simulator
+from codedmem import coding, placement, simulator
 from codedmem.coding import CodecParams
 from codedmem.errors import CapacityExhausted, InvalidParams
 from codedmem.manager import ResilienceManager
@@ -152,6 +152,25 @@ class TestSplitIo:
         c.read_split(0, slab.slab_id, 9, cb)
         c.run_until_idle()
         assert results[0].data == b"\x00" * 128
+
+    def test_a_buffer_is_copied_and_a_record_stored_as_given(self):
+        c = new_cluster()
+        slab = c.machines[0].allocate_slab(65536, owner=1, role=3, split_size=4)
+        results, cb = collect(c)
+        buffer = bytearray(b"abcd")
+        c.write_split(0, slab.slab_id, 0, buffer, cb)
+        buffer[0] ^= 0xFF  # the caller reuses its buffer
+        codec = coding.make_codec(CodecParams(k=2, r=2), page_size=8)
+        record = coding.Parity(codec, b"01234567")
+        c.write_split(0, slab.slab_id, 1, record, cb)
+        c.run_until_idle()
+        assert slab.store[0] == b"abcd" and type(slab.store[0]) is bytes
+        assert slab.store[1] is record and record.rows is None
+        c.read_split(0, slab.slab_id, 1, cb)
+        c.run_until_idle()
+        assert results[-1].data is record
+        # the slab's split of a record is its row, made on first read as bytes
+        assert slab.split(1) == coding.codeword(codec, b"01234567")[3]
 
     def test_allocation_respects_capacity(self):
         c = Cluster(1, latency=flat_model(), machine_bytes=100000, seed=0)
