@@ -151,7 +151,10 @@ def build_codingsets(shape, params, l, seed):
 
 
 def _distinct_rows(rng, rows, width, n):
-    """rows x width matrix of distinct uniform machine ids per row; width <= n."""
+    """rows x width matrix of distinct uniform machine ids per row; width <= n.
+    A round redraws and rechecks only the rows that repeated an id in the
+    round before, so the generator serves the same draws in the same order
+    as a whole-matrix check."""
     if width * 2 > n:
         # collision-heavy regime: per-row partial shuffle
         out = np.empty((rows, width), dtype=np.int64)
@@ -159,12 +162,14 @@ def _distinct_rows(rng, rows, width, n):
             out[i] = rng.permutation(n)[:width]
         return out
     out = rng.integers(0, n, size=(rows, width))
+    redrawn, drawn = np.arange(rows), out
     while True:
-        sorted_rows = np.sort(out, axis=1)
-        bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
-        if not bad.any():
+        sorted_rows = np.sort(drawn, axis=1)
+        redrawn = redrawn[(sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)]
+        if not len(redrawn):
             return out
-        out[bad] = rng.integers(0, n, size=(int(bad.sum()), width))
+        drawn = rng.integers(0, n, size=(len(redrawn), width))
+        out[redrawn] = drawn
 
 
 def build_eccache(shape, params, seed):

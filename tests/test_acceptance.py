@@ -110,15 +110,15 @@ def test_criterion_02_detection_correction_thresholds():
 def test_criterion_03_copyset_counts():
     params = CodecParams(k=8, r=2)
     single = build_codingsets(ClusterShape(machines=10), params, 0, seed=3)
-    assert len(single.groups) == 1
+    assert single.group_count == 1
     assert count_copysets(single, params) == 120
 
     extended = build_codingsets(ClusterShape(machines=12), params, 2, seed=3)
-    assert len(extended.groups) == 1
+    assert extended.group_count == 1
     assert count_copysets(extended, params) == 220
 
     two_groups = build_codingsets(ClusterShape(machines=24), params, 2, seed=3)
-    assert len(two_groups.groups) == 2
+    assert two_groups.group_count == 2
     assert count_copysets(two_groups, params) == 440  # 220 per group
 
 

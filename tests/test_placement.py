@@ -8,6 +8,7 @@ Frozen oracle values:
   - loads [1,2,3,4] -> max/min 4.0, cv = sqrt(1.25)/2.5 = 0.4472135954999579
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -27,27 +28,36 @@ def shape(n, s=1, f=0.0):
     return placement.ClusterShape(machines=n, slabs_per_machine=s, failure_fraction=f)
 
 
+def members_of(plan, g):
+    """Group g's member ids as a tuple: its slice of ``plan.members``."""
+    return tuple(plan.members[plan.bounds[g] : plan.bounds[g + 1]].tolist())
+
+
+def all_members(plan):
+    return [members_of(plan, g) for g in range(plan.group_count)]
+
+
 class TestCodingSetsPlan:
     def test_partition_1000_l2(self):
         plan = placement.build_codingsets(shape(1000), CodecParams(k=8, r=2), l=2, seed=1)
-        assert len(plan.groups) == 83
-        sizes = sorted(len(g.members) for g in plan.groups)
+        assert plan.group_count == 83
+        sizes = sorted(map(len, all_members(plan)))
         assert sizes[:-1] == [12] * 82
         assert sizes[-1] == 16  # 4 leftover machines folded into the last group
-        seen = sorted(m for g in plan.groups for m in g.members)
+        seen = sorted(m for members in all_members(plan) for m in members)
         assert seen == list(range(1000))  # disjoint and complete
 
     def test_partition_exact_fit(self):
         plan = placement.build_codingsets(shape(60), CodecParams(k=4, r=2), l=0, seed=2)
-        assert len(plan.groups) == 10
-        assert all(len(g.members) == 6 for g in plan.groups)
+        assert plan.group_count == 10
+        assert all(len(members) == 6 for members in all_members(plan))
 
     def test_seed_determinism(self):
         a = placement.build_codingsets(shape(100), CodecParams(k=4, r=2), l=1, seed=9)
         b = placement.build_codingsets(shape(100), CodecParams(k=4, r=2), l=1, seed=9)
         c = placement.build_codingsets(shape(100), CodecParams(k=4, r=2), l=1, seed=10)
-        assert [g.members for g in a.groups] == [g.members for g in b.groups]
-        assert [g.members for g in a.groups] != [g.members for g in c.groups]
+        assert all_members(a) == all_members(b)
+        assert all_members(a) != all_members(c)
 
     def test_too_few_machines_rejected(self):
         with pytest.raises(InvalidParams):
@@ -57,21 +67,21 @@ class TestCodingSetsPlan:
 class TestEcCachePlan:
     def test_group_count_and_slab_budget(self):
         plan = placement.build_eccache(shape(1000, s=16), CodecParams(k=8, r=2), seed=3)
-        assert len(plan.groups) == 1600  # N*S/(k+r)
-        assert all(len(set(g.members)) == 10 for g in plan.groups)
+        assert plan.group_count == 1600  # N*S/(k+r)
+        assert all(len(set(members)) == 10 for members in all_members(plan))
         # one slab per member per group: exactly N*S slab placements
-        assert sum(len(g.members) for g in plan.groups) == 16000
+        assert sum(len(members) for members in all_members(plan)) == 16000
 
     def test_members_in_range_and_deterministic(self):
         a = placement.build_eccache(shape(50, s=2), CodecParams(k=2, r=1), seed=4)
         b = placement.build_eccache(shape(50, s=2), CodecParams(k=2, r=1), seed=4)
-        assert [g.members for g in a.groups] == [g.members for g in b.groups]
-        assert all(0 <= m < 50 for g in a.groups for m in g.members)
+        assert all_members(a) == all_members(b)
+        assert all(0 <= m < 50 for members in all_members(a) for m in members)
 
     def test_tight_cluster(self):
         # N == k+r forces every group to use all machines
         plan = placement.build_eccache(shape(4, s=2), CodecParams(k=2, r=2), seed=5)
-        assert all(sorted(g.members) == [0, 1, 2, 3] for g in plan.groups)
+        assert all(sorted(members) == [0, 1, 2, 3] for members in all_members(plan))
 
 
 class TestClusterShape:
@@ -112,17 +122,38 @@ def reference_codingsets_groups(sh, params, l, seed):
     ]
 
 
+def whole_matrix_rows(rng, rows, width, n):
+    """Distinct-id rows by redrawing every bad row and then sorting and
+    checking the whole matrix again, each round."""
+    if width * 2 > n:
+        return np.array([rng.permutation(n)[:width] for _ in range(rows)])
+    out = rng.integers(0, n, size=(rows, width))
+    while True:
+        sorted_rows = np.sort(out, axis=1)
+        bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+        if not bad.any():
+            return out
+        out[bad] = rng.integers(0, n, size=(int(bad.sum()), width))
+
+
+def eccache_row_args(sh, params):
+    """The (rows, width, n) eccache_members asks _distinct_rows for."""
+    width = params.k + params.r
+    return max(1, round(sh.machines * sh.slabs_per_machine / width)), width, sh.machines
+
+
 def reference_eccache_groups(sh, params, seed):
-    """build_eccache's groups as tuples, one row of eccache_members each."""
-    return list(map(tuple, placement.eccache_members(sh, params, seed).tolist()))
+    """build_eccache's groups as tuples, one row of the whole-matrix redraw each."""
+    rows = whole_matrix_rows(np.random.default_rng(seed), *eccache_row_args(sh, params))
+    return list(map(tuple, rows.tolist()))
 
 
 def reference_incidence(plan, n, dtype):
     """machine -> row of group ids in group order, -1 pads, one member at a time."""
     lists = [[] for _ in range(n)]
-    for g in plan.groups:
-        for m in g.members:
-            lists[m].append(g.index)
+    for g in range(plan.group_count):
+        for m in members_of(plan, g):
+            lists[m].append(g)
     table = np.full((n, max(1, max(map(len, lists)))), -1, dtype=dtype)
     for m, v in enumerate(lists):
         table[m, : len(v)] = v
@@ -157,6 +188,60 @@ def build(scheme, sh, params, l, seed):
     return placement.build_codingsets(sh, params, l, seed)
 
 
+class RecordingRng:
+    """A generator that records the kind and size of every draw it serves."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, low, high, size):
+        self.draws.append(("integers", size))
+        return self.rng.integers(low, high, size=size)
+
+    def permutation(self, n):
+        self.draws.append(("permutation", n))
+        return self.rng.permutation(n)
+
+
+class TestEcCacheRows:
+    """_distinct_rows against the loop that sorts the whole matrix each round."""
+
+    def test_rows_and_draws_match_the_whole_matrix_redraw(self):
+        shapes = [(sh, params) for _, sh, params, _ in PLAN_SHAPES + list(random_plan_shapes(120, seed=19))]
+        heavy = (shape(10, s=100), CodecParams(k=3, r=2))  # n = 2*width: integer draws
+        heads = (shape(9, s=100), CodecParams(k=3, r=2))  # n = 2*width - 1: permutation heads
+        for seed, (sh, params) in enumerate(shapes + [heavy, heads]):
+            args = eccache_row_args(sh, params)
+            got, want = RecordingRng(seed), RecordingRng(seed)
+            rows = placement._distinct_rows(got, *args)
+            assert np.array_equal(rows, whole_matrix_rows(want, *args)), (sh, params)
+            assert got.draws == want.draws, (sh, params)
+            # the generators stand at the same state after it
+            assert got.rng.integers(1 << 62) == want.rng.integers(1 << 62), (sh, params)
+            if (sh, params) == heavy:
+                assert len(got.draws) > 5  # a distinct row of 5 ids in 10 is 30 % likely
+            if (sh, params) == heads:
+                assert got.draws == [("permutation", 9)] * 180
+
+    # SHA-256 of the little-endian int64 eccache_members rows at k=8, r=2,
+    # 16 slabs per machine, recorded from the loop that sorted the whole
+    # matrix every round, before _distinct_rows rechecked only redrawn rows
+    ROW_DIGESTS = {
+        (1000, 1): "91cf71c2d2116c0d2a3543eb39e1c9a19de498ea4f5f97878deb1a03a9482684",
+        (1000, 7): "d5bbacfc6d2413a3898d3fc7874fea6b31805dca91d72843b1bc90c3998c1b44",
+        (10000, 1): "634bdb1286ec6dfe0749dd75fd28e0de6c69d72d947ece89256919d43528ca9f",
+        (10000, 7): "e5dd0fefbf6c92062f8ded10f642f42d686037be47bd70cb18ea654697e56c10",
+    }
+
+    @pytest.mark.parametrize("machines, seed", sorted(ROW_DIGESTS))
+    def test_rows_digest_pinned(self, machines, seed):
+        rows = placement.eccache_members(shape(machines, s=16), CodecParams(k=8, r=2), seed)
+        assert rows.shape == (machines * 16 // 10, 10)
+        digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.ROW_DIGESTS[machines, seed]
+
+
 class TestPlanArrays:
     """A plan holds flat member arrays; its group list is derived on demand."""
 
@@ -176,7 +261,7 @@ class TestPlanArrays:
     @pytest.mark.parametrize("scheme, sh, params, l", PLAN_SHAPES)
     def test_incidence_table_matches_member_loop(self, scheme, sh, params, l):
         plan = build(scheme, sh, params, l, seed=4)
-        dtype = np.int16 if len(plan.groups) <= np.iinfo(np.int16).max else np.int32
+        dtype = np.int16 if plan.group_count <= np.iinfo(np.int16).max else np.int32
         got = placement._incidence_table(plan, sh.machines)
         expect = reference_incidence(plan, sh.machines, dtype)
         assert got.dtype == expect.dtype
@@ -341,15 +426,15 @@ class TestCodingSetsLoads:
             n = int(rng.integers(k + r + l, 400))
             plan = placement.build_codingsets(shape(n), params, l=l, seed=trial)
             loads = placement.codingsets_loads(plan, int(rng.integers(0, 3 * n)), params)
-            for group in plan.groups:
-                held = loads[list(group.members)]
-                assert held.max() - held.min() <= 1, (trial, group.index)
+            for g in range(plan.group_count):
+                held = loads[list(members_of(plan, g))]
+                assert held.max() - held.min() <= 1, (trial, g)
 
 
 class TestCopysets:
     def test_single_group_8_2(self):
         plan = placement.build_codingsets(shape(10), CodecParams(k=8, r=2), l=0, seed=0)
-        assert len(plan.groups) == 1
+        assert plan.group_count == 1
         assert placement.count_copysets(plan, CodecParams(k=8, r=2)) == 120
 
     def test_extended_group_l2(self):
@@ -444,7 +529,7 @@ def exhaustive_loss(plan, n, r_plus_1, failures):
     """Independent oracle: enumerate every failure set of the given size."""
     losing = 0
     total = 0
-    group_sets = [set(g.members) for g in plan.groups]
+    group_sets = [set(members) for members in all_members(plan)]
     for combo in itertools.combinations(range(n), failures):
         total += 1
         fs = set(combo)
@@ -697,10 +782,10 @@ class TestAssignment:
         gid = plan.group_for_range(5)
         assert 0 <= gid < 3  # 12/(2+1+1) = 3 groups
         members = placement.select_members(
-            plan.groups[gid].members, dict.fromkeys(range(12), 0.0), params.k + params.r
+            members_of(plan, gid), dict.fromkeys(range(12), 0.0), params.k + params.r
         )
         assert len(members) == 3
-        assert set(members) <= set(plan.groups[gid].members)
+        assert set(members) <= set(members_of(plan, gid))
 
     def test_eccache_range_is_its_group(self):
         plan = placement.build_eccache(shape(30, s=2), CodecParams(k=2, r=1), seed=3)
